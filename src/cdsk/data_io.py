@@ -181,7 +181,16 @@ class ClusteringResult:
     qp_converged: bool = True
 
 
-_RESULT_KEYS = ("labels", "alpha", "objective_trace", "metrics", "lambda", "bandwidth", "seed")
+_RESULT_KEYS = (
+    "labels",
+    "alpha",
+    "objective_trace",
+    "metrics",
+    "lambda",
+    "bandwidth",
+    "seed",
+    "qp_converged",
+)
 
 
 def write_result(result: ClusteringResult, path) -> None:
@@ -194,6 +203,7 @@ def write_result(result: ClusteringResult, path) -> None:
         "lambda": float(result.lambda_used),
         "bandwidth": float(result.bandwidth_used),
         "seed": int(result.seed),
+        "qp_converged": bool(result.qp_converged),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
@@ -210,6 +220,8 @@ def read_result(path) -> ClusteringResult:
     missing = [k for k in _RESULT_KEYS if k not in doc]
     if missing:
         raise ParseError(f"{path}: missing result keys {missing}")
+    if not isinstance(doc["qp_converged"], bool):
+        raise ParseError(f"{path}: qp_converged must be true or false")
     return ClusteringResult(
         labels=np.array(doc["labels"], dtype=np.int64),
         alpha=np.array(doc["alpha"], dtype=np.float64),
@@ -218,4 +230,5 @@ def read_result(path) -> ClusteringResult:
         lambda_used=float(doc["lambda"]),
         bandwidth_used=float(doc["bandwidth"]),
         seed=int(doc["seed"]),
+        qp_converged=doc["qp_converged"],
     )

@@ -133,10 +133,13 @@ def cdsk_objective(
 
 
 def class_scores(x, train: SampleMatrix, alpha, spec: KernelSpec) -> np.ndarray:
+    """Weighted kernel votes of one query point, one score per class."""
     if train.labels is None:
         raise ValidationError("training data carries no labels")
     alpha = check_simplex(alpha, n=train.n)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[0] != 1:
+        raise ValidationError(f"expected one query point, got {x.shape[0]} rows")
     if x.shape[1] != train.d:
         raise ValidationError(f"point has {x.shape[1]} features, expected {train.d}")
     krow = pairwise_kernel(x, train.data, spec.bandwidth)[0]

@@ -95,7 +95,7 @@ def test_moons_deterministic_and_odd_rejected():
         make_two_moons(3, 0.05)
 
 
-def _tiny_result():
+def _tiny_result(qp_converged=True):
     return ClusteringResult(
         labels=np.array([1, 2]),
         alpha=np.array([0.25, 0.75]),
@@ -104,20 +104,31 @@ def _tiny_result():
         lambda_used=0.1,
         bandwidth_used=2.0,
         seed=3,
+        qp_converged=qp_converged,
     )
 
 
 def test_result_round_trip(tmp_path):
     p = tmp_path / "res.json"
-    res = _tiny_result()
-    write_result(res, p)
-    back = read_result(p)
-    assert np.array_equal(back.labels, res.labels)
-    assert np.max(np.abs(back.alpha - res.alpha)) < 1e-12
-    assert back.objective_trace == res.objective_trace
-    assert back.lambda_used == res.lambda_used
-    text = p.read_text()
-    assert '"labels"' in text and '"alpha"' in text
+    for qp_converged in (True, False):
+        res = _tiny_result(qp_converged)
+        write_result(res, p)
+        back = read_result(p)
+        assert np.array_equal(back.labels, res.labels)
+        assert np.max(np.abs(back.alpha - res.alpha)) < 1e-12
+        assert back.objective_trace == res.objective_trace
+        assert back.lambda_used == res.lambda_used
+        assert back.qp_converged is qp_converged
+        text = p.read_text()
+        assert '"labels"' in text and '"alpha"' in text
+
+
+def test_result_rejects_non_boolean_qp_converged(tmp_path):
+    p = tmp_path / "res.json"
+    write_result(_tiny_result(False), p)
+    p.write_text(p.read_text().replace('"qp_converged": false', '"qp_converged": "false"'))
+    with pytest.raises(ParseError):
+        read_result(p)
 
 
 def test_result_truncated_file(tmp_path):

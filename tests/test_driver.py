@@ -14,9 +14,10 @@ from cdsk.driver import (
 )
 from cdsk.embedding import solve_embedding
 from cdsk.errors import ConfigError, ValidationError
-from cdsk.kernel import KernelSpec, gram
+from cdsk.kernel import KernelSpec, default_bandwidth, gram
 from cdsk.simplex_qp import assemble_alpha_qp, qp_objective
 from cdsk.similarity import disc_similarity
+from test_acceptance import _descent_dataset
 
 
 def _blobs(n_per=30, gap=12.0, seed=0):
@@ -205,3 +206,49 @@ def test_run_cdsk_n_equals_c_smoke():
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [8.0, 8.0], [8.1, 8.0]])
     res = run_cdsk(SampleMatrix(pts), CdskConfig(c=4, max_iter=2, kmeans_restarts=2))
     assert sorted(res.labels.tolist()) == [1, 2, 3, 4]
+
+
+def _first_weight_step(data, c, lam, bandwidth):
+    """The QP of a run's first iteration: uniform start, uniform-weight embedding."""
+    k = gram(data, KernelSpec(bandwidth))
+    alpha = np.full(data.n, 1.0 / data.n)
+    y = solve_embedding(disc_similarity(k, alpha, lam), c).y
+    return assemble_alpha_qp(y, k, lam), y, k, alpha
+
+
+def _three_blobs_step():
+    data = make_blobs(100, [[0.0, 0.0], [4.0, 0.0], [2.0, 3.5]], 1.0, seed=3)
+    return _first_weight_step(data, 3, 0.1, default_bandwidth(data))
+
+
+def test_solve_alpha_coupled_descends_on_three_blobs():
+    qp, y, k, alpha = _three_blobs_step()
+    sol = solve_alpha_coupled(qp, y, k, 0.1, start=alpha)
+    assert sol.objective < qp_objective(qp, alpha) - 1e-6
+    assert 1 <= sol.iterations <= 80
+    assert sol.alpha.min() >= 0.0
+    assert abs(sol.alpha.sum() - 1.0) <= 1e-11
+    deg = graph_degrees(k.values, sol.alpha, 0.1)
+    assert np.max(np.abs(y.T @ (deg[:, None] * y) - np.eye(3))) <= 1e-11
+    again = solve_alpha_coupled(qp, y, k, 0.1, start=alpha)
+    assert again.alpha.tobytes() == sol.alpha.tobytes()
+
+
+def test_solve_alpha_coupled_respects_max_inner():
+    qp, y, k, alpha = _three_blobs_step()
+    for max_inner in (0, 1, 5):
+        sol = solve_alpha_coupled(qp, y, k, 0.1, start=alpha, max_inner=max_inner)
+        assert sol.iterations <= max_inner
+        assert sol.objective <= qp_objective(qp, alpha)
+
+
+def test_solve_alpha_coupled_converged_means_kkt_within_tolerance():
+    seen = set()
+    for i in (2, 4, 6, 7, 9):
+        data, c, lam, bw = _descent_dataset(i)
+        qp, y, k, alpha = _first_weight_step(data, c, lam, bw or default_bandwidth(data))
+        for tol in (1e-6, 1e-3):
+            sol = solve_alpha_coupled(qp, y, k, lam, start=alpha, tol=tol)
+            assert sol.converged == (sol.kkt_residual <= max(tol, 1e-5)), (i, tol)
+            seen.add(sol.converged)
+    assert seen == {True, False}

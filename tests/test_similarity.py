@@ -278,3 +278,13 @@ def test_classify_matches_argmax_of_scores():
         x = rng.normal(size=2)
         scores = class_scores(x, train, alpha, spec)
         assert classify(x, train, alpha, spec) == int(np.argmax(scores)) + 1
+
+
+def test_class_scores_rejects_several_query_rows():
+    train = _two_point_train(0.8, 0.2)
+    spec = KernelSpec(1.0)
+    with pytest.raises(ValidationError):
+        class_scores([[0.0], [1.0]], train, [0.5, 0.5], spec)
+    with pytest.raises(ValidationError):
+        classify([[0.0], [1.0]], train, [0.5, 0.5], spec)
+    assert class_scores([[0.0]], train, [0.5, 0.5], spec).shape == (2,)
