@@ -60,6 +60,13 @@ def _emit(key: str, value) -> None:
     print(f"{key}: {value}")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_input_flags(p: argparse.ArgumentParser, labels_help: str) -> None:
     p.add_argument("--input", required=True, help="CSV file, one sample per row")
     p.add_argument("--labels", type=int, default=None, metavar="COL", help=labels_help)
@@ -306,7 +313,7 @@ def build_parser() -> _Parser:
     _add_run_flags(p)
     p.add_argument("--output", default=None, help="write the result document here")
     p.add_argument("--tune-lambda", action="store_true")
-    p.add_argument("--runs", type=int, default=1)
+    p.add_argument("--runs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("tune", help="pick lambda on a validation subsample")
@@ -316,7 +323,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", type=float, nargs="+", default=None)
     p.add_argument("--then-cluster", action="store_true")
     p.add_argument("--output", default=None)
-    p.add_argument("--runs", type=int, default=1)
+    p.add_argument("--runs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_tune, tune_lambda=False)
 
     p = sub.add_parser("baseline", help="plain spectral clustering on the raw kernel")

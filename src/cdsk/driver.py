@@ -12,7 +12,7 @@ from .errors import ConfigError, DegenerateDataError, ValidationError
 from .kernel import GramMatrix, KernelSpec, default_bandwidth, gram
 from .kmeans_metrics import Partition, accuracy, kmeans, nmi
 from .similarity import alpha_objective_terms, check_simplex, disc_similarity, laplacian_quadratic
-from .simplex_qp import QpSolution, SimplexQP, assemble_alpha_qp, init_alpha_sparse
+from .simplex_qp import QpSolution, SimplexQP, assemble_alpha_qp
 
 DEFAULT_LAMBDA_GRID = tuple(round(0.05 * k, 2) for k in range(1, 11))
 _VALIDATION_FRACTION = 0.1
@@ -188,7 +188,6 @@ class CdskConfig:
     convergence_tol: float = 1e-8
     seed: int = 0
     kmeans_restarts: int = 10
-    alpha_init: str = "sparse"
 
     def __post_init__(self):
         if self.c < 1:
@@ -205,8 +204,6 @@ class CdskConfig:
             raise ConfigError("seed must be a nonnegative integer")
         if self.kmeans_restarts < 1:
             raise ConfigError("kmeans_restarts must be >= 1")
-        if self.alpha_init not in ("sparse", "uniform"):
-            raise ConfigError(f"unknown alpha_init {self.alpha_init!r}")
 
 
 def _metrics_against(labels: np.ndarray, truth: np.ndarray | None) -> dict | None:
@@ -217,10 +214,13 @@ def _metrics_against(labels: np.ndarray, truth: np.ndarray | None) -> dict | Non
     return {"accuracy": accuracy(pred, ref), "nmi": nmi(pred, ref)}
 
 
-def run_cdsk(
-    data: SampleMatrix, config: CdskConfig, alpha0: np.ndarray | None = None
-) -> ClusteringResult:
+def run_cdsk(data: SampleMatrix, config: CdskConfig) -> ClusteringResult:
     """Alternate spectral embedding and coupled weight updates, then k-means.
+
+    The weights start uniform, alpha = 1/n, where the discriminative
+    similarity is a constant multiple of the kernel, so the first embedding
+    is the plain spectral one.  A kernel that leaves some point with zero
+    degree at that start raises DegenerateDataError.
 
     Per iteration: build the discriminative similarity graph from the current
     weights, embed against its normalized Laplacian, re-fit the weights on the
@@ -239,22 +239,8 @@ def run_cdsk(
     bandwidth = config.bandwidth if config.bandwidth is not None else default_bandwidth(data)
     kmat = gram(data, KernelSpec(bandwidth))
 
-    if alpha0 is not None:
-        alpha = check_simplex(alpha0, n=data.n).copy()
-    elif config.alpha_init == "uniform":
-        alpha = np.full(data.n, 1.0 / data.n)
-    else:
-        alpha = init_alpha_sparse(data, seed=config.seed)
-
-    try:
-        graph = disc_similarity(kmat, alpha, config.lam)
-    except DegenerateDataError:
-        if alpha0 is not None or config.alpha_init == "uniform":
-            raise
-        # the sparse pilot weights can strand remote points at short bandwidth;
-        # uniform weights keep every degree positive whenever the kernel does
-        alpha = np.full(data.n, 1.0 / data.n)
-        graph = disc_similarity(kmat, alpha, config.lam)
+    alpha = np.full(data.n, 1.0 / data.n)
+    graph = disc_similarity(kmat, alpha, config.lam)
     trace: list[float] = []
     qp_converged = True
     y = None
@@ -311,10 +297,10 @@ def tune_lambda(
 ) -> tuple[float, list[float]]:
     """Pick lambda by minimum embedding entropy on a validation subsample.
 
-    The subsample holds 10% of the data, floored at max(2c, 10) points; one
-    sparse initialization is shared across the grid and each grid point runs
-    with a seed derived from (seed, grid index).  Ties keep the smaller
-    lambda.
+    The subsample holds 10% of the data, floored at max(2c, 10) points.  Each
+    grid point runs run_cdsk on it, from uniform weights, with a seed derived
+    from (seed, grid index), and scores the embedding of the final weights.
+    Ties keep the smaller lambda.
     """
     grid = [float(v) for v in grid]
     if not grid:
@@ -329,23 +315,10 @@ def tune_lambda(
     subset = SampleMatrix(
         data.data[idx], None if data.labels is None else data.labels[idx]
     )
-    alpha0 = (
-        np.full(subset.n, 1.0 / subset.n)
-        if config.alpha_init == "uniform"
-        else init_alpha_sparse(subset, seed=config.seed)
-    )
-    bandwidth = config.bandwidth if config.bandwidth is not None else default_bandwidth(subset)
-    try:
-        # degrees shrink as lambda grows, so the largest grid value is the
-        # worst case; a start that strands a subset point falls back to uniform
-        disc_similarity(gram(subset, KernelSpec(bandwidth)), alpha0, max(grid))
-    except DegenerateDataError:
-        alpha0 = np.full(subset.n, 1.0 / subset.n)
     entropies: list[float] = []
     for i, lam in enumerate(grid):
         sub_config = replace(config, lam=lam, seed=_derived_seed(config.seed, i))
-        graph_cfg = sub_config
-        result = run_cdsk(subset, graph_cfg, alpha0=alpha0)
+        result = run_cdsk(subset, sub_config)
         emb_graph = disc_similarity(
             gram(subset, KernelSpec(result.bandwidth_used)), result.alpha, lam
         )

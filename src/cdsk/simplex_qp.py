@@ -13,7 +13,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .data_io import SampleMatrix
 from .errors import ValidationError
 from .kernel import GramMatrix, pairwise_sq_dists
 from .similarity import check_simplex
@@ -278,91 +277,3 @@ def solve_smo(
         objective_trace=trace,
     )
 
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sorting method)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def init_alpha_sparse(data: SampleMatrix, tau: float = 0.1, seed: int = 0) -> np.ndarray:
-    """Sparse starting weights from greedy self-reconstruction.
-
-    Columns are added one at a time, each time picking the column whose
-    re-fitted least-squares weights most reduce the total residual
-    sum_i ||x_i - sum_{j != i} w_j x_j||^2; selection stops once the marginal
-    reduction drops below tau (the per-atom sparsity charge).  The selected
-    weights are projected onto the simplex; degenerate selections (fewer than
-    two atoms) fall back to uniform weights.  The procedure is deterministic;
-    seed is accepted for interface stability.
-    """
-    del seed
-    if not np.isfinite(tau) or tau < 0:
-        raise ValidationError(f"tau must be a nonnegative real, got {tau}")
-    x = data.data
-    n = data.n
-    # residual as a quadratic in the shared weights w:
-    # f(w) = const + 2 (g - s)^T w + w^T (diag(g) + (n - 2) G) w,  G = X X^T
-    gmat = x @ x.T
-    gdiag = np.diag(gmat).copy()
-    lin = gdiag - gmat.sum(axis=1)
-    quad = np.diag(gdiag) + (n - 2) * gmat
-    quad = 0.5 * (quad + quad.T)
-
-    # greedy gains via Schur complements on an incrementally grown Cholesky
-    # factor of Q_SS: adding column j changes the optimal fit by r_j^2 / s_j,
-    # identical to re-solving the bordered system for every candidate
-    support: list[int] = []
-    final_w: np.ndarray | None = None
-    chol = np.zeros((n, n))  # lower-triangular rows for the support, in order
-    wrows = np.zeros((n, n))  # row k holds (L^-1 Q[support, :])[k]
-    csol = np.zeros(n)  # L^-1 lin[support]
-    s_res = np.diag(quad).astype(np.float64).copy()
-    r_res = lin.astype(np.float64).copy()
-    while len(support) < n:
-        cand = np.ones(n, dtype=bool)
-        if support:
-            cand[np.array(support)] = False
-        gains = np.full(n, -np.inf)
-        ok = cand & (s_res > 0.0)
-        gains[ok] = r_res[ok] ** 2 / s_res[ok]
-        best_col = -1
-        while True:
-            j = int(np.argmax(gains))
-            if not np.isfinite(gains[j]) or gains[j] <= tau:
-                break
-            cols = support + [j]
-            sub_q = quad[np.ix_(cols, cols)]
-            try:
-                w = np.linalg.solve(sub_q, -lin[cols])
-            except np.linalg.LinAlgError:
-                gains[j] = -np.inf
-                continue
-            best_col = j
-            break
-        if best_col < 0:
-            break
-        k = len(support)
-        z = wrows[:k, best_col].copy()
-        d = np.sqrt(max(s_res[best_col], 0.0))
-        if d <= 0.0:
-            break
-        chol[k, :k] = z
-        chol[k, k] = d
-        new_row = (quad[best_col] - z @ wrows[:k]) / d
-        wrows[k] = new_row
-        csol[k] = (lin[best_col] - z @ csol[:k]) / d
-        s_res = s_res - new_row**2
-        r_res = r_res - new_row * csol[k]
-        support.append(best_col)
-        final_w = w
-    if len(support) < 2 or final_w is None:
-        return np.full(n, 1.0 / n)
-    alpha = np.zeros(n)
-    alpha[np.array(support)] = _project_simplex(np.asarray(final_w, dtype=np.float64))
-    if np.count_nonzero(alpha) < 2:
-        return np.full(n, 1.0 / n)
-    return alpha

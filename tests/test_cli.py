@@ -60,6 +60,14 @@ def test_cluster_missing_required_flag(capsys, blobs_csv):
     assert "error:" in capsys.readouterr().err
 
 
+def test_runs_below_one_is_usage_error(capsys, blobs_csv):
+    for verb in (["cluster"], ["tune", "--then-cluster"]):
+        with pytest.raises(SystemExit) as exc:
+            main(verb + ["--input", blobs_csv, "--clusters", "2", "--runs", "0"])
+        assert exc.value.code == 64
+        assert "--runs" in capsys.readouterr().err
+
+
 def test_cluster_bad_lambda(capsys, blobs_csv):
     rc, _, err = _run(
         capsys,

@@ -35,7 +35,6 @@ def test_config_validation():
         dict(c=2, qp_tol=0.0),
         dict(c=2, seed=-1),
         dict(c=2, kmeans_restarts=0),
-        dict(c=2, alpha_init="fancy"),
     ):
         with pytest.raises(ConfigError):
             CdskConfig(**kwargs)
@@ -94,7 +93,7 @@ def test_run_cdsk_single_iteration_uniform_matches_baseline():
     # with uniform weights the first embedding equals the plain spectral one,
     # so a one-iteration run clusters identically to the baseline
     data = _blobs(n_per=25, seed=1)
-    cfg = CdskConfig(c=2, lam=0.1, max_iter=1, alpha_init="uniform", seed=5)
+    cfg = CdskConfig(c=2, lam=0.1, max_iter=1, seed=5)
     res = run_cdsk(data, cfg)
     base = run_baseline_spectral(data, 2, seed=5, bandwidth=res.bandwidth_used)
     assert np.array_equal(res.labels, base.labels)
@@ -107,15 +106,22 @@ def test_run_cdsk_domain_errors():
     small = SampleMatrix(np.array([[0.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(ValidationError):
         run_cdsk(small, CdskConfig(c=3))
-    with pytest.raises(ValidationError):
-        run_cdsk(data, CdskConfig(c=2), alpha0=np.full(10, 0.2))
 
 
-def test_run_cdsk_custom_alpha0():
+def test_run_cdsk_two_iterations_separates_blobs():
     data = _blobs(n_per=15)
-    n = data.n
-    alpha0 = np.full(n, 1.0 / n)
-    res = run_cdsk(data, CdskConfig(c=2, lam=0.1, max_iter=2), alpha0=alpha0)
+    res = run_cdsk(data, CdskConfig(c=2, lam=0.1, max_iter=2))
+    assert res.metrics["accuracy"] == 1.0
+
+
+def test_run_cdsk_high_dimensional_blobs_match_baseline():
+    # 3 blobs in d=34 with the heuristic bandwidth: CDSK must cluster as
+    # well as the plain spectral baseline, which is exact here
+    rng = np.random.default_rng(2)
+    data = make_blobs(100, 1.5 * rng.standard_normal((3, 34)), 1.0, seed=2)
+    res = run_cdsk(data, CdskConfig(c=3, seed=2))
+    base = run_baseline_spectral(data, 3, seed=2)
+    assert base.metrics["accuracy"] == 1.0
     assert res.metrics["accuracy"] == 1.0
 
 

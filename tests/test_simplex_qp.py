@@ -2,8 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cdsk.data_io import SampleMatrix
 from cdsk.errors import ValidationError
@@ -11,7 +9,6 @@ from cdsk.kernel import KernelSpec, gram
 from cdsk.simplex_qp import (
     SimplexQP,
     assemble_alpha_qp,
-    init_alpha_sparse,
     qp_objective,
     solve_smo,
 )
@@ -137,90 +134,3 @@ def test_solve_smo_single_coordinate():
     assert sol.alpha[0] == 1.0
     assert sol.converged
 
-
-def _project_simplex_reference(v):
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
-
-
-def _greedy_sparse_reference(x, tau):
-    """Greedy atom selection with a fresh bordered solve per candidate."""
-    n = x.shape[0]
-    gmat = x @ x.T
-    gdiag = np.diag(gmat).copy()
-    lin = gdiag - gmat.sum(axis=1)
-    quad = np.diag(gdiag) + (n - 2) * gmat
-    quad = 0.5 * (quad + quad.T)
-
-    support: list[int] = []
-    final_w = None
-    current = 0.0
-    while len(support) < n:
-        gains = np.full(n, -np.inf)
-        fits = {}
-        for j in range(n):
-            if j in support:
-                continue
-            cols = support + [j]
-            sub = quad[np.ix_(cols, cols)]
-            try:
-                w = np.linalg.solve(sub, -lin[cols])
-            except np.linalg.LinAlgError:
-                continue
-            value = float(lin[cols] @ w)
-            gains[j] = current - value
-            fits[j] = (w, value)
-        j = int(np.argmax(gains))
-        if not np.isfinite(gains[j]) or gains[j] <= tau:
-            break
-        final_w, current = fits[j]
-        support.append(j)
-    if len(support) < 2 or final_w is None:
-        return np.full(n, 1.0 / n)
-    alpha = np.zeros(n)
-    alpha[np.array(support)] = _project_simplex_reference(np.asarray(final_w))
-    if np.count_nonzero(alpha) < 2:
-        return np.full(n, 1.0 / n)
-    return alpha
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10_000), st.integers(4, 20))
-def test_init_alpha_sparse_matches_reference(seed, n):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, 3))
-    got = init_alpha_sparse(SampleMatrix(x), tau=0.1)
-    want = _greedy_sparse_reference(x, 0.1)
-    assert np.allclose(got, want, atol=1e-8)
-
-
-def test_init_alpha_sparse_simplex_output():
-    rng = np.random.default_rng(5)
-    alpha = init_alpha_sparse(SampleMatrix(rng.normal(size=(30, 4))))
-    assert alpha.min() >= 0.0
-    assert abs(alpha.sum() - 1.0) < 1e-10
-
-
-def test_init_alpha_sparse_huge_tau_uniform():
-    rng = np.random.default_rng(6)
-    alpha = init_alpha_sparse(SampleMatrix(rng.normal(size=(10, 2))), tau=1e12)
-    assert np.allclose(alpha, 0.1)
-
-
-def test_init_alpha_sparse_tau_validation():
-    rng = np.random.default_rng(7)
-    data = SampleMatrix(rng.normal(size=(5, 2)))
-    with pytest.raises(ValidationError):
-        init_alpha_sparse(data, tau=-1.0)
-    with pytest.raises(ValidationError):
-        init_alpha_sparse(data, tau=np.nan)
-
-
-def test_init_alpha_sparse_deterministic():
-    rng = np.random.default_rng(8)
-    data = SampleMatrix(rng.normal(size=(25, 3)))
-    a1 = init_alpha_sparse(data, seed=0)
-    a2 = init_alpha_sparse(data, seed=99)
-    assert np.array_equal(a1, a2)
