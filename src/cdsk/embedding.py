@@ -22,14 +22,21 @@ class Embedding:
 def solve_embedding(graph: DiscSimilarityGraph, c: int) -> Embedding:
     """Trace-minimizing embedding under the degree constraint Y^T D Y = I.
 
-    Takes the c smallest eigenvectors U of the normalized Laplacian and
-    returns Y = D^{-1/2} U.
+    Takes the c smallest eigenvectors U of the normalized Laplacian
+    N = I - D^{-1/2} S D^{-1/2} and returns Y = D^{-1/2} U.  With positive
+    degrees, N has the null vector D^{1/2} 1 in closed form; it is handed to
+    the eigensolver normalized, so above the dense size limit the Lanczos
+    iteration (run on the shifted operator sigma I - N, see
+    smallest_eigenpairs) deflates it and computes only the other c - 1
+    vectors.
     """
     n = graph.s.shape[0]
     if not 1 <= c <= n:
         raise ValidationError(f"need 1 <= c <= n, got c={c}, n={n}")
-    _, u = smallest_eigenpairs(graph.normalized_laplacian, c)
-    y = u / np.sqrt(graph.degree)[:, None]
+    sqrt_degree = np.sqrt(graph.degree)
+    null_vector = sqrt_degree / np.linalg.norm(sqrt_degree)
+    _, u = smallest_eigenpairs(graph.normalized_laplacian, c, null_vector=null_vector)
+    y = u / sqrt_degree[:, None]
     feas = y.T @ (graph.degree[:, None] * y)
     if float(np.max(np.abs(feas - np.eye(c)))) > 1e-6:
         raise NumericError("embedding violates the degree-orthonormality constraint")

@@ -20,6 +20,9 @@ _SIMPLEX_TOL = 1e-10
 # A graph row whose degree falls below this fraction of the largest degree is
 # effectively disconnected and breaks the normalized Laplacian.
 _DEGREE_REL_FLOOR = 1e-12
+# Rows per block when scaling the Laplacian, bounding the temporary to
+# _ROW_BLOCK x n.
+_ROW_BLOCK = 256
 
 
 def check_simplex(alpha, n: int | None = None, tol: float = _SIMPLEX_TOL) -> np.ndarray:
@@ -45,9 +48,13 @@ class DiscSimilarityGraph:
 
     s: np.ndarray
     degree: np.ndarray
-    laplacian: np.ndarray
     normalized_laplacian: np.ndarray
     lam: float
+
+    @property
+    def laplacian(self) -> np.ndarray:
+        """The unnormalized Laplacian D - S, built anew (n x n) on each access."""
+        return np.diag(self.degree) - self.s
 
 
 def _check_lambda(lam: float) -> float:
@@ -62,22 +69,31 @@ def disc_similarity(gram: GramMatrix, alpha, lam: float) -> DiscSimilarityGraph:
     lam = _check_lambda(lam)
     k = gram.values
     alpha = check_simplex(alpha, n=k.shape[0])
-    pair_sum = alpha[:, None] + alpha[None, :]
-    pair_prod = np.outer(alpha, alpha)
-    s = 2.0 * (pair_sum - lam * pair_prod) * k
+    # s = 2 (pair_sum - lam * pair_prod) * k, operation for operation, but in
+    # place: besides k the build holds s and one more n x n buffer, which then
+    # becomes the normalized Laplacian
+    s = np.add.outer(alpha, alpha)
+    buf = np.outer(alpha, alpha)
+    buf *= lam
+    s -= buf
+    s *= 2.0
+    s *= k
     degree = s.sum(axis=1)
     floor = _DEGREE_REL_FLOOR * max(float(degree.max()), 0.0)
     if float(degree.min()) <= floor:
         raise DegenerateDataError(
             "a graph row has (near-)zero degree; similarity graph is disconnected"
         )
-    laplacian = np.diag(degree) - s
+    # (diag(degree) - s) * outer(inv_sqrt, inv_sqrt), the outer product taken a
+    # block of rows at a time.  gram() makes k exactly symmetric, and then s
+    # and this product are too, so no symmetrizing pass is needed
+    normalized = np.subtract(0.0, s, out=buf)
+    np.fill_diagonal(normalized, degree - np.diagonal(s))
     inv_sqrt = 1.0 / np.sqrt(degree)
-    normalized = laplacian * np.outer(inv_sqrt, inv_sqrt)
-    normalized = 0.5 * (normalized + normalized.T)
-    return DiscSimilarityGraph(
-        s=s, degree=degree, laplacian=laplacian, normalized_laplacian=normalized, lam=lam
-    )
+    for start in range(0, normalized.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        normalized[rows] *= np.outer(inv_sqrt[rows], inv_sqrt)
+    return DiscSimilarityGraph(s=s, degree=degree, normalized_laplacian=normalized, lam=lam)
 
 
 def general_disc_similarity(s_raw: np.ndarray, split: PsdSplit, alpha, lam: float) -> np.ndarray:

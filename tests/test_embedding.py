@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cdsk.data_io import SampleMatrix
+from cdsk.data_io import SampleMatrix, make_two_moons
 from cdsk.embedding import solve_embedding
 from cdsk.errors import ValidationError
 from cdsk.kernel import GramMatrix, KernelSpec, gram
@@ -108,3 +108,28 @@ def test_embedding_uniform_alpha_matches_plain_spectral():
     sv = np.linalg.svd(q1.T @ q2, compute_uv=False)
     # largest principal angle between the two column spaces
     assert np.min(sv) > 1.0 - 1e-8
+
+
+@pytest.fixture(scope="module")
+def moons_graph():
+    # n = 900 is above the dense eigensolver limit, so the embedding goes
+    # through the deflated Lanczos path
+    data = make_two_moons(900, 0.05, seed=0)
+    return disc_similarity(gram(data, KernelSpec(0.1)), np.full(data.n, 1.0 / data.n), 0.1)
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_embedding_lanczos_matches_dense(moons_graph, c):
+    g = moons_graph
+    emb = solve_embedding(g, c)
+    sqrt_degree = np.sqrt(g.degree)
+    # the deflated null vector D^{1/2} 1 comes back as the constant column
+    assert np.allclose(emb.y[:, 0], 1.0 / np.linalg.norm(sqrt_degree), rtol=1e-12, atol=0.0)
+    feas = emb.y.T @ (g.degree[:, None] * emb.y)
+    assert np.max(np.abs(feas - np.eye(c))) < 1e-8
+    w, v = np.linalg.eigh(g.normalized_laplacian)
+    q1 = np.linalg.qr(sqrt_degree[:, None] * emb.y)[0]
+    sv = np.linalg.svd(q1.T @ v[:, :c], compute_uv=False)
+    assert np.min(sv) > 1.0 - 1e-8
+    # trace of the embedding equals the sum of the c smallest eigenvalues
+    assert abs(laplacian_quadratic(emb.y, g) - np.sum(w[:c])) < 1e-10

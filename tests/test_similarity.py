@@ -92,6 +92,41 @@ def test_disc_similarity_normalized_laplacian():
     assert np.allclose(g.normalized_laplacian, want, atol=1e-10)
 
 
+def _reference_graph(k, alpha, lam):
+    """The dense formulas disc_similarity must reproduce bit for bit."""
+    pair_sum = alpha[:, None] + alpha[None, :]
+    pair_prod = np.outer(alpha, alpha)
+    s = 2.0 * (pair_sum - lam * pair_prod) * k
+    degree = s.sum(axis=1)
+    laplacian = np.diag(degree) - s
+    inv_sqrt = 1.0 / np.sqrt(degree)
+    normalized = laplacian * np.outer(inv_sqrt, inv_sqrt)
+    normalized = 0.5 * (normalized + normalized.T)
+    return s, degree, normalized
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7, 2.0])
+def test_disc_similarity_bit_identical_to_dense_formulas(lam):
+    # narrow bandwidth: far pairs underflow to exact zeros in K, and a few
+    # zero weights give exactly-zero similarity entries (sign of zero matters
+    # for bit identity)
+    rng = np.random.default_rng(7)
+    n = 300
+    k = _gram_from_points(rng.uniform(size=(n, 2)), bandwidth=0.03)
+    assert np.any(k.values == 0.0)
+    alpha = rng.dirichlet(np.ones(n))
+    alpha[rng.choice(n, size=20, replace=False)] = 0.0
+    alpha /= alpha.sum()
+    g = disc_similarity(k, alpha, lam)
+    assert np.any(g.s == 0.0)
+    s, degree, normalized = _reference_graph(k.values, alpha, lam)
+    assert g.s.tobytes() == s.tobytes()
+    assert g.degree.tobytes() == degree.tobytes()
+    assert g.normalized_laplacian.tobytes() == normalized.tobytes()
+    assert np.array_equal(g.normalized_laplacian, g.normalized_laplacian.T)
+    assert g.laplacian.tobytes() == (np.diag(g.degree) - g.s).tobytes()
+
+
 def test_disc_similarity_zero_degree_row_raises():
     # third point is infinitely far at this bandwidth and carries no weight,
     # so its row degree underflows to zero

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdsk.data_io import make_two_moons
 from cdsk.errors import ValidationError
-from cdsk.spectral import eigh, psd_split, smallest_eigenpairs
+from cdsk.kernel import KernelSpec, gram
+from cdsk.similarity import disc_similarity
+from cdsk.spectral import check_symmetric, eigh, psd_split, smallest_eigenpairs
 
 
 def _random_symmetric(seed, n):
@@ -96,3 +100,96 @@ def test_psd_split_reconstruction_and_psdness(seed, n):
     assert np.linalg.eigvalsh(split.s_minus).min() >= -1e-8 * scale
     # trace splits consistently
     assert abs(np.trace(split.s_plus) - np.trace(split.s_minus) - np.trace(s)) < 1e-8 * scale
+
+
+# --- Lanczos path (n above the dense limit) --------------------------------
+
+
+@pytest.fixture(scope="module")
+def moons_laplacian():
+    """Normalized Laplacian of a two-moons kernel graph (n = 900), its exact
+    null vector D^{1/2} 1 / ||D^{1/2} 1|| and a dense reference spectrum."""
+    data = make_two_moons(900, 0.05, seed=0)
+    graph = disc_similarity(gram(data, KernelSpec(0.1)), np.full(data.n, 1.0 / data.n), 0.1)
+    sqrt_degree = np.sqrt(graph.degree)
+    null_vector = sqrt_degree / np.linalg.norm(sqrt_degree)
+    w, v = np.linalg.eigh(graph.normalized_laplacian)
+    return graph.normalized_laplacian, null_vector, w, v
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Count the ARPACK calls smallest_eigenpairs makes."""
+    calls = []
+    real = scipy.sparse.linalg.eigsh
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("k"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("with_null", [False, True])
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_smallest_eigenpairs_lanczos_matches_dense(moons_laplacian, eigsh_calls, c, with_null):
+    a, null_vector, w_ref, v_ref = moons_laplacian
+    w, v = smallest_eigenpairs(a, c, null_vector=null_vector if with_null else None)
+    # the Lanczos branch ran: with the null vector deflated it asks for c - 1
+    # pairs, and for none at all when c = 1
+    expected_calls = [] if (with_null and c == 1) else [c - 1 if with_null else c]
+    assert eigsh_calls == expected_calls
+    assert w.shape == (c,) and v.shape == (a.shape[0], c)
+    assert np.max(np.abs(w - w_ref[:c])) < 1e-10
+    assert np.all(np.diff(w) >= 0)
+    q = np.linalg.qr(v)[0]
+    sv = np.linalg.svd(q.T @ v_ref[:, :c], compute_uv=False)
+    assert np.min(sv) > 1.0 - 1e-8
+
+
+def test_smallest_eigenpairs_lanczos_c1_returns_null_vector(moons_laplacian, eigsh_calls):
+    a, null_vector, _, _ = moons_laplacian
+    w, v = smallest_eigenpairs(a, 1, null_vector=null_vector)
+    assert eigsh_calls == []
+    assert np.array_equal(w, [0.0])
+    assert np.array_equal(v[:, 0], null_vector)
+
+
+@pytest.mark.parametrize("with_null", [False, True])
+def test_smallest_eigenpairs_lanczos_repeat_bit_identical(moons_laplacian, with_null):
+    # ARPACK keeps state between calls; an unrelated solve in between must not
+    # change the next answer
+    a, null_vector, _, _ = moons_laplacian
+    null_vector = null_vector if with_null else None
+    w1, v1 = smallest_eigenpairs(a, 3, null_vector=null_vector)
+    rng = np.random.default_rng(11)
+    scipy.sparse.linalg.eigsh(_random_symmetric(12, 60), k=4, which="LM", v0=rng.normal(size=60))
+    w2, v2 = smallest_eigenpairs(a, 3, null_vector=null_vector)
+    assert w1.tobytes() == w2.tobytes()
+    assert v1.tobytes() == v2.tobytes()
+
+
+# --- check_symmetric --------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [3, 801])
+def test_check_symmetric_contract(n):
+    a = 10.0 * _random_symmetric(20 + n, n)
+    scale = np.max(np.abs(a))
+    assert check_symmetric(a) is a
+    for bad in (np.nan, np.inf, -np.inf):
+        # placed symmetrically, so only the explicit finiteness test catches it
+        b = a.copy()
+        b[0, 1] = b[1, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            check_symmetric(b)
+    tol = 1e-10
+    above = a.copy()
+    above[1, n - 1] += 2.0 * tol * scale
+    with pytest.raises(ValidationError, match="not symmetric"):
+        check_symmetric(above, tol=tol)
+    below = a.copy()
+    below[1, n - 1] += 0.5 * tol * scale
+    assert not np.array_equal(below, below.T)
+    assert check_symmetric(below, tol=tol) is below
