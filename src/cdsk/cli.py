@@ -74,9 +74,9 @@ def _add_input_flags(p: argparse.ArgumentParser, labels_help: str) -> None:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
+    p.add_argument("--clusters", type=_positive_int, required=True)
     p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=20)
+    p.add_argument("--max-iter", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -151,6 +151,9 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    if not args.then_cluster and (args.output is not None or args.runs is not None):
+        print("error: --output and --runs need --then-cluster", file=sys.stderr)
+        raise SystemExit(64)
     data = _load(args)
     grid = DEFAULT_LAMBDA_GRID if args.grid is None else tuple(args.grid)
     cfg = CdskConfig(
@@ -165,6 +168,7 @@ def cmd_tune(args) -> int:
     _emit("chosen_lambda", _fmt(chosen))
     if args.then_cluster:
         args.lam = chosen
+        args.runs = args.runs or 1
         args.tune_lambda = False
         args.pre_tuned = True
         return cmd_cluster(args)
@@ -309,8 +313,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cluster", help="run the full clustering pipeline")
     _add_input_flags(p, "column holding ground-truth labels, for metrics")
-    p.add_argument("--clusters", type=int, required=True)
     _add_run_flags(p)
+    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
     p.add_argument("--output", default=None, help="write the result document here")
     p.add_argument("--tune-lambda", action="store_true")
     p.add_argument("--runs", type=_positive_int, default=1)
@@ -318,17 +322,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tune", help="pick lambda on a validation subsample")
     _add_input_flags(p, "column holding ground-truth labels, for metrics")
-    p.add_argument("--clusters", type=int, required=True)
     _add_run_flags(p)
     p.add_argument("--grid", type=float, nargs="+", default=None)
     p.add_argument("--then-cluster", action="store_true")
-    p.add_argument("--output", default=None)
-    p.add_argument("--runs", type=_positive_int, default=1)
+    p.add_argument("--output", default=None, help="with --then-cluster only")
+    p.add_argument("--runs", type=_positive_int, default=None, help="with --then-cluster only")
     p.set_defaults(func=cmd_tune, tune_lambda=False)
 
     p = sub.add_parser("baseline", help="plain spectral clustering on the raw kernel")
     _add_input_flags(p, "column holding ground-truth labels, for metrics")
-    p.add_argument("--clusters", type=int, required=True)
+    p.add_argument("--clusters", type=_positive_int, required=True)
     p.add_argument("--bandwidth", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)

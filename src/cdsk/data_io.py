@@ -21,7 +21,7 @@ class SampleMatrix:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        data = np.ascontiguousarray(self.data, dtype=np.float64)
         if data.ndim != 2:
             raise ValidationError(f"data must be 2-D, got shape {data.shape}")
         n, d = data.shape

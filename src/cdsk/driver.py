@@ -12,7 +12,7 @@ from .errors import ConfigError, DegenerateDataError, ValidationError
 from .kernel import GramMatrix, KernelSpec, default_bandwidth, gram
 from .kmeans_metrics import Partition, accuracy, kmeans, nmi
 from .similarity import alpha_objective_terms, check_simplex, disc_similarity, laplacian_quadratic
-from .simplex_qp import QpSolution, SimplexQP, assemble_alpha_qp
+from .simplex_qp import QpSolution, assemble_alpha_qp, qp_objective
 
 DEFAULT_LAMBDA_GRID = tuple(round(0.05 * k, 2) for k in range(1, 11))
 _VALIDATION_FRACTION = 0.1
@@ -21,18 +21,19 @@ _FEAS_TOL = 1e-11
 _BOUND_EPS = 1e-14
 
 
-def graph_degrees(kvals: np.ndarray, alpha: np.ndarray, lam: float) -> np.ndarray:
+def graph_degrees(
+    kvals: np.ndarray, row_sums: np.ndarray, alpha: np.ndarray, lam: float
+) -> np.ndarray:
     """Row sums of the discriminative similarity matrix, in closed form.
 
     Equals disc_similarity(...).degree without materializing the n x n graph:
-    D_ii = 2 (alpha_i (K 1)_i + (K alpha)_i - lam alpha_i (K alpha)_i).
+    D_ii = 2 (alpha_i r_i + (K alpha)_i - lam alpha_i (K alpha)_i), r = K 1.
     """
     ka = kvals @ alpha
-    return 2.0 * (alpha * kvals.sum(axis=1) + ka - lam * alpha * ka)
+    return 2.0 * (alpha * row_sums + ka - lam * alpha * ka)
 
 
 def solve_alpha_coupled(
-    qp: SimplexQP,
     y: np.ndarray,
     kernel: GramMatrix,
     lam: float,
@@ -40,7 +41,7 @@ def solve_alpha_coupled(
     tol: float = 1e-6,
     max_inner: int = 80,
 ) -> QpSolution:
-    """Minimize the weight quadratic while keeping the embedding normalized.
+    """Minimize q = assemble_alpha_qp(y, ...) while keeping y normalized.
 
     The embedding columns satisfy Y^T D(alpha) Y = I for the weights the graph
     was built from.  Re-fitting the weights with that normalization dropped
@@ -63,6 +64,7 @@ def solve_alpha_coupled(
     is always feasible and never worse than the start; converged means the
     KKT residual met max(tol, 1e-5).
     """
+    qp = assemble_alpha_qp(y, kernel, lam)
     kvals = kernel.values
     n = start.size
     alpha = check_simplex(start, n=n).copy()
@@ -76,7 +78,7 @@ def solve_alpha_coupled(
     targets = np.array([1.0 if p == q else 0.0 for p, q in pairs])
 
     def residual(a: np.ndarray) -> np.ndarray:
-        deg = graph_degrees(kvals, a, lam)
+        deg = graph_degrees(kvals, d1, a, lam)
         out = np.empty(1 + len(pairs))
         out[0] = a.sum() - 1.0
         out[1:] = w_rows @ deg - targets
@@ -88,9 +90,6 @@ def solve_alpha_coupled(
         jac[0] = 1.0
         jac[1:] = 2.0 * (w_rows * d1 + kw_rows - lam * (w_rows * ka + (w_rows * a) @ kvals))
         return jac
-
-    def objective(a: np.ndarray) -> float:
-        return float(a @ qp.a @ a + qp.b @ a + qp.constant)
 
     def restore(a: np.ndarray) -> np.ndarray | None:
         # Newton steps move only the weights with mass: a weight driven to
@@ -126,7 +125,7 @@ def solve_alpha_coupled(
     if restored is None:
         raise ValidationError("starting weights are not feasible for this embedding")
     alpha = restored
-    q_start = q_value = objective(alpha)
+    q_start = q_value = qp_objective(qp, alpha)
     iterations = 0
     # with as many normalization equalities as weights the feasible set is
     # (generically) isolated points, so the start is already the answer
@@ -155,7 +154,7 @@ def solve_alpha_coupled(
         for _ in range(12):
             cand = restore(alpha + t * direction)
             if cand is not None:
-                q_cand = objective(cand)
+                q_cand = qp_objective(qp, cand)
                 if q_cand < q_value - 1e-15 * (1.0 + abs(q_value)):
                     break
             t *= 0.5
@@ -165,7 +164,7 @@ def solve_alpha_coupled(
 
     moved = q_value < q_start
     alpha = alpha / alpha.sum()
-    q_final = objective(alpha)
+    q_final = qp_objective(qp, alpha)
     return QpSolution(
         alpha=alpha,
         objective=q_final,
@@ -214,6 +213,34 @@ def _metrics_against(labels: np.ndarray, truth: np.ndarray | None) -> dict | Non
     return {"accuracy": accuracy(pred, ref), "nmi": nmi(pred, ref)}
 
 
+def _alternate(kmat: GramMatrix, config: CdskConfig):
+    """run_cdsk's loop: (alpha, its graph, last Y, trace, qp_converged)."""
+    n = kmat.values.shape[0]
+    alpha = np.full(n, 1.0 / n)
+    graph = disc_similarity(kmat, alpha, config.lam)
+    trace: list[float] = []
+    qp_converged = True
+    for _ in range(config.max_iter):
+        y = solve_embedding(graph, config.c).y
+        sol = solve_alpha_coupled(y, kmat, config.lam, start=alpha, tol=config.qp_tol)
+        qp_converged = qp_converged and sol.converged
+        try:
+            next_graph = disc_similarity(kmat, sol.alpha, config.lam)
+        except DegenerateDataError:
+            # the weight step drained a neighborhood; the normalized Laplacian
+            # needs positive degrees, so keep the last valid iterate and stop
+            break
+        alpha = sol.alpha
+        graph = next_graph
+        q_value = laplacian_quadratic(y, graph) + alpha_objective_terms(kmat, alpha, config.lam)
+        trace.append(q_value)
+        if len(trace) >= 2:
+            prev = trace[-2]
+            if abs(trace[-1] - prev) <= config.convergence_tol * max(1.0, abs(prev)):
+                break
+    return alpha, graph, y, trace, qp_converged
+
+
 def run_cdsk(data: SampleMatrix, config: CdskConfig) -> ClusteringResult:
     """Alternate spectral embedding and coupled weight updates, then k-means.
 
@@ -238,33 +265,7 @@ def run_cdsk(data: SampleMatrix, config: CdskConfig) -> ClusteringResult:
         raise ValidationError(f"n={data.n} is smaller than c={config.c}")
     bandwidth = config.bandwidth if config.bandwidth is not None else default_bandwidth(data)
     kmat = gram(data, KernelSpec(bandwidth))
-
-    alpha = np.full(data.n, 1.0 / data.n)
-    graph = disc_similarity(kmat, alpha, config.lam)
-    trace: list[float] = []
-    qp_converged = True
-    y = None
-    for _ in range(config.max_iter):
-        emb = solve_embedding(graph, config.c)
-        y = emb.y
-        qp = assemble_alpha_qp(y, kmat, config.lam)
-        sol = solve_alpha_coupled(qp, y, kmat, config.lam, start=alpha, tol=config.qp_tol)
-        qp_converged = qp_converged and sol.converged
-        try:
-            next_graph = disc_similarity(kmat, sol.alpha, config.lam)
-        except DegenerateDataError:
-            # the weight step drained a neighborhood; the normalized Laplacian
-            # needs positive degrees, so keep the last valid iterate and stop
-            break
-        alpha = sol.alpha
-        graph = next_graph
-        q_value = laplacian_quadratic(y, graph) + alpha_objective_terms(kmat, alpha, config.lam)
-        trace.append(q_value)
-        if len(trace) >= 2:
-            prev = trace[-2]
-            if abs(trace[-1] - prev) <= config.convergence_tol * max(1.0, abs(prev)):
-                break
-
+    alpha, _, y, trace, qp_converged = _alternate(kmat, config)
     part = kmeans(y, config.c, restarts=config.kmeans_restarts, seed=config.seed)
     return ClusteringResult(
         labels=part.labels,
@@ -288,19 +289,15 @@ def embedding_entropy(y: np.ndarray) -> float:
     return float(np.mean(-np.sum(p * logs, axis=1)))
 
 
-def _derived_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
-
-
 def tune_lambda(
     data: SampleMatrix, config: CdskConfig, grid=DEFAULT_LAMBDA_GRID
 ) -> tuple[float, list[float]]:
     """Pick lambda by minimum embedding entropy on a validation subsample.
 
-    The subsample holds 10% of the data, floored at max(2c, 10) points.  Each
-    grid point runs run_cdsk on it, from uniform weights, with a seed derived
-    from (seed, grid index), and scores the embedding of the final weights.
-    Ties keep the smaller lambda.
+    The subsample holds 10% of the data, floored at max(2c, 10) points, drawn
+    with config.seed.  On its one gram matrix each grid point runs run_cdsk's
+    alternation and scores the embedding of the final weights' graph; no
+    k-means runs.  Ties keep the smaller lambda.
     """
     grid = [float(v) for v in grid]
     if not grid:
@@ -310,20 +307,17 @@ def tune_lambda(
         raise ValidationError(
             f"validation subset needs {size} points but the data has {data.n}"
         )
+    if config.c < 2:
+        raise ConfigError("clustering needs c >= 2")
     rng = np.random.default_rng(config.seed)
     idx = np.sort(rng.choice(data.n, size=size, replace=False))
-    subset = SampleMatrix(
-        data.data[idx], None if data.labels is None else data.labels[idx]
-    )
+    subset = SampleMatrix(data.data[idx])
+    bandwidth = config.bandwidth if config.bandwidth is not None else default_bandwidth(subset)
+    kmat = gram(subset, KernelSpec(bandwidth))
     entropies: list[float] = []
-    for i, lam in enumerate(grid):
-        sub_config = replace(config, lam=lam, seed=_derived_seed(config.seed, i))
-        result = run_cdsk(subset, sub_config)
-        emb_graph = disc_similarity(
-            gram(subset, KernelSpec(result.bandwidth_used)), result.alpha, lam
-        )
-        emb = solve_embedding(emb_graph, config.c)
-        entropies.append(embedding_entropy(emb.y))
+    for lam in grid:
+        _, graph, _, _, _ = _alternate(kmat, replace(config, lam=lam))
+        entropies.append(embedding_entropy(solve_embedding(graph, config.c).y))
     best = min(range(len(grid)), key=lambda i: (entropies[i], grid[i]))
     return grid[best], entropies
 

@@ -29,7 +29,7 @@ class KdeModel:
     h: float
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64)
+        points = np.ascontiguousarray(self.points, dtype=np.float64)
         if points.ndim != 2 or points.shape[0] < 1:
             raise ValidationError("points must be a 2-D array with n >= 1 rows")
         if not np.all(np.isfinite(points)):
@@ -103,10 +103,8 @@ def empirical_ise_terms(model: KdeModel, lambda1: float) -> tuple[float, float, 
         raise ValidationError("lambda1 must be finite")
     a = model.alpha
     kh = pairwise_kernel(model.points, model.points, model.h)
-    kh = 0.5 * (kh + kh.T)
     np.fill_diagonal(kh, 1.0)
     kt = pairwise_kernel(model.points, model.points, np.sqrt(2.0) * model.h)
-    kt = 0.5 * (kt + kt.T)
     np.fill_diagonal(kt, 1.0)
     pair_sum = a[:, None] + a[None, :]
     pair_prod = np.outer(a, a)

@@ -44,7 +44,11 @@ def eval_kernel(x, t, spec: KernelSpec) -> float:
 
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between rows of a and rows of b."""
+    """Squared Euclidean distances between rows of a and rows of b.
+
+    Exactly symmetric for b = a contiguous: numpy runs a @ a.T as a rank-k
+    update (syrk) that mirrors one triangle; strided views take another path.
+    """
     aa = np.sum(a * a, axis=1)
     bb = np.sum(b * b, axis=1)
     sq = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
@@ -58,10 +62,12 @@ def pairwise_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarra
 
 
 def gram(data: SampleMatrix, spec: KernelSpec) -> GramMatrix:
-    """Symmetric kernel gram matrix with unit diagonal."""
+    """Exactly symmetric kernel gram matrix with unit diagonal.
+
+    The symmetry comes from pairwise_sq_dists, not a symmetrizing pass (see
+    test_gram_unit_diagonal_and_symmetry); the computed diagonal is not exactly 1.
+    """
     values = pairwise_kernel(data.data, data.data, spec.bandwidth)
-    # symmetrize away dot-product rounding; the diagonal is exactly 1
-    values = 0.5 * (values + values.T)
     np.fill_diagonal(values, 1.0)
     return GramMatrix(values=values, bandwidth=spec.bandwidth)
 

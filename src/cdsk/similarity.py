@@ -144,8 +144,8 @@ def alpha_objective_terms(gram: GramMatrix, alpha, lam: float) -> float:
 def cdsk_objective(
     y: np.ndarray, graph: DiscSimilarityGraph, gram: GramMatrix, alpha, lam: float
 ) -> float:
-    """Relaxed clustering objective: (1/2) tr(Y^T L Y) + alpha terms."""
-    return 0.5 * laplacian_quadratic(y, graph) + alpha_objective_terms(gram, alpha, lam)
+    """tr(Y^T L Y) - alpha^T K 1 + lam alpha^T K alpha, as run_cdsk records it."""
+    return laplacian_quadratic(y, graph) + alpha_objective_terms(gram, alpha, lam)
 
 
 def class_scores(x, train: SampleMatrix, alpha, spec: KernelSpec) -> np.ndarray:

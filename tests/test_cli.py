@@ -61,11 +61,45 @@ def test_cluster_missing_required_flag(capsys, blobs_csv):
 
 
 def test_runs_below_one_is_usage_error(capsys, blobs_csv):
-    for verb in (["cluster"], ["tune", "--then-cluster"]):
+    cases = [
+        (verb, flag)
+        for verb in (["cluster"], ["tune", "--then-cluster"])
+        for flag in (["--runs", "0"], ["--max-iter", "0"])
+    ]
+    cases += [(["cluster"], ["--clusters", "0"]), (["tune"], ["--clusters", "0"])]
+    cases += [(["baseline"], ["--clusters", "0"])]
+    for verb, flag in cases:
         with pytest.raises(SystemExit) as exc:
-            main(verb + ["--input", blobs_csv, "--clusters", "2", "--runs", "0"])
+            main(verb + ["--input", blobs_csv, "--clusters", "2"] + flag)
         assert exc.value.code == 64
-        assert "--runs" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert flag[0] in captured.err
+        assert captured.out == ""
+
+
+def test_tune_rejects_flags_it_would_ignore(capsys, blobs_csv, tmp_path):
+    doc = tmp_path / "t.json"
+    for flags in (["--output", str(doc)], ["--runs", "3"], ["--runs", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--input", blobs_csv, "--clusters", "2"] + flags)
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert "--then-cluster" in captured.err
+        assert captured.out == ""
+    assert not doc.exists()
+    for then in ([], ["--then-cluster"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--input", blobs_csv, "--clusters", "2", "--lambda", "0.3"] + then)
+        assert exc.value.code == 64
+        capsys.readouterr()
+    rc, out, _ = _run(
+        capsys,
+        ["tune", "--input", blobs_csv, "--labels", "2", "--clusters", "2", "--grid", "0.1",
+         "--then-cluster", "--runs", "2", "--output", str(doc)],
+    )
+    assert rc == 0
+    assert _value(out, "runs") == "2"
+    assert doc.exists()
 
 
 def test_cluster_bad_lambda(capsys, blobs_csv):

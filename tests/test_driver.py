@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,7 @@ def test_graph_degrees_matches_graph():
     alpha /= alpha.sum()
     lam = 0.7
     want = disc_similarity(k, alpha, lam).degree
-    assert np.allclose(graph_degrees(k.values, alpha, lam), want, atol=1e-12)
+    assert np.allclose(graph_degrees(k.values, k.values.sum(axis=1), alpha, lam), want, atol=1e-12)
 
 
 def test_run_cdsk_monotone_trace():
@@ -134,12 +136,12 @@ def test_solve_alpha_coupled_descends_and_stays_feasible():
     graph = disc_similarity(k, alpha, lam)
     y = solve_embedding(graph, 2).y
     qp = assemble_alpha_qp(y, k, lam)
-    sol = solve_alpha_coupled(qp, y, k, lam, start=alpha)
+    sol = solve_alpha_coupled(y, k, lam, start=alpha)
     assert sol.objective <= qp_objective(qp, alpha) + 1e-12
     assert sol.alpha.min() >= 0.0
     assert abs(sol.alpha.sum() - 1.0) < 1e-9
     # the embedding normalization is preserved by the new weights
-    deg = graph_degrees(k.values, sol.alpha, lam)
+    deg = graph_degrees(k.values, k.values.sum(axis=1), sol.alpha, lam)
     feas = y.T @ (deg[:, None] * y)
     assert np.max(np.abs(feas - np.eye(2))) < 1e-8
 
@@ -152,10 +154,9 @@ def test_solve_alpha_coupled_rejects_far_start():
     alpha = np.full(n, 1.0 / n)
     graph = disc_similarity(k, alpha, lam)
     y = solve_embedding(graph, 2).y
-    qp = assemble_alpha_qp(y, k, lam)
     # a wildly rescaled embedding cannot be normalized by any simplex weights
     with pytest.raises(ValidationError):
-        solve_alpha_coupled(assemble_alpha_qp(1e6 * y, k, lam), 1e6 * y, k, lam, start=alpha)
+        solve_alpha_coupled(1e6 * y, k, lam, start=alpha)
 
 
 def test_embedding_entropy_values():
@@ -191,6 +192,33 @@ def test_tune_lambda_deterministic():
     assert e1 == e2
 
 
+def test_tune_lambda_matches_per_grid_point_runs():
+    # reference: a full run_cdsk per grid point, with a seed derived from
+    # (seed, grid index), then the final weights' graph rebuilt from a fresh
+    # gram and embedded; one shared kernel and no k-means must give the same
+    def per_point(data, config, grid):
+        size = max(int(np.ceil(0.1 * data.n)), 2 * config.c, 10)
+        idx = np.sort(np.random.default_rng(config.seed).choice(data.n, size=size, replace=False))
+        subset = SampleMatrix(data.data[idx], data.labels[idx])
+        entropies = []
+        for i, lam in enumerate(grid):
+            seed = int(np.random.SeedSequence((config.seed, i)).generate_state(1)[0])
+            result = run_cdsk(subset, replace(config, lam=lam, seed=seed))
+            kmat = gram(subset, KernelSpec(result.bandwidth_used))
+            graph = disc_similarity(kmat, result.alpha, lam)
+            entropies.append(embedding_entropy(solve_embedding(graph, config.c).y))
+        best = min(range(len(grid)), key=lambda i: (entropies[i], grid[i]))
+        return grid[best], entropies
+
+    data = make_blobs(100, [[0.0, 0.0], [4.0, 0.0], [2.0, 3.5]], 1.0, seed=3)
+    grid = (0.05, 0.3, 1.0, 2.0)
+    for config in (CdskConfig(c=3, seed=3), CdskConfig(c=3, bandwidth=1.5, seed=8)):
+        lam, entropies = tune_lambda(data, config, grid=grid)
+        want_lam, want_entropies = per_point(data, config, grid)
+        assert lam == want_lam
+        assert entropies == want_entropies
+
+
 def test_tune_lambda_domain_errors():
     data = _blobs(n_per=30)
     with pytest.raises(ConfigError):
@@ -198,6 +226,8 @@ def test_tune_lambda_domain_errors():
     tiny = SampleMatrix(np.random.default_rng(0).normal(size=(6, 2)))
     with pytest.raises(ValidationError):
         tune_lambda(tiny, CdskConfig(c=2))
+    with pytest.raises(ConfigError):
+        tune_lambda(data, CdskConfig(c=1))
 
 
 def test_baseline_spectral_separates_blobs():
@@ -229,21 +259,21 @@ def _three_blobs_step():
 
 def test_solve_alpha_coupled_descends_on_three_blobs():
     qp, y, k, alpha = _three_blobs_step()
-    sol = solve_alpha_coupled(qp, y, k, 0.1, start=alpha)
+    sol = solve_alpha_coupled(y, k, 0.1, start=alpha)
     assert sol.objective < qp_objective(qp, alpha) - 1e-6
     assert 1 <= sol.iterations <= 80
     assert sol.alpha.min() >= 0.0
     assert abs(sol.alpha.sum() - 1.0) <= 1e-11
-    deg = graph_degrees(k.values, sol.alpha, 0.1)
+    deg = graph_degrees(k.values, k.values.sum(axis=1), sol.alpha, 0.1)
     assert np.max(np.abs(y.T @ (deg[:, None] * y) - np.eye(3))) <= 1e-11
-    again = solve_alpha_coupled(qp, y, k, 0.1, start=alpha)
+    again = solve_alpha_coupled(y, k, 0.1, start=alpha)
     assert again.alpha.tobytes() == sol.alpha.tobytes()
 
 
 def test_solve_alpha_coupled_respects_max_inner():
     qp, y, k, alpha = _three_blobs_step()
     for max_inner in (0, 1, 5):
-        sol = solve_alpha_coupled(qp, y, k, 0.1, start=alpha, max_inner=max_inner)
+        sol = solve_alpha_coupled(y, k, 0.1, start=alpha, max_inner=max_inner)
         assert sol.iterations <= max_inner
         assert sol.objective <= qp_objective(qp, alpha)
 
@@ -254,7 +284,7 @@ def test_solve_alpha_coupled_converged_means_kkt_within_tolerance():
         data, c, lam, bw = _descent_dataset(i)
         qp, y, k, alpha = _first_weight_step(data, c, lam, bw or default_bandwidth(data))
         for tol in (1e-6, 1e-3):
-            sol = solve_alpha_coupled(qp, y, k, lam, start=alpha, tol=tol)
+            sol = solve_alpha_coupled(y, k, lam, start=alpha, tol=tol)
             assert sol.converged == (sol.kkt_residual <= max(tol, 1e-5)), (i, tol)
             seen.add(sol.converged)
     assert seen == {True, False}

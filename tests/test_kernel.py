@@ -41,11 +41,17 @@ def test_gram_identical_rows_all_ones():
 
 
 def test_gram_unit_diagonal_and_symmetry():
-    x = rng.normal(size=(20, 4))
-    g = gram(SampleMatrix(x), KernelSpec(1.3)).values
-    assert np.array_equal(np.diag(g), np.ones(20))
-    assert np.max(np.abs(g - g.T)) < 1e-12
-    assert g.min() > 0.0 and g.max() <= 1.0
+    # gram runs no symmetrizing pass, so the symmetry must come out exact;
+    # a strided view would take numpy's non-BLAS product path, asymmetric at
+    # n = 301, unless SampleMatrix makes it contiguous
+    for n in (20, 301):
+        for d in (1, 2, 34):
+            x = rng.normal(size=(n, 2 * d))
+            for points in (x[:, ::2].copy(), x[:, ::2]):
+                g = gram(SampleMatrix(points), KernelSpec(1.3)).values
+                assert np.array_equal(np.diag(g), np.ones(n))
+                assert np.array_equal(g, g.T), (n, d)
+                assert g.min() > 0.0 and g.max() <= 1.0
 
 
 def test_gram_psd():

@@ -17,6 +17,7 @@ from cdsk.similarity import (
     hypothesis_score,
     laplacian_quadratic,
 )
+from cdsk.simplex_qp import assemble_alpha_qp, qp_objective
 from cdsk.spectral import psd_split
 
 
@@ -239,6 +240,23 @@ def test_cdsk_objective_hand_pair():
     got = cdsk_objective(y, g, k, alpha, 1.0)
     want = -(1.0 + kv) + (1.0 + kv) / 2.0
     assert abs(got - want) < 1e-12
+
+
+def test_cdsk_objective_equals_weight_qp_and_recorded_objective():
+    # a random, non-constant embedding, so the Laplacian term counts in full
+    rng = np.random.default_rng(10)
+    k = _gram_from_points(rng.normal(size=(9, 2)))
+    y = rng.normal(size=(9, 3))
+    lam = 0.7
+    qp = assemble_alpha_qp(y, k, lam)
+    for _ in range(5):
+        alpha = _random_alpha(rng, 9)
+        g = disc_similarity(k, alpha, lam)
+        got = cdsk_objective(y, g, k, alpha, lam)
+        recorded = laplacian_quadratic(y, g) + alpha_objective_terms(k, alpha, lam)
+        want = qp_objective(qp, alpha)
+        assert abs(got - want) <= 1e-8 * abs(want)
+        assert got == recorded
 
 
 def test_cdsk_objective_middle_term_identity():

@@ -50,6 +50,7 @@ def test_assemble_alpha_qp_matches_joint_objective():
     lam = 0.6
     qp = assemble_alpha_qp(y, k, lam)
     assert qp.constant == 0.0
+    assert np.array_equal(qp.a, qp.a.T)
     for _ in range(50):
         a = rng.uniform(0.05, 1.0, size=7)
         a /= a.sum()
