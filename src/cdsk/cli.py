@@ -60,11 +60,17 @@ def _emit(key: str, value) -> None:
     print(f"{key}: {value}")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error naming the flag."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
 
 
 def _add_input_flags(p: argparse.ArgumentParser, labels_help: str) -> None:
@@ -74,9 +80,9 @@ def _add_input_flags(p: argparse.ArgumentParser, labels_help: str) -> None:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--clusters", type=_positive_int, required=True)
+    p.add_argument("--clusters", type=_int_at_least(2), required=True)
     p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--max-iter", type=_positive_int, default=20)
+    p.add_argument("--max-iter", type=_int_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -96,7 +102,12 @@ def _print_metrics(per_run: list[dict | None]) -> None:
             _emit(key, f"{vals.mean():.3f} ± {vals.std():.3f}")
 
 
-def _cluster_header(args, data, lam_desc: str) -> None:
+def _cluster(args, data, lam: float, lam_desc: str) -> int:
+    """Cluster report of `cluster` and `tune --then-cluster`; validates before printing."""
+    cfg = CdskConfig(
+        c=args.clusters, lam=lam, bandwidth=args.bandwidth, max_iter=args.max_iter, seed=args.seed
+    )
+    runs = args.runs or 1  # tune leaves --runs unset unless given
     _emit("command", "cluster")
     _emit("input", args.input)
     _emit("n", data.n)
@@ -106,35 +117,8 @@ def _cluster_header(args, data, lam_desc: str) -> None:
     _emit("bandwidth", "auto" if args.bandwidth is None else _fmt(args.bandwidth))
     _emit("max_iter", args.max_iter)
     _emit("seed", args.seed)
-    _emit("runs", args.runs)
-
-
-def cmd_cluster(args) -> int:
-    data = _load(args)
-    lam = args.lam
-    lam_desc = f"{_fmt(lam)} (tuned)" if getattr(args, "pre_tuned", False) else _fmt(lam)
-    if args.tune_lambda:
-        lam, _ = tune_lambda(
-            data,
-            CdskConfig(
-                c=args.clusters,
-                bandwidth=args.bandwidth,
-                max_iter=args.max_iter,
-                seed=args.seed,
-            ),
-        )
-        lam_desc = f"{_fmt(lam)} (tuned)"
-    _cluster_header(args, data, lam_desc)
-    results = []
-    for i in range(args.runs):
-        cfg = CdskConfig(
-            c=args.clusters,
-            lam=lam,
-            bandwidth=args.bandwidth,
-            max_iter=args.max_iter,
-            seed=args.seed + i,
-        )
-        results.append(run_cdsk(data, cfg))
+    _emit("runs", runs)
+    results = [run_cdsk(data, replace(cfg, seed=args.seed + i)) for i in range(runs)]
     first = results[0]
     _emit("bandwidth_used", _fmt(first.bandwidth_used))
     _emit("lambda_used", _fmt(first.lambda_used))
@@ -148,6 +132,10 @@ def cmd_cluster(args) -> int:
         write_result(first, args.output)
         _emit("output", args.output)
     return 0 if all_converged else 2
+
+
+def cmd_cluster(args) -> int:
+    return _cluster(args, _load(args), args.lam, _fmt(args.lam))
 
 
 def cmd_tune(args) -> int:
@@ -167,11 +155,7 @@ def cmd_tune(args) -> int:
         _emit(f"entropy {_fmt(lam)}", _fmt(ent))
     _emit("chosen_lambda", _fmt(chosen))
     if args.then_cluster:
-        args.lam = chosen
-        args.runs = args.runs or 1
-        args.tune_lambda = False
-        args.pre_tuned = True
-        return cmd_cluster(args)
+        return _cluster(args, data, chosen, f"{_fmt(chosen)} (tuned)")
     return 0
 
 
@@ -316,8 +300,7 @@ def build_parser() -> _Parser:
     _add_run_flags(p)
     p.add_argument("--lambda", dest="lam", type=float, default=0.1)
     p.add_argument("--output", default=None, help="write the result document here")
-    p.add_argument("--tune-lambda", action="store_true")
-    p.add_argument("--runs", type=_positive_int, default=1)
+    p.add_argument("--runs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("tune", help="pick lambda on a validation subsample")
@@ -326,12 +309,12 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", type=float, nargs="+", default=None)
     p.add_argument("--then-cluster", action="store_true")
     p.add_argument("--output", default=None, help="with --then-cluster only")
-    p.add_argument("--runs", type=_positive_int, default=None, help="with --then-cluster only")
-    p.set_defaults(func=cmd_tune, tune_lambda=False)
+    p.add_argument("--runs", type=_int_at_least(1), default=None, help="with --then-cluster only")
+    p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("baseline", help="plain spectral clustering on the raw kernel")
     _add_input_flags(p, "column holding ground-truth labels, for metrics")
-    p.add_argument("--clusters", type=_positive_int, required=True)
+    p.add_argument("--clusters", type=_int_at_least(1), required=True)
     p.add_argument("--bandwidth", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)

@@ -19,6 +19,8 @@ _VALIDATION_FRACTION = 0.1
 
 _FEAS_TOL = 1e-11
 _BOUND_EPS = 1e-14
+# the alternation stops once the recorded objective moves by at most this, relative
+_STOP_TOL = 1e-8
 
 
 def graph_degrees(
@@ -177,32 +179,31 @@ def solve_alpha_coupled(
 
 @dataclass(frozen=True)
 class CdskConfig:
-    """Knobs of one clustering run; defaults mirror the reference settings."""
+    """Inputs of one clustering run.
+
+    c >= 2 clusters, the weight lam in (0, 2], the kernel bandwidth (None
+    picks kernel.default_bandwidth), the cap on outer iterations and the
+    k-means seed.  The weight step's tolerance (1e-6), the stop tolerance on
+    the objective (1e-8, relative) and the 10 k-means restarts are fixed.
+    """
 
     c: int
     lam: float = 0.1
     bandwidth: float | None = None
     max_iter: int = 20
-    qp_tol: float = 1e-6
-    convergence_tol: float = 1e-8
     seed: int = 0
-    kmeans_restarts: int = 10
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ConfigError(f"cluster count must be >= 1, got {self.c}")
+        if self.c < 2:
+            raise ConfigError(f"clustering needs c >= 2, got {self.c}")
         if not np.isfinite(self.lam) or not 0.0 < self.lam <= 2.0:
             raise ConfigError(f"lambda must satisfy 0 < lambda <= 2, got {self.lam}")
         if self.bandwidth is not None and not self.bandwidth > 0:
             raise ConfigError(f"bandwidth must be > 0, got {self.bandwidth}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
-        if self.qp_tol <= 0 or self.convergence_tol <= 0:
-            raise ConfigError("tolerances must be > 0")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if self.kmeans_restarts < 1:
-            raise ConfigError("kmeans_restarts must be >= 1")
 
 
 def _metrics_against(labels: np.ndarray, truth: np.ndarray | None) -> dict | None:
@@ -211,6 +212,11 @@ def _metrics_against(labels: np.ndarray, truth: np.ndarray | None) -> dict | Non
     pred = Partition(labels=labels, c=int(labels.max()))
     ref = Partition(labels=truth, c=int(truth.max()))
     return {"accuracy": accuracy(pred, ref), "nmi": nmi(pred, ref)}
+
+
+def _gram(data: SampleMatrix, bandwidth: float | None) -> GramMatrix:
+    """Gram matrix at the given bandwidth, or at the heuristic one if None."""
+    return gram(data, KernelSpec(default_bandwidth(data) if bandwidth is None else bandwidth))
 
 
 def _alternate(kmat: GramMatrix, config: CdskConfig):
@@ -222,7 +228,7 @@ def _alternate(kmat: GramMatrix, config: CdskConfig):
     qp_converged = True
     for _ in range(config.max_iter):
         y = solve_embedding(graph, config.c).y
-        sol = solve_alpha_coupled(y, kmat, config.lam, start=alpha, tol=config.qp_tol)
+        sol = solve_alpha_coupled(y, kmat, config.lam, start=alpha)
         qp_converged = qp_converged and sol.converged
         try:
             next_graph = disc_similarity(kmat, sol.alpha, config.lam)
@@ -236,7 +242,7 @@ def _alternate(kmat: GramMatrix, config: CdskConfig):
         trace.append(q_value)
         if len(trace) >= 2:
             prev = trace[-2]
-            if abs(trace[-1] - prev) <= config.convergence_tol * max(1.0, abs(prev)):
+            if abs(trace[-1] - prev) <= _STOP_TOL * max(1.0, abs(prev)):
                 break
     return alpha, graph, y, trace, qp_converged
 
@@ -259,21 +265,18 @@ def run_cdsk(data: SampleMatrix, config: CdskConfig) -> ClusteringResult:
     embedding step cannot raise the trace term because the previous embedding
     remains (to solver precision) feasible for the updated degree matrix.
     """
-    if config.c < 2:
-        raise ConfigError("clustering needs c >= 2")
     if data.n < config.c:
         raise ValidationError(f"n={data.n} is smaller than c={config.c}")
-    bandwidth = config.bandwidth if config.bandwidth is not None else default_bandwidth(data)
-    kmat = gram(data, KernelSpec(bandwidth))
+    kmat = _gram(data, config.bandwidth)
     alpha, _, y, trace, qp_converged = _alternate(kmat, config)
-    part = kmeans(y, config.c, restarts=config.kmeans_restarts, seed=config.seed)
+    part = kmeans(y, config.c, seed=config.seed)
     return ClusteringResult(
         labels=part.labels,
         alpha=alpha,
         objective_trace=trace,
         metrics=_metrics_against(part.labels, data.labels),
         lambda_used=config.lam,
-        bandwidth_used=bandwidth,
+        bandwidth_used=kmat.bandwidth,
         seed=config.seed,
         qp_converged=qp_converged,
     )
@@ -307,13 +310,9 @@ def tune_lambda(
         raise ValidationError(
             f"validation subset needs {size} points but the data has {data.n}"
         )
-    if config.c < 2:
-        raise ConfigError("clustering needs c >= 2")
     rng = np.random.default_rng(config.seed)
     idx = np.sort(rng.choice(data.n, size=size, replace=False))
-    subset = SampleMatrix(data.data[idx])
-    bandwidth = config.bandwidth if config.bandwidth is not None else default_bandwidth(subset)
-    kmat = gram(subset, KernelSpec(bandwidth))
+    kmat = _gram(SampleMatrix(data.data[idx]), config.bandwidth)
     entropies: list[float] = []
     for lam in grid:
         _, graph, _, _, _ = _alternate(kmat, replace(config, lam=lam))
@@ -323,35 +322,32 @@ def tune_lambda(
 
 
 def run_baseline_spectral(
-    data: SampleMatrix,
-    c: int,
-    seed: int = 0,
-    bandwidth: float | None = None,
-    restarts: int = 10,
+    data: SampleMatrix, c: int, seed: int = 0, bandwidth: float | None = None
 ) -> ClusteringResult:
     """Plain normalized spectral clustering on the raw gram matrix.
 
     Numerically identical to the uniform-weights special case: scaling the
     similarity by a constant leaves the normalized Laplacian unchanged, so
-    lambda plays no role here (reported as the library default).
+    lambda plays no role here (reported as the library default).  Unlike
+    run_cdsk it accepts c = 1.  bandwidth None picks the heuristic, seed
+    drives k-means, whose 10 restarts are fixed.
     """
     if c < 1:
         raise ConfigError(f"cluster count must be >= 1, got {c}")
     if data.n < c:
         raise ValidationError(f"n={data.n} is smaller than c={c}")
-    bw = bandwidth if bandwidth is not None else default_bandwidth(data)
-    kmat = gram(data, KernelSpec(bw))
+    kmat = _gram(data, bandwidth)
     uniform = np.full(data.n, 1.0 / data.n)
     graph = disc_similarity(kmat, uniform, 0.1)
     emb = solve_embedding(graph, c)
-    part = kmeans(emb.y, c, restarts=restarts, seed=seed)
+    part = kmeans(emb.y, c, seed=seed)
     return ClusteringResult(
         labels=part.labels,
         alpha=uniform,
         objective_trace=[],
         metrics=_metrics_against(part.labels, data.labels),
         lambda_used=0.1,
-        bandwidth_used=bw,
+        bandwidth_used=kmat.bandwidth,
         seed=seed,
         qp_converged=True,
     )

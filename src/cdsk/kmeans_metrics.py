@@ -61,12 +61,11 @@ def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _lloyd(
     points: np.ndarray, centers: np.ndarray, max_iter: int = _MAX_LLOYD_ITER
-) -> tuple[np.ndarray, float, list[float]]:
-    """Lloyd iterations from given centers; returns labels, inertia, inertia trace."""
+) -> tuple[np.ndarray, float]:
+    """Lloyd iterations from given centers; returns labels and inertia."""
     n, c = points.shape[0], centers.shape[0]
     centers = centers.copy()
     assign = np.full(n, -1)
-    trace: list[float] = []
     for _ in range(max_iter):
         new_assign, dist_sq = _assign(points, centers)
         # empty clusters grab the point currently farthest from its center
@@ -77,7 +76,6 @@ def _lloyd(
             new_assign[far] = k
             dist_sq[far] = 0.0
             counts = np.bincount(new_assign, minlength=c)
-        trace.append(float(dist_sq.sum()))
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -86,7 +84,7 @@ def _lloyd(
             if members.shape[0]:
                 centers[k] = members.mean(axis=0)
     _, dist_sq = _assign(points, centers)
-    return assign, float(dist_sq.sum()), trace
+    return assign, float(dist_sq.sum())
 
 
 def kmeans(points: np.ndarray, c: int, restarts: int = 10, seed: int = 0) -> Partition:
@@ -106,7 +104,7 @@ def kmeans(points: np.ndarray, c: int, restarts: int = 10, seed: int = 0) -> Par
     for child in seeds:
         rng = np.random.default_rng(child)
         centers = _plus_plus_seed(points, c, rng)
-        assign, inertia, _ = _lloyd(points, centers)
+        assign, inertia = _lloyd(points, centers)
         if inertia < best_inertia:
             best_labels, best_inertia = assign, inertia
     return Partition(labels=best_labels + 1, c=c)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cdsk.cli import main
-from cdsk.data_io import make_blobs, read_result, write_csv
+from cdsk.data_io import load_csv, make_blobs, read_result, write_csv
+from cdsk.driver import CdskConfig, run_cdsk
 
 
 @pytest.fixture()
@@ -66,7 +67,7 @@ def test_runs_below_one_is_usage_error(capsys, blobs_csv):
         for verb in (["cluster"], ["tune", "--then-cluster"])
         for flag in (["--runs", "0"], ["--max-iter", "0"])
     ]
-    cases += [(["cluster"], ["--clusters", "0"]), (["tune"], ["--clusters", "0"])]
+    cases += [(verb, ["--clusters", k]) for verb in (["cluster"], ["tune"]) for k in ("0", "1")]
     cases += [(["baseline"], ["--clusters", "0"])]
     for verb, flag in cases:
         with pytest.raises(SystemExit) as exc:
@@ -103,13 +104,25 @@ def test_tune_rejects_flags_it_would_ignore(capsys, blobs_csv, tmp_path):
 
 
 def test_cluster_bad_lambda(capsys, blobs_csv):
-    rc, _, err = _run(
-        capsys,
-        ["cluster", "--input", blobs_csv, "--clusters", "2", "--lambda", "3"],
-    )
-    assert rc == 1
-    assert err.startswith("error:")
-    assert "lambda" in err
+    # invalid values fail before any part of the report is printed
+    for flag, value in (("--lambda", "3"), ("--seed", "-1"), ("--bandwidth", "0")):
+        rc, out, err = _run(
+            capsys,
+            ["cluster", "--input", blobs_csv, "--clusters", "2", flag, value],
+        )
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert flag[2:] in err
+
+
+def test_cluster_has_no_tune_lambda_flag(capsys, blobs_csv):
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", "--input", blobs_csv, "--clusters", "2", "--tune-lambda"])
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert "--tune-lambda" in captured.err
+    assert captured.out == ""
 
 
 def test_cluster_missing_file(capsys, tmp_path):
@@ -172,6 +185,27 @@ def test_tune_then_cluster(capsys, tmp_path):
     assert rc == 0
     assert "(tuned)" in _value(out, "lambda")
     assert _value(out, "accuracy") == "1.000"
+
+
+def test_tune_then_cluster_document_equals_run_cdsk(capsys, tmp_path):
+    path, doc = tmp_path / "blobs.csv", tmp_path / "res.json"
+    write_csv(make_blobs(30, [[0.0, 0.0], [4.0, 1.0]], 1.5, seed=5), path)
+    rc, out, _ = _run(
+        capsys,
+        ["tune", "--input", str(path), "--labels", "2", "--clusters", "2", "--bandwidth", "1.5",
+         "--seed", "3", "--grid", "0.1", "0.2", "--then-cluster", "--output", str(doc)],
+    )
+    assert rc in (0, 2)
+    chosen = float(_value(out, "chosen_lambda"))
+    want = run_cdsk(
+        load_csv(path, label_column=2), CdskConfig(c=2, lam=chosen, bandwidth=1.5, seed=3)
+    )
+    got = read_result(doc)
+    assert got.lambda_used == chosen
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.alpha, want.alpha)
+    assert got.objective_trace == want.objective_trace
+    assert got.qp_converged == want.qp_converged
 
 
 def test_decompose_psd_matrix(capsys, tmp_path):

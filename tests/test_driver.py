@@ -30,13 +30,12 @@ def test_config_validation():
     CdskConfig(c=2)
     for kwargs in (
         dict(c=0),
+        dict(c=1),
         dict(c=2, lam=0.0),
         dict(c=2, lam=2.5),
         dict(c=2, bandwidth=0.0),
         dict(c=2, max_iter=0),
-        dict(c=2, qp_tol=0.0),
         dict(c=2, seed=-1),
-        dict(c=2, kmeans_restarts=0),
     ):
         with pytest.raises(ConfigError):
             CdskConfig(**kwargs)
@@ -240,7 +239,7 @@ def test_baseline_spectral_separates_blobs():
 
 def test_run_cdsk_n_equals_c_smoke():
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [8.0, 8.0], [8.1, 8.0]])
-    res = run_cdsk(SampleMatrix(pts), CdskConfig(c=4, max_iter=2, kmeans_restarts=2))
+    res = run_cdsk(SampleMatrix(pts), CdskConfig(c=4, max_iter=2))
     assert sorted(res.labels.tolist()) == [1, 2, 3, 4]
 
 

@@ -15,8 +15,8 @@ from cdsk.simplex_qp import (
 from cdsk.similarity import alpha_objective_terms, disc_similarity, laplacian_quadratic
 
 
-def _grid_minimum(qp, step=0.01):
-    """Brute-force minimum of the QP over a simplex lattice."""
+def _grid_minimum_loop(qp, step=0.01):
+    """Brute-force minimum of the QP over a simplex lattice, one point at a time."""
     n = qp.n
     ticks = int(round(1.0 / step))
     best = np.inf
@@ -24,6 +24,16 @@ def _grid_minimum(qp, step=0.01):
         alpha = np.bincount(combo, minlength=n) * step
         best = min(best, qp_objective(qp, alpha))
     return best
+
+
+def _grid_minimum(qp, step=0.01):
+    """_grid_minimum_loop's lattice, evaluated as one array."""
+    ticks = int(round(1.0 / step))
+    head = np.indices((ticks + 1,) * (qp.n - 1)).reshape(qp.n - 1, -1).T
+    head = head[head.sum(axis=1) <= ticks]
+    alpha = np.column_stack([head, ticks - head.sum(axis=1)]) * step
+    values = np.einsum("ij,jk,ik->i", alpha, qp.a, alpha) + alpha @ qp.b + qp.constant
+    return float(values.min())
 
 
 def test_simplex_qp_validation():
@@ -103,6 +113,11 @@ def test_solve_smo_monotone_trace_and_feasible():
 
 
 def test_solve_smo_grid_oracle_indefinite():
+    # the vectorized oracle against the point-by-point loop on a small lattice
+    small_rng = np.random.default_rng(30)
+    m = small_rng.normal(size=(3, 3))
+    small = SimplexQP(a=0.5 * (m + m.T), b=small_rng.normal(size=3))
+    assert np.isclose(_grid_minimum(small), _grid_minimum_loop(small), rtol=1e-12, atol=1e-12)
     rng = np.random.default_rng(3)
     for trial in range(10):
         m = rng.normal(size=(4, 4))
