@@ -147,6 +147,8 @@ def cmd_tune(args) -> int:
     cfg = CdskConfig(
         c=args.clusters, bandwidth=args.bandwidth, max_iter=args.max_iter, seed=args.seed
     )
+    for lam in grid:
+        replace(cfg, lam=lam)  # a grid value outside (0, 2] fails before any report line
     _emit("command", "tune")
     _emit("input", args.input)
     _emit("lambda_grid", " ".join(_fmt(v) for v in grid))

@@ -228,16 +228,17 @@ def _alternate(kmat: GramMatrix, config: CdskConfig):
     qp_converged = True
     for _ in range(config.max_iter):
         y = solve_embedding(graph, config.c).y
+        graph = None  # free N before the weight step and next graph allocate
         sol = solve_alpha_coupled(y, kmat, config.lam, start=alpha)
         qp_converged = qp_converged and sol.converged
         try:
-            next_graph = disc_similarity(kmat, sol.alpha, config.lam)
+            graph = disc_similarity(kmat, sol.alpha, config.lam)
         except DegenerateDataError:
             # the weight step drained a neighborhood; the normalized Laplacian
-            # needs positive degrees, so keep the last valid iterate and stop
+            # needs positive degrees, so keep (rebuild) the last valid iterate
+            graph = disc_similarity(kmat, alpha, config.lam)
             break
         alpha = sol.alpha
-        graph = next_graph
         q_value = laplacian_quadratic(y, graph) + alpha_objective_terms(kmat, alpha, config.lam)
         trace.append(q_value)
         if len(trace) >= 2:
@@ -305,6 +306,7 @@ def tune_lambda(
     grid = [float(v) for v in grid]
     if not grid:
         raise ConfigError("lambda grid must be non-empty")
+    configs = [replace(config, lam=lam) for lam in grid]  # validates all first
     size = max(int(np.ceil(_VALIDATION_FRACTION * data.n)), 2 * config.c, 10)
     if size > data.n:
         raise ValidationError(
@@ -314,8 +316,8 @@ def tune_lambda(
     idx = np.sort(rng.choice(data.n, size=size, replace=False))
     kmat = _gram(SampleMatrix(data.data[idx]), config.bandwidth)
     entropies: list[float] = []
-    for lam in grid:
-        _, graph, _, _, _ = _alternate(kmat, replace(config, lam=lam))
+    for lam_config in configs:
+        _, graph, _, _, _ = _alternate(kmat, lam_config)
         entropies.append(embedding_entropy(solve_embedding(graph, config.c).y))
     best = min(range(len(grid)), key=lambda i: (entropies[i], grid[i]))
     return grid[best], entropies

@@ -30,7 +30,7 @@ def solve_embedding(graph: DiscSimilarityGraph, c: int) -> Embedding:
     smallest_eigenpairs) deflates it and computes only the other c - 1
     vectors.
     """
-    n = graph.s.shape[0]
+    n = graph.degree.shape[0]
     if not 1 <= c <= n:
         raise ValidationError(f"need 1 <= c <= n, got c={c}, n={n}")
     sqrt_degree = np.sqrt(graph.degree)

@@ -12,6 +12,9 @@ from .errors import DegenerateDataError, ValidationError
 
 # Relative spread below this treats the pairwise-distance multiset as constant.
 _DEGENERATE_REL_STD = 1e-12
+# Rows per block of the in-place n x n builds here and in similarity, which
+# bounds their temporaries to _ROW_BLOCK x n.
+_ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -46,25 +49,34 @@ def eval_kernel(x, t, spec: KernelSpec) -> float:
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between rows of a and rows of b.
 
-    Exactly symmetric for b = a contiguous: numpy runs a @ a.T as a rank-k
-    update (syrk) that mirrors one triangle; strided views take another path.
+    Built in place in the array a @ b.T returns.  Exactly symmetric for
+    b = a contiguous: numpy runs a @ a.T as a rank-k update (syrk) that
+    mirrors one triangle; strided views take another path.
     """
     aa = np.sum(a * a, axis=1)
     bb = np.sum(b * b, axis=1)
-    sq = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
+    sq = a @ b.T
+    sq *= 2.0
+    for start in range(0, sq.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        np.subtract(aa[rows, None] + bb[None, :], sq[rows], out=sq[rows])
     np.maximum(sq, 0.0, out=sq)
     return sq
 
 
 def pairwise_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
     """Kernel matrix between rows of a and rows of b."""
-    return np.exp(-pairwise_sq_dists(a, b) / (2.0 * bandwidth**2))
+    values = pairwise_sq_dists(a, b)
+    np.negative(values, out=values)
+    np.divide(values, 2.0 * bandwidth**2, out=values)
+    return np.exp(values, out=values)
 
 
 def gram(data: SampleMatrix, spec: KernelSpec) -> GramMatrix:
     """Exactly symmetric kernel gram matrix with unit diagonal.
 
-    The symmetry comes from pairwise_sq_dists, not a symmetrizing pass (see
+    Built in place: the peak is the one n x n array plus a row block.  The
+    symmetry comes from pairwise_sq_dists, not a symmetrizing pass (see
     test_gram_unit_diagonal_and_symmetry); the computed diagonal is not exactly 1.
     """
     values = pairwise_kernel(data.data, data.data, spec.bandwidth)

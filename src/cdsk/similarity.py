@@ -13,16 +13,13 @@ import numpy as np
 
 from .data_io import SampleMatrix
 from .errors import ConfigError, DegenerateDataError, NumericError, ValidationError
-from .kernel import GramMatrix, KernelSpec, pairwise_kernel
+from .kernel import _ROW_BLOCK, GramMatrix, KernelSpec, pairwise_kernel
 from .spectral import PsdSplit
 
 _SIMPLEX_TOL = 1e-10
 # A graph row whose degree falls below this fraction of the largest degree is
 # effectively disconnected and breaks the normalized Laplacian.
 _DEGREE_REL_FLOOR = 1e-12
-# Rows per block when scaling the Laplacian, bounding the temporary to
-# _ROW_BLOCK x n.
-_ROW_BLOCK = 256
 
 
 def check_simplex(alpha, n: int | None = None, tol: float = _SIMPLEX_TOL) -> np.ndarray:
@@ -44,16 +41,28 @@ def check_simplex(alpha, n: int | None = None, tol: float = _SIMPLEX_TOL) -> np.
 
 @dataclass(frozen=True)
 class DiscSimilarityGraph:
-    """Weighted graph induced by the discriminative similarity."""
+    """Weighted graph induced by the discriminative similarity.
 
-    s: np.ndarray
+    Holds K (the gram matrix's array), alpha, lam, the degrees and the one
+    n x n array of its own, N = I - D^{-1/2} S D^{-1/2}.  The similarity S
+    and the Laplacian D - S are rebuilt (n x n) on each access.
+    """
+
+    kernel: np.ndarray
+    alpha: np.ndarray
+    lam: float
     degree: np.ndarray
     normalized_laplacian: np.ndarray
-    lam: float
+
+    @property
+    def s(self) -> np.ndarray:
+        """The similarity matrix, bit for bit the one disc_similarity sums."""
+        s = np.empty_like(self.kernel)
+        _fill_similarity(self.kernel, self.alpha, self.lam, s)
+        return s
 
     @property
     def laplacian(self) -> np.ndarray:
-        """The unnormalized Laplacian D - S, built anew (n x n) on each access."""
         return np.diag(self.degree) - self.s
 
 
@@ -64,36 +73,50 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
+def _fill_similarity(k: np.ndarray, alpha: np.ndarray, lam: float, out: np.ndarray) -> np.ndarray:
+    """Write s = 2 (pair_sum - lam * pair_prod) * k into out, operation for
+    operation, a block of rows at a time; returns the row sums."""
+    degree = np.empty(k.shape[0])
+    prod = np.empty((_ROW_BLOCK, k.shape[0]))  # reused: one block temporary, not two
+    for start in range(0, k.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        block = np.add.outer(alpha[rows], alpha, out=out[rows])
+        pair_prod = np.outer(alpha[rows], alpha, out=prod[: block.shape[0]])
+        pair_prod *= lam
+        block -= pair_prod
+        block *= 2.0
+        block *= k[rows]
+        degree[rows] = block.sum(axis=1)
+    return degree
+
+
 def disc_similarity(gram: GramMatrix, alpha, lam: float) -> DiscSimilarityGraph:
-    """Build the discriminative similarity graph for given weights and lambda."""
+    """Build the discriminative similarity graph for given weights and lambda.
+
+    S is written into one n x n buffer, which then becomes N in place.
+    """
     lam = _check_lambda(lam)
     k = gram.values
-    alpha = check_simplex(alpha, n=k.shape[0])
-    # s = 2 (pair_sum - lam * pair_prod) * k, operation for operation, but in
-    # place: besides k the build holds s and one more n x n buffer, which then
-    # becomes the normalized Laplacian
-    s = np.add.outer(alpha, alpha)
-    buf = np.outer(alpha, alpha)
-    buf *= lam
-    s -= buf
-    s *= 2.0
-    s *= k
-    degree = s.sum(axis=1)
+    alpha = check_simplex(alpha, n=k.shape[0]).copy()
+    normalized = np.empty_like(k)
+    degree = _fill_similarity(k, alpha, lam, normalized)
     floor = _DEGREE_REL_FLOOR * max(float(degree.max()), 0.0)
     if float(degree.min()) <= floor:
         raise DegenerateDataError(
             "a graph row has (near-)zero degree; similarity graph is disconnected"
         )
     # (diag(degree) - s) * outer(inv_sqrt, inv_sqrt), the outer product taken a
-    # block of rows at a time.  gram() makes k exactly symmetric, and then s
-    # and this product are too, so no symmetrizing pass is needed
-    normalized = np.subtract(0.0, s, out=buf)
-    np.fill_diagonal(normalized, degree - np.diagonal(s))
+    # block of rows at a time; 0 - s, not -s, keeps the sign of zeros.  gram()
+    # makes k exactly symmetric, and then s and this product are too, so no
+    # symmetrizing pass is needed
+    diagonal = degree - np.diagonal(normalized)
+    np.subtract(0.0, normalized, out=normalized)
+    np.fill_diagonal(normalized, diagonal)
     inv_sqrt = 1.0 / np.sqrt(degree)
     for start in range(0, normalized.shape[0], _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         normalized[rows] *= np.outer(inv_sqrt[rows], inv_sqrt)
-    return DiscSimilarityGraph(s=s, degree=degree, normalized_laplacian=normalized, lam=lam)
+    return DiscSimilarityGraph(k, alpha, lam, degree, normalized)
 
 
 def general_disc_similarity(s_raw: np.ndarray, split: PsdSplit, alpha, lam: float) -> np.ndarray:
@@ -118,13 +141,21 @@ def general_disc_similarity(s_raw: np.ndarray, split: PsdSplit, alpha, lam: floa
 
 
 def laplacian_quadratic(y: np.ndarray, graph: DiscSimilarityGraph) -> float:
-    """tr(Y^T L Y), cross-checked against (1/2) sum_ij s_ij ||Y_i - Y_j||^2."""
+    """tr(Y^T L Y) as tr(Z^T N Z), Z = D^{1/2} Y, with no n x n temporary.
+
+    Cross-checked against sum_i d_i ||y_i||^2 - tr(Y^T S Y), with S Y =
+    2 [alpha o (K Y) + K (alpha o Y) - lam alpha o K (alpha o Y)] taken from
+    K and alpha, so an N that does not match them raises NumericError.
+    """
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2 or y.shape[0] != graph.s.shape[0]:
+    if y.ndim != 2 or y.shape[0] != graph.degree.shape[0]:
         raise ValidationError(f"embedding shape {y.shape} does not match graph")
-    direct = float(np.sum(y * (graph.laplacian @ y)))
-    sq = np.sum(y * y, axis=1)
-    pair_form = 0.5 * float(np.sum(graph.s * (sq[:, None] + sq[None, :] - 2.0 * (y @ y.T))))
+    z = np.sqrt(graph.degree)[:, None] * y
+    direct = float(np.sum(z * (graph.normalized_laplacian @ z)))
+    k, alpha = graph.kernel, graph.alpha[:, None]
+    k_alpha_y = k @ (alpha * y)
+    sy = 2.0 * (alpha * (k @ y) + k_alpha_y - graph.lam * alpha * k_alpha_y)
+    pair_form = float(np.sum(graph.degree * np.sum(y * y, axis=1)) - np.sum(y * sy))
     scale = max(1.0, abs(direct))
     if abs(direct - pair_form) > 1e-8 * scale:
         raise NumericError(

@@ -65,10 +65,13 @@ def assemble_alpha_qp(y: np.ndarray, gram: GramMatrix, lam: float) -> SimplexQP:
     y = np.ascontiguousarray(y, dtype=np.float64)
     if y.ndim != 2 or y.shape[0] != k.shape[0]:
         raise ValidationError(f"embedding shape {y.shape} does not match gram matrix")
-    m = k * pairwise_sq_dists(y, y)
+    # m, then a, in one buffer; k and y's distances are exactly symmetric, so a is
+    m = pairwise_sq_dists(y, y)
+    m *= k
     b = 2.0 * m.sum(axis=1) - k.sum(axis=1)
-    # k and the pairwise distances of y are exactly symmetric, and so is a
-    return SimplexQP(a=lam * (k - m), b=b, constant=0.0)
+    a = np.subtract(k, m, out=m)
+    a *= lam
+    return SimplexQP(a=a, b=b, constant=0.0)
 
 
 def _select_pair(g: np.ndarray, alpha: np.ndarray) -> tuple[int, int, float]:

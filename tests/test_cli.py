@@ -78,6 +78,15 @@ def test_runs_below_one_is_usage_error(capsys, blobs_csv):
         assert captured.out == ""
 
 
+def test_tune_bad_grid_value_prints_no_report(capsys, blobs_csv):
+    rc, out, err = _run(
+        capsys, ["tune", "--input", blobs_csv, "--clusters", "2", "--grid", "0.1", "3"]
+    )
+    assert rc == 1
+    assert out == ""
+    assert "3.0" in err
+
+
 def test_tune_rejects_flags_it_would_ignore(capsys, blobs_csv, tmp_path):
     doc = tmp_path / "t.json"
     for flags in (["--output", str(doc)], ["--runs", "3"], ["--runs", "1"]):

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cdsk.data_io import SampleMatrix, make_blobs
+import cdsk.driver
+from cdsk.data_io import SampleMatrix, make_blobs, make_two_moons
 from cdsk.driver import (
     DEFAULT_LAMBDA_GRID,
     CdskConfig,
@@ -15,7 +16,7 @@ from cdsk.driver import (
     tune_lambda,
 )
 from cdsk.embedding import solve_embedding
-from cdsk.errors import ConfigError, ValidationError
+from cdsk.errors import ConfigError, DegenerateDataError, ValidationError
 from cdsk.kernel import KernelSpec, default_bandwidth, gram
 from cdsk.simplex_qp import assemble_alpha_qp, qp_objective
 from cdsk.similarity import disc_similarity
@@ -218,8 +219,15 @@ def test_tune_lambda_matches_per_grid_point_runs():
         assert entropies == want_entropies
 
 
-def test_tune_lambda_domain_errors():
+def test_tune_lambda_domain_errors(monkeypatch):
     data = _blobs(n_per=30)
+    calls = []
+    monkeypatch.setattr(cdsk.driver, "_alternate", lambda *args: calls.append(args))
+    # a bad grid value fails before any grid point's alternation runs
+    with pytest.raises(ConfigError, match="3.0"):
+        tune_lambda(data, CdskConfig(c=2), grid=(0.1, 3.0))
+    assert calls == []
+    monkeypatch.undo()
     with pytest.raises(ConfigError):
         tune_lambda(data, CdskConfig(c=2), grid=())
     tiny = SampleMatrix(np.random.default_rng(0).normal(size=(6, 2)))
@@ -227,6 +235,43 @@ def test_tune_lambda_domain_errors():
         tune_lambda(tiny, CdskConfig(c=2))
     with pytest.raises(ConfigError):
         tune_lambda(data, CdskConfig(c=1))
+
+
+def test_alternate_keeps_last_iterate_when_a_graph_degenerates(monkeypatch):
+    # _alternate frees each graph before the weight step; when the next graph
+    # is degenerate it must still return the last valid iterate: its weights,
+    # its graph (rebuilt), the embedding of that graph and the trace so far
+    data = make_two_moons(80, 0.1, seed=0)
+    kmat = gram(data, KernelSpec(default_bandwidth(data)))
+    config = CdskConfig(c=2, max_iter=6)
+    real = cdsk.driver.disc_similarity
+    weights = []
+
+    def spy(kmat, alpha, lam):
+        weights.append(np.array(alpha, copy=True))
+        return real(kmat, alpha, lam)
+
+    monkeypatch.setattr(cdsk.driver, "disc_similarity", spy)
+    _, _, _, full_trace, _ = cdsk.driver._alternate(kmat, config)
+    assert len(full_trace) == 6
+    for fail_at in (2, 4, 7):
+        calls = []
+
+        def failing(kmat, alpha, lam):
+            calls.append(None)
+            if len(calls) == fail_at:
+                raise DegenerateDataError("drained")
+            return real(kmat, alpha, lam)
+
+        monkeypatch.setattr(cdsk.driver, "disc_similarity", failing)
+        alpha, graph, y, trace, _ = cdsk.driver._alternate(kmat, config)
+        kept = weights[fail_at - 2]
+        want = real(kmat, kept, config.lam)
+        assert alpha.tobytes() == kept.tobytes()
+        assert graph.degree.tobytes() == want.degree.tobytes()
+        assert graph.normalized_laplacian.tobytes() == want.normalized_laplacian.tobytes()
+        assert y.tobytes() == solve_embedding(want, config.c).y.tobytes()
+        assert trace == full_trace[: fail_at - 2]
 
 
 def test_baseline_spectral_separates_blobs():

@@ -13,7 +13,7 @@ from cdsk.kdc import (
     ise_residual_slack,
     kde,
 )
-from cdsk.kernel import GramMatrix
+from cdsk.kernel import GramMatrix, pairwise_kernel
 from cdsk.similarity import disc_similarity
 
 
@@ -115,8 +115,6 @@ def test_hat_ise_same_class_no_cross_term():
     alpha = np.full(5, 0.2)
     model = KdeModel(points=pts, alpha=alpha, labels=np.ones(5, dtype=int), h=1.0)
     hat_ise, _, _ = empirical_ise_terms(model, 1.0)
-    from cdsk.kernel import pairwise_kernel
-
     kh = pairwise_kernel(pts, pts, 1.0)
     np.fill_diagonal(kh, 1.0)
     want = -float(np.sum((alpha[:, None] + alpha[None, :]) * kh))
@@ -127,8 +125,6 @@ def test_k_alpha_hand_expansion():
     rng = np.random.default_rng(4)
     model = _model_1d(rng, 6)
     _, k_alpha, _ = empirical_ise_terms(model, 0.5)
-    from cdsk.kernel import pairwise_kernel
-
     kt = pairwise_kernel(model.points, model.points, np.sqrt(2.0) * model.h)
     np.fill_diagonal(kt, 1.0)
     a = model.alpha
@@ -145,8 +141,6 @@ def test_s_ise_is_twice_disc_similarity():
     model = _model_1d(rng, 8)
     lam = 1.3
     _, _, s_ise = empirical_ise_terms(model, lam)
-    from cdsk.kernel import pairwise_kernel
-
     kh = pairwise_kernel(model.points, model.points, model.h)
     kh = 0.5 * (kh + kh.T)
     np.fill_diagonal(kh, 1.0)
@@ -160,9 +154,15 @@ def test_decision_squared_integral_vs_quadrature():
         model = _model_1d(rng, n, h=0.6)
         closed = decision_squared_integral(model)
         grid = np.linspace(model.points.min() - 10 * model.h, model.points.max() + 10 * model.h, 60001)
-        r_hat = np.array(
-            [class_kde([g], 1, model) - class_kde([g], 2, model) for g in grid]
-        )
+        # class_kde on every grid point at once: one kernel call for the grid
+        kvals = pairwise_kernel(grid[:, None], model.points, model.h)
+        p_hat = [
+            model.tau0 * np.sum(model.alpha[mask] * kvals[:, mask], axis=1)
+            for mask in (model.labels == 1, model.labels == 2)
+        ]
+        r_hat = p_hat[0] - p_hat[1]
+        for i in (0, 12345, 30000, 60000):
+            assert r_hat[i] == class_kde([grid[i]], 1, model) - class_kde([grid[i]], 2, model)
         numeric = trapezoid(r_hat**2, grid)
         assert abs(numeric - closed) < 1e-4 * max(abs(closed), 1e-12)
 

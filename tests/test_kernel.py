@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cdsk.data_io import SampleMatrix
 from cdsk.errors import DegenerateDataError, ValidationError
-from cdsk.kernel import KernelSpec, default_bandwidth, eval_kernel, gram
+from cdsk.kernel import KernelSpec, default_bandwidth, eval_kernel, gram, pairwise_sq_dists
 
 rng = np.random.default_rng(0)
 
@@ -52,6 +52,41 @@ def test_gram_unit_diagonal_and_symmetry():
                 assert np.array_equal(np.diag(g), np.ones(n))
                 assert np.array_equal(g, g.T), (n, d)
                 assert g.min() > 0.0 and g.max() <= 1.0
+
+
+def _reference_sq_dists(a, b):
+    """The allocating chain pairwise_sq_dists must reproduce bit for bit."""
+    aa = np.sum(a * a, axis=1)
+    bb = np.sum(b * b, axis=1)
+    sq = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def _reference_gram(points, bandwidth):
+    values = np.exp(-_reference_sq_dists(points, points) / (2.0 * bandwidth**2))
+    np.fill_diagonal(values, 1.0)
+    return values
+
+
+def test_gram_bit_identical_to_allocating_chain():
+    # n spans one and more than two 256-row blocks of the in-place build
+    for n in (301, 513):
+        for d in (2, 34):
+            x = rng.normal(size=(n, 2 * d))
+            for points in (x[:, ::2].copy(), x[:, ::2]):
+                sample = SampleMatrix(points)
+                g = gram(sample, KernelSpec(1.3)).values
+                assert g.tobytes() == _reference_gram(sample.data, 1.3).tobytes(), (n, d)
+
+
+def test_pairwise_sq_dists_bit_identical_for_distinct_sets():
+    a = rng.normal(size=(300, 6))
+    b = rng.normal(size=(517, 6))
+    for left, right in ((a, b), (b, a), (a[:, ::2], b[:, ::2])):
+        got = pairwise_sq_dists(left, right)
+        assert got.shape == (left.shape[0], right.shape[0])
+        assert got.tobytes() == _reference_sq_dists(left, right).tobytes()
 
 
 def test_gram_psd():

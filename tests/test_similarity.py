@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdsk.data_io import SampleMatrix
-from cdsk.errors import ConfigError, DegenerateDataError, ValidationError
+from cdsk.embedding import solve_embedding
+from cdsk.errors import ConfigError, DegenerateDataError, NumericError, ValidationError
 from cdsk.kernel import GramMatrix, KernelSpec, gram
 from cdsk.similarity import (
     alpha_objective_terms,
@@ -106,7 +109,22 @@ def _reference_graph(k, alpha, lam):
     return s, degree, normalized
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.7, 2.0])
+def _reference_chain(k, alpha, lam):
+    """The full-matrix in-place chain the row-block build replaced."""
+    s = np.add.outer(alpha, alpha)
+    buf = np.outer(alpha, alpha)
+    buf *= lam
+    s -= buf
+    s *= 2.0
+    s *= k
+    degree = s.sum(axis=1)
+    normalized = np.subtract(0.0, s, out=buf)
+    np.fill_diagonal(normalized, degree - np.diagonal(s))
+    normalized *= np.outer(1.0 / np.sqrt(degree), 1.0 / np.sqrt(degree))
+    return s, degree, normalized
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.7, 2.0])
 def test_disc_similarity_bit_identical_to_dense_formulas(lam):
     # narrow bandwidth: far pairs underflow to exact zeros in K, and a few
     # zero weights give exactly-zero similarity entries (sign of zero matters
@@ -120,10 +138,13 @@ def test_disc_similarity_bit_identical_to_dense_formulas(lam):
     alpha /= alpha.sum()
     g = disc_similarity(k, alpha, lam)
     assert np.any(g.s == 0.0)
-    s, degree, normalized = _reference_graph(k.values, alpha, lam)
-    assert g.s.tobytes() == s.tobytes()
-    assert g.degree.tobytes() == degree.tobytes()
-    assert g.normalized_laplacian.tobytes() == normalized.tobytes()
+    for s, degree, normalized in (
+        _reference_graph(k.values, alpha, lam),
+        _reference_chain(k.values, alpha, lam),
+    ):
+        assert g.s.tobytes() == s.tobytes()
+        assert g.degree.tobytes() == degree.tobytes()
+        assert g.normalized_laplacian.tobytes() == normalized.tobytes()
     assert np.array_equal(g.normalized_laplacian, g.normalized_laplacian.T)
     assert g.laplacian.tobytes() == (np.diag(g.degree) - g.s).tobytes()
 
@@ -201,6 +222,34 @@ def test_laplacian_quadratic_matches_pair_sum():
         for j in range(6):
             want += 0.5 * g.s[i, j] * np.sum((y[i] - y[j]) ** 2)
     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("lam", [0.1, 2.0])
+def test_laplacian_quadratic_matches_dense_forms(lam):
+    # the dense n x n formulas it replaced: L Y directly, and the pair form
+    rng = np.random.default_rng(9)
+    n = 300
+    k = _gram_from_points(rng.uniform(size=(n, 2)), bandwidth=0.2)
+    g = disc_similarity(k, rng.dirichlet(np.ones(n)), lam)
+    for y in (solve_embedding(g, 3).y, rng.normal(size=(n, 3))):
+        got = laplacian_quadratic(y, g)
+        direct = float(np.sum(y * ((np.diag(g.degree) - g.s) @ y)))
+        sq = np.sum(y * y, axis=1)
+        pair_form = 0.5 * float(np.sum(g.s * (sq[:, None] + sq[None, :] - 2.0 * (y @ y.T))))
+        for want in (direct, pair_form):
+            assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_laplacian_quadratic_rejects_inconsistent_graph():
+    # N no longer matches K and alpha: the cross-check must catch it
+    rng = np.random.default_rng(11)
+    k = _gram_from_points(rng.normal(size=(40, 2)))
+    g = disc_similarity(k, _random_alpha(rng, 40), 0.5)
+    y = rng.normal(size=(40, 2))
+    laplacian_quadratic(y, g)
+    bad = replace(g, normalized_laplacian=g.normalized_laplacian * (1.0 + 1e-6))
+    with pytest.raises(NumericError):
+        laplacian_quadratic(y, bad)
 
 
 def test_laplacian_quadratic_constant_rows_zero():
