@@ -2,9 +2,9 @@
 
 Verbs: cluster, tune, baseline, decompose, bounds, ise, synth.  Reports are
 line-oriented ``key: value`` pairs on stdout (deterministic for fixed argv and
-input files); structured results go to JSON via --output.  Exit codes: 0 ok,
-1 expected failure, 2 finished but the weight subproblem missed its tolerance,
-64 usage.
+input files); structured results go to JSON via --output.  cluster, tune and
+baseline print nothing until their runs succeed.  Exit codes: 0 ok, 1 expected
+failure, 2 finished but the weight subproblem missed its tolerance, 64 usage.
 """
 
 from __future__ import annotations
@@ -102,12 +102,19 @@ def _print_metrics(per_run: list[dict | None]) -> None:
             _emit(key, f"{vals.mean():.3f} ± {vals.std():.3f}")
 
 
-def _cluster(args, data, lam: float, lam_desc: str) -> int:
-    """Cluster report of `cluster` and `tune --then-cluster`; validates before printing."""
+def _cluster_runs(args, data, lam: float) -> list:
+    """The runs of `cluster` and `tune --then-cluster`, result document written."""
     cfg = CdskConfig(
         c=args.clusters, lam=lam, bandwidth=args.bandwidth, max_iter=args.max_iter, seed=args.seed
     )
     runs = args.runs or 1  # tune leaves --runs unset unless given
+    results = [run_cdsk(data, replace(cfg, seed=args.seed + i)) for i in range(runs)]
+    if args.output is not None:
+        write_result(results[0], args.output)
+    return results
+
+
+def _report_cluster(args, data, results: list, lam_desc: str) -> int:
     _emit("command", "cluster")
     _emit("input", args.input)
     _emit("n", data.n)
@@ -117,8 +124,7 @@ def _cluster(args, data, lam: float, lam_desc: str) -> int:
     _emit("bandwidth", "auto" if args.bandwidth is None else _fmt(args.bandwidth))
     _emit("max_iter", args.max_iter)
     _emit("seed", args.seed)
-    _emit("runs", runs)
-    results = [run_cdsk(data, replace(cfg, seed=args.seed + i)) for i in range(runs)]
+    _emit("runs", len(results))
     first = results[0]
     _emit("bandwidth_used", _fmt(first.bandwidth_used))
     _emit("lambda_used", _fmt(first.lambda_used))
@@ -129,13 +135,13 @@ def _cluster(args, data, lam: float, lam_desc: str) -> int:
     _emit("qp_converged", "true" if all_converged else "false")
     _print_metrics([r.metrics for r in results])
     if args.output is not None:
-        write_result(first, args.output)
         _emit("output", args.output)
     return 0 if all_converged else 2
 
 
 def cmd_cluster(args) -> int:
-    return _cluster(args, _load(args), args.lam, _fmt(args.lam))
+    data = _load(args)
+    return _report_cluster(args, data, _cluster_runs(args, data, args.lam), _fmt(args.lam))
 
 
 def cmd_tune(args) -> int:
@@ -147,33 +153,31 @@ def cmd_tune(args) -> int:
     cfg = CdskConfig(
         c=args.clusters, bandwidth=args.bandwidth, max_iter=args.max_iter, seed=args.seed
     )
-    for lam in grid:
-        replace(cfg, lam=lam)  # a grid value outside (0, 2] fails before any report line
+    chosen, entropies = tune_lambda(data, cfg, grid=grid)
+    results = _cluster_runs(args, data, chosen) if args.then_cluster else None
     _emit("command", "tune")
     _emit("input", args.input)
     _emit("lambda_grid", " ".join(_fmt(v) for v in grid))
-    chosen, entropies = tune_lambda(data, cfg, grid=grid)
     for lam, ent in zip(grid, entropies):
         _emit(f"entropy {_fmt(lam)}", _fmt(ent))
     _emit("chosen_lambda", _fmt(chosen))
-    if args.then_cluster:
-        return _cluster(args, data, chosen, f"{_fmt(chosen)} (tuned)")
+    if results is not None:
+        return _report_cluster(args, data, results, f"{_fmt(chosen)} (tuned)")
     return 0
 
 
 def cmd_baseline(args) -> int:
     data = _load(args)
+    result = run_baseline_spectral(data, args.clusters, seed=args.seed, bandwidth=args.bandwidth)
+    if args.output is not None:
+        write_result(result, args.output)
     _emit("command", "baseline")
     _emit("input", args.input)
     _emit("n", data.n)
     _emit("clusters", args.clusters)
-    result = run_baseline_spectral(
-        data, args.clusters, seed=args.seed, bandwidth=args.bandwidth
-    )
     _emit("bandwidth_used", _fmt(result.bandwidth_used))
     _print_metrics([result.metrics])
     if args.output is not None:
-        write_result(result, args.output)
         _emit("output", args.output)
     return 0
 

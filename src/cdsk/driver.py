@@ -11,7 +11,7 @@ from .embedding import solve_embedding
 from .errors import ConfigError, DegenerateDataError, ValidationError
 from .kernel import GramMatrix, KernelSpec, default_bandwidth, gram
 from .kmeans_metrics import Partition, accuracy, kmeans, nmi
-from .similarity import alpha_objective_terms, check_simplex, disc_similarity, laplacian_quadratic
+from .similarity import check_simplex, disc_similarity
 from .simplex_qp import QpSolution, assemble_alpha_qp, qp_objective
 
 DEFAULT_LAMBDA_GRID = tuple(round(0.05 * k, 2) for k in range(1, 11))
@@ -66,13 +66,13 @@ def solve_alpha_coupled(
     is always feasible and never worse than the start; converged means the
     KKT residual met max(tol, 1e-5).
     """
-    qp = assemble_alpha_qp(y, kernel, lam)
     kvals = kernel.values
+    d1 = kvals.sum(axis=1)
+    qp = assemble_alpha_qp(y, kernel, lam, d1)
     n = start.size
-    alpha = check_simplex(start, n=n).copy()
+    alpha = check_simplex(start, n=n)
     y = np.asarray(y, dtype=np.float64)
     c = y.shape[1]
-    d1 = kvals.sum(axis=1)
 
     pairs = [(p, q) for p in range(c) for q in range(p, c)]
     w_rows = np.array([y[:, p] * y[:, q] for p, q in pairs])
@@ -143,7 +143,9 @@ def solve_alpha_coupled(
             break
         iterations += 1
         work = free | (zeta < 0.0)
-        direction = np.where(work, -reduced_gradient(grad, jac, work), 0.0)
+        # with no zero weight asking for mass the projection is the one just made
+        step = zeta if np.array_equal(work, free) else reduced_gradient(grad, jac, work)
+        direction = np.where(work, -step, 0.0)
         slope = float(grad @ direction)
         if not slope < 0.0:
             break
@@ -239,8 +241,7 @@ def _alternate(kmat: GramMatrix, config: CdskConfig):
             graph = disc_similarity(kmat, alpha, config.lam)
             break
         alpha = sol.alpha
-        q_value = laplacian_quadratic(y, graph) + alpha_objective_terms(kmat, alpha, config.lam)
-        trace.append(q_value)
+        trace.append(sol.objective)  # the joint objective at (y, alpha)
         if len(trace) >= 2:
             prev = trace[-2]
             if abs(trace[-1] - prev) <= _STOP_TOL * max(1.0, abs(prev)):

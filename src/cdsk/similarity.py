@@ -1,4 +1,4 @@
-"""Discriminative similarity graph, clustering objective, kernel classifier scores.
+"""Discriminative similarity graph and kernel classifier scores.
 
 The similarity couples per-point simplex weights alpha with the kernel gram
 matrix: s_ij = 2 (alpha_i + alpha_j - lam * alpha_i * alpha_j) k_ij, which is
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import SampleMatrix
-from .errors import ConfigError, DegenerateDataError, NumericError, ValidationError
+from .errors import ConfigError, DegenerateDataError, ValidationError
 from .kernel import _ROW_BLOCK, GramMatrix, KernelSpec, pairwise_kernel
 from .spectral import PsdSplit
 
@@ -24,7 +24,7 @@ _DEGREE_REL_FLOOR = 1e-12
 
 def check_simplex(alpha, n: int | None = None, tol: float = _SIMPLEX_TOL) -> np.ndarray:
     """Validate that alpha lies on the probability simplex; returns float64 copy."""
-    alpha = np.asarray(alpha, dtype=np.float64)
+    alpha = np.array(alpha, dtype=np.float64)
     if alpha.ndim != 1:
         raise ValidationError(f"alpha must be a vector, got shape {alpha.shape}")
     if n is not None and alpha.shape[0] != n:
@@ -97,7 +97,7 @@ def disc_similarity(gram: GramMatrix, alpha, lam: float) -> DiscSimilarityGraph:
     """
     lam = _check_lambda(lam)
     k = gram.values
-    alpha = check_simplex(alpha, n=k.shape[0]).copy()
+    alpha = check_simplex(alpha, n=k.shape[0])
     normalized = np.empty_like(k)
     degree = _fill_similarity(k, alpha, lam, normalized)
     floor = _DEGREE_REL_FLOOR * max(float(degree.max()), 0.0)
@@ -138,45 +138,6 @@ def general_disc_similarity(s_raw: np.ndarray, split: PsdSplit, alpha, lam: floa
     pair_prod = np.outer(alpha, alpha)
     return 2.0 * pair_sum * s_raw - 2.0 * lam * pair_prod * split.s_plus \
         - 2.0 * lam * pair_prod * split.s_minus
-
-
-def laplacian_quadratic(y: np.ndarray, graph: DiscSimilarityGraph) -> float:
-    """tr(Y^T L Y) as tr(Z^T N Z), Z = D^{1/2} Y, with no n x n temporary.
-
-    Cross-checked against sum_i d_i ||y_i||^2 - tr(Y^T S Y), with S Y =
-    2 [alpha o (K Y) + K (alpha o Y) - lam alpha o K (alpha o Y)] taken from
-    K and alpha, so an N that does not match them raises NumericError.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2 or y.shape[0] != graph.degree.shape[0]:
-        raise ValidationError(f"embedding shape {y.shape} does not match graph")
-    z = np.sqrt(graph.degree)[:, None] * y
-    direct = float(np.sum(z * (graph.normalized_laplacian @ z)))
-    k, alpha = graph.kernel, graph.alpha[:, None]
-    k_alpha_y = k @ (alpha * y)
-    sy = 2.0 * (alpha * (k @ y) + k_alpha_y - graph.lam * alpha * k_alpha_y)
-    pair_form = float(np.sum(graph.degree * np.sum(y * y, axis=1)) - np.sum(y * sy))
-    scale = max(1.0, abs(direct))
-    if abs(direct - pair_form) > 1e-8 * scale:
-        raise NumericError(
-            f"Laplacian quadratic forms disagree: {direct} vs {pair_form}"
-        )
-    return direct
-
-
-def alpha_objective_terms(gram: GramMatrix, alpha, lam: float) -> float:
-    """The alpha-only objective terms: -alpha^T K 1 + lam alpha^T K alpha."""
-    k = gram.values
-    alpha = check_simplex(alpha, n=k.shape[0])
-    ksum = k @ alpha
-    return float(-np.sum(ksum) + lam * float(alpha @ ksum))
-
-
-def cdsk_objective(
-    y: np.ndarray, graph: DiscSimilarityGraph, gram: GramMatrix, alpha, lam: float
-) -> float:
-    """tr(Y^T L Y) - alpha^T K 1 + lam alpha^T K alpha, as run_cdsk records it."""
-    return laplacian_quadratic(y, graph) + alpha_objective_terms(gram, alpha, lam)
 
 
 def class_scores(x, train: SampleMatrix, alpha, spec: KernelSpec) -> np.ndarray:

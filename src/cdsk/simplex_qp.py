@@ -1,7 +1,7 @@
 """Simplex-constrained quadratic programs and a two-coordinate descent solver.
 
 The weight subproblem of the alternation is min_alpha q(alpha) over the
-probability simplex with q(alpha) = alpha^T A alpha + b^T alpha + const,
+probability simplex with q(alpha) = alpha^T A alpha + b^T alpha,
 A = lam (K - M), b = 2 M 1 - K 1, where M_ij = K_ij ||Y_i - Y_j||^2.  A is
 indefinite in general, so the solver must cope with concave pair directions.
 """
@@ -23,11 +23,10 @@ _SWEEP_CHUNK = 256
 
 @dataclass(frozen=True)
 class SimplexQP:
-    """q(alpha) = alpha^T a alpha + b^T alpha + constant, alpha on the simplex."""
+    """q(alpha) = alpha^T a alpha + b^T alpha, alpha on the simplex."""
 
     a: np.ndarray
     b: np.ndarray
-    constant: float = 0.0
 
     def __post_init__(self):
         a = check_symmetric(self.a)
@@ -46,7 +45,7 @@ class SimplexQP:
 
 def qp_objective(qp: SimplexQP, alpha: np.ndarray) -> float:
     alpha = np.asarray(alpha, dtype=np.float64)
-    return float(alpha @ qp.a @ alpha + qp.b @ alpha + qp.constant)
+    return float(alpha @ qp.a @ alpha + qp.b @ alpha)
 
 
 @dataclass
@@ -59,8 +58,10 @@ class QpSolution:
     objective_trace: list[float] = field(default_factory=list)
 
 
-def assemble_alpha_qp(y: np.ndarray, gram: GramMatrix, lam: float) -> SimplexQP:
-    """Reduce the weight subproblem at a fixed embedding to simplex-QP form."""
+def assemble_alpha_qp(y: np.ndarray, gram: GramMatrix, lam: float, row_sums: np.ndarray) -> SimplexQP:
+    """q(alpha) = tr(Y^T L(alpha) Y) - alpha^T K 1 + lam alpha^T K alpha at a
+    fixed Y, row_sums = K 1: the one definition of the joint objective, which
+    the weight step minimizes and the alternation records."""
     k = gram.values
     y = np.ascontiguousarray(y, dtype=np.float64)
     if y.ndim != 2 or y.shape[0] != k.shape[0]:
@@ -68,10 +69,10 @@ def assemble_alpha_qp(y: np.ndarray, gram: GramMatrix, lam: float) -> SimplexQP:
     # m, then a, in one buffer; k and y's distances are exactly symmetric, so a is
     m = pairwise_sq_dists(y, y)
     m *= k
-    b = 2.0 * m.sum(axis=1) - k.sum(axis=1)
+    b = 2.0 * m.sum(axis=1) - row_sums
     a = np.subtract(k, m, out=m)
     a *= lam
-    return SimplexQP(a=a, b=b, constant=0.0)
+    return SimplexQP(a=a, b=b)
 
 
 def _select_pair(g: np.ndarray, alpha: np.ndarray) -> tuple[int, int, float]:
@@ -117,7 +118,7 @@ def _best_face_point(qp: SimplexQP) -> tuple[np.ndarray, float] | None:
     best_alpha = None
     best_q = np.inf
     for k in range(n):
-        q_vertex = float(qp.a[k, k] + qp.b[k] + qp.constant)
+        q_vertex = float(qp.a[k, k] + qp.b[k])
         if q_vertex < best_q:
             best_q = q_vertex
             best_alpha = np.zeros(n)
@@ -209,7 +210,7 @@ def solve_smo(
         max_passes = 100 * n
     if max_passes < 1:
         raise ValidationError("max_passes must be >= 1")
-    alpha = check_simplex(start, n=n).copy()
+    alpha = check_simplex(start, n=n)
     if n == 1:
         obj = qp_objective(qp, alpha)
         return QpSolution(alpha, obj, 0.0, 0, True, [obj])

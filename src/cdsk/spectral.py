@@ -75,13 +75,17 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
 
-def eigh(a: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a symmetric matrix with a fixed sign convention."""
-    a = check_symmetric(a)
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of an already validated matrix; failure is a NumericError."""
     try:
-        w, v = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
+
+
+def eigh(a: np.ndarray) -> EigenSystem:
+    """Eigendecomposition of a symmetric matrix with a fixed sign convention."""
+    w, v = _eigh(check_symmetric(a))
     return EigenSystem(eigenvalues=w, eigenvectors=_fix_signs(v))
 
 
@@ -150,8 +154,8 @@ def smallest_eigenpairs(
             return w[order], _fix_signs(v[:, order])
         except scipy.sparse.linalg.ArpackError:
             pass
-    system = eigh(a)
-    return system.eigenvalues[:c], system.eigenvectors[:, :c]
+    w, v = _eigh(a)
+    return w[:c], _fix_signs(v[:, :c])
 
 
 @dataclass(frozen=True)
@@ -169,9 +173,8 @@ def psd_split(s: np.ndarray) -> PsdSplit:
     nonnegative and kept on the plus side, so PSD inputs come back with an
     exactly zero minus part.
     """
-    s = check_symmetric(s)
-    system = eigh(s)
-    w, v = system.eigenvalues, system.eigenvectors
+    # each part is a sum of v_k w_k v_k^T, which no column sign changes
+    w, v = _eigh(check_symmetric(s))
     cut = _ZERO_EIG_REL * max(float(np.max(np.abs(w))), 0.0)
     neg = w < -cut
     pos = ~neg

@@ -87,6 +87,20 @@ def test_tune_bad_grid_value_prints_no_report(capsys, blobs_csv):
     assert "3.0" in err
 
 
+def test_data_dependent_failure_prints_no_report(capsys, tmp_path):
+    path = tmp_path / "ten.csv"
+    write_csv(make_blobs(5, [[0.0, 0.0], [12.0, 12.0]], 0.5, seed=0), path)
+    for argv, message in (
+        (["cluster", "--clusters", "11"], "n=10 is smaller than c=11"),
+        (["baseline", "--clusters", "11"], "n=10 is smaller than c=11"),
+        (["tune", "--clusters", "6"], "validation subset needs 12 points"),
+    ):
+        rc, out, err = _run(capsys, argv + ["--input", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert message in err
+
+
 def test_tune_rejects_flags_it_would_ignore(capsys, blobs_csv, tmp_path):
     doc = tmp_path / "t.json"
     for flags in (["--output", str(doc)], ["--runs", "3"], ["--runs", "1"]):

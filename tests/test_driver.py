@@ -21,6 +21,7 @@ from cdsk.kernel import KernelSpec, default_bandwidth, gram
 from cdsk.simplex_qp import assemble_alpha_qp, qp_objective
 from cdsk.similarity import disc_similarity
 from test_acceptance import _descent_dataset
+from test_similarity import joint_objective
 
 
 def _blobs(n_per=30, gap=12.0, seed=0):
@@ -135,7 +136,7 @@ def test_solve_alpha_coupled_descends_and_stays_feasible():
     alpha = np.full(n, 1.0 / n)
     graph = disc_similarity(k, alpha, lam)
     y = solve_embedding(graph, 2).y
-    qp = assemble_alpha_qp(y, k, lam)
+    qp = assemble_alpha_qp(y, k, lam, k.values.sum(axis=1))
     sol = solve_alpha_coupled(y, k, lam, start=alpha)
     assert sol.objective <= qp_objective(qp, alpha) + 1e-12
     assert sol.alpha.min() >= 0.0
@@ -144,6 +145,29 @@ def test_solve_alpha_coupled_descends_and_stays_feasible():
     deg = graph_degrees(k.values, k.values.sum(axis=1), sol.alpha, lam)
     feas = y.T @ (deg[:, None] * y)
     assert np.max(np.abs(feas - np.eye(2))) < 1e-8
+
+
+def test_run_cdsk_records_the_joint_objective(monkeypatch):
+    # every trace entry is the weight step's q, and equals the dense joint
+    # objective at the (Y, alpha) it records
+    calls = []
+
+    def spy(y, kernel, lam, start):
+        sol = solve_alpha_coupled(y, kernel, lam, start=start)
+        calls.append((y, sol))
+        return sol
+
+    monkeypatch.setattr(cdsk.driver, "solve_alpha_coupled", spy)
+    data = make_two_moons(120, 0.15, seed=2)
+    config = CdskConfig(c=2, bandwidth=0.1, max_iter=6)
+    trace = run_cdsk(data, config).objective_trace
+    assert 2 <= len(trace) <= len(calls)
+    k = gram(data, KernelSpec(0.1))
+    for value, (y, sol) in zip(trace, calls):
+        assert value == sol.objective
+        g = disc_similarity(k, sol.alpha, config.lam)
+        want = joint_objective(y, g, k, sol.alpha, config.lam)
+        assert abs(value - want) <= 1e-10 * abs(want)
 
 
 def test_solve_alpha_coupled_rejects_far_start():
@@ -293,7 +317,7 @@ def _first_weight_step(data, c, lam, bandwidth):
     k = gram(data, KernelSpec(bandwidth))
     alpha = np.full(data.n, 1.0 / data.n)
     y = solve_embedding(disc_similarity(k, alpha, lam), c).y
-    return assemble_alpha_qp(y, k, lam), y, k, alpha
+    return assemble_alpha_qp(y, k, lam, k.values.sum(axis=1)), y, k, alpha
 
 
 def _three_blobs_step():

@@ -5,8 +5,9 @@ from cdsk.data_io import SampleMatrix, make_two_moons
 from cdsk.embedding import solve_embedding
 from cdsk.errors import ValidationError
 from cdsk.kernel import GramMatrix, KernelSpec, gram
-from cdsk.similarity import disc_similarity, laplacian_quadratic
+from cdsk.similarity import disc_similarity
 from cdsk.spectral import smallest_eigenpairs
+from test_similarity import laplacian_trace
 
 
 def _graph_from_points(points, lam=0.5, bandwidth=1.0, alpha=None):
@@ -69,13 +70,13 @@ def test_embedding_trace_optimality():
     g = _graph_from_points(rng.normal(size=(9, 2)))
     c = 3
     emb = solve_embedding(g, c)
-    best = laplacian_quadratic(emb.y, g)
+    best = laplacian_trace(emb.y, g)
     d_inv_sqrt = 1.0 / np.sqrt(g.degree)
     for _ in range(25):
         # random feasible competitor: orthonormal basis pushed through D^{-1/2}
         q, _ = np.linalg.qr(rng.normal(size=(9, c)))
         y_rand = d_inv_sqrt[:, None] * q
-        assert best <= laplacian_quadratic(y_rand, g) + 1e-8
+        assert best <= laplacian_trace(y_rand, g) + 1e-8
 
 
 def test_embedding_eigenvalues_in_range():
@@ -132,4 +133,4 @@ def test_embedding_lanczos_matches_dense(moons_graph, c):
     sv = np.linalg.svd(q1.T @ v[:, :c], compute_uv=False)
     assert np.min(sv) > 1.0 - 1e-8
     # trace of the embedding equals the sum of the c smallest eigenvalues
-    assert abs(laplacian_quadratic(emb.y, g) - np.sum(w[:c])) < 1e-10
+    assert abs(laplacian_trace(emb.y, g) - np.sum(w[:c])) < 1e-10

@@ -1,24 +1,18 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdsk.data_io import SampleMatrix
-from cdsk.embedding import solve_embedding
-from cdsk.errors import ConfigError, DegenerateDataError, NumericError, ValidationError
+from cdsk.errors import ConfigError, DegenerateDataError, ValidationError
 from cdsk.kernel import GramMatrix, KernelSpec, gram
 from cdsk.similarity import (
-    alpha_objective_terms,
-    cdsk_objective,
     check_simplex,
     class_scores,
     classify,
     disc_similarity,
     general_disc_similarity,
     hypothesis_score,
-    laplacian_quadratic,
 )
 from cdsk.simplex_qp import assemble_alpha_qp, qp_objective
 from cdsk.spectral import psd_split
@@ -44,6 +38,13 @@ def test_check_simplex_accepts_and_rejects():
         check_simplex([0.5, 0.5], n=3)
     with pytest.raises(ValidationError):
         check_simplex([np.nan, 1.0])
+
+
+def test_check_simplex_returns_a_copy():
+    alpha = np.array([0.25, 0.75])
+    out = check_simplex(alpha)
+    out[0] = 0.5
+    assert alpha[0] == 0.25
 
 
 def test_disc_similarity_hand_pair():
@@ -211,12 +212,32 @@ def test_general_disc_similarity_rejects_bad_split():
         general_disc_similarity(s_raw, split, [0.5, 0.5], 1.0)
 
 
+def laplacian_trace(y, g):
+    """tr(Y^T L Y) from the dense Laplacian."""
+    return float(np.sum(y * (g.laplacian @ y)))
+
+
+def joint_objective(y, g, k, alpha, lam):
+    """tr(Y^T L Y) - alpha^T K 1 + lam alpha^T K alpha from the dense Laplacian."""
+    return laplacian_trace(y, g) + alpha_terms(k, alpha, lam)
+
+
+def alpha_terms(k, alpha, lam):
+    return -float(alpha @ k.values.sum(axis=1)) + lam * float(alpha @ k.values @ alpha)
+
+
+def _weight_qp(y, k, lam):
+    return assemble_alpha_qp(y, k, lam, k.values.sum(axis=1))
+
+
 def test_laplacian_quadratic_matches_pair_sum():
+    # the weight step's q less its alpha-only terms is tr(Y^T L Y)
     rng = np.random.default_rng(5)
     k = _gram_from_points(rng.normal(size=(6, 2)))
-    g = disc_similarity(k, _random_alpha(rng, 6), 0.5)
+    alpha = _random_alpha(rng, 6)
+    g = disc_similarity(k, alpha, 0.5)
     y = rng.normal(size=(6, 2))
-    got = laplacian_quadratic(y, g)
+    got = qp_objective(_weight_qp(y, k, 0.5), alpha) - alpha_terms(k, alpha, 0.5)
     want = 0.0
     for i in range(6):
         for j in range(6):
@@ -224,58 +245,32 @@ def test_laplacian_quadratic_matches_pair_sum():
     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
 
-@pytest.mark.parametrize("lam", [0.1, 2.0])
-def test_laplacian_quadratic_matches_dense_forms(lam):
-    # the dense n x n formulas it replaced: L Y directly, and the pair form
-    rng = np.random.default_rng(9)
-    n = 300
-    k = _gram_from_points(rng.uniform(size=(n, 2)), bandwidth=0.2)
-    g = disc_similarity(k, rng.dirichlet(np.ones(n)), lam)
-    for y in (solve_embedding(g, 3).y, rng.normal(size=(n, 3))):
-        got = laplacian_quadratic(y, g)
-        direct = float(np.sum(y * ((np.diag(g.degree) - g.s) @ y)))
-        sq = np.sum(y * y, axis=1)
-        pair_form = 0.5 * float(np.sum(g.s * (sq[:, None] + sq[None, :] - 2.0 * (y @ y.T))))
-        for want in (direct, pair_form):
-            assert abs(got - want) <= 1e-10 * abs(want)
-
-
-def test_laplacian_quadratic_rejects_inconsistent_graph():
-    # N no longer matches K and alpha: the cross-check must catch it
-    rng = np.random.default_rng(11)
-    k = _gram_from_points(rng.normal(size=(40, 2)))
-    g = disc_similarity(k, _random_alpha(rng, 40), 0.5)
-    y = rng.normal(size=(40, 2))
-    laplacian_quadratic(y, g)
-    bad = replace(g, normalized_laplacian=g.normalized_laplacian * (1.0 + 1e-6))
-    with pytest.raises(NumericError):
-        laplacian_quadratic(y, bad)
-
-
 def test_laplacian_quadratic_constant_rows_zero():
     rng = np.random.default_rng(6)
     k = _gram_from_points(rng.normal(size=(5, 2)))
-    g = disc_similarity(k, _random_alpha(rng, 5), 0.5)
+    alpha = _random_alpha(rng, 5)
     y = np.tile([2.0, -1.0], (5, 1))
-    assert abs(laplacian_quadratic(y, g)) < 1e-10
+    got = qp_objective(_weight_qp(y, k, 0.5), alpha) - alpha_terms(k, alpha, 0.5)
+    assert abs(got) < 1e-10
 
 
 def test_alpha_objective_terms_closed_form():
+    # Y = 0 leaves only the alpha-only terms of q
     rng = np.random.default_rng(7)
     k = _gram_from_points(rng.normal(size=(5, 2)))
     alpha = _random_alpha(rng, 5)
     lam = 0.9
     want = -float(alpha @ k.values @ np.ones(5)) + lam * float(alpha @ k.values @ alpha)
-    assert abs(alpha_objective_terms(k, alpha, lam) - want) < 1e-12
+    assert abs(qp_objective(_weight_qp(np.zeros((5, 2)), k, lam), alpha) - want) < 1e-12
 
 
 def test_cdsk_objective_zero_embedding():
+    # with Y = 0 the QP is q = lam alpha^T K alpha - alpha^T K 1, term for term
     rng = np.random.default_rng(8)
     k = _gram_from_points(rng.normal(size=(5, 2)))
-    alpha = _random_alpha(rng, 5)
-    g = disc_similarity(k, alpha, 1.0)
-    got = cdsk_objective(np.zeros((5, 2)), g, k, alpha, 1.0)
-    assert abs(got - alpha_objective_terms(k, alpha, 1.0)) < 1e-12
+    qp = _weight_qp(np.zeros((5, 2)), k, 1.0)
+    assert np.array_equal(qp.a, k.values)
+    assert np.array_equal(qp.b, -k.values.sum(axis=1))
 
 
 def test_cdsk_objective_hand_pair():
@@ -284,28 +279,24 @@ def test_cdsk_objective_hand_pair():
     kv = np.exp(-0.5)
     assert abs(k.values[0, 1] - kv) < 1e-15
     alpha = np.array([0.5, 0.5])
-    g = disc_similarity(k, alpha, 1.0)
     y = np.tile([0.3, -0.2], (2, 1))  # equal rows kill the Laplacian term
-    got = cdsk_objective(y, g, k, alpha, 1.0)
+    got = qp_objective(_weight_qp(y, k, 1.0), alpha)
     want = -(1.0 + kv) + (1.0 + kv) / 2.0
     assert abs(got - want) < 1e-12
 
 
 def test_cdsk_objective_equals_weight_qp_and_recorded_objective():
-    # a random, non-constant embedding, so the Laplacian term counts in full
+    # the alternation records the weight step's q; a random, non-constant
+    # embedding, so the Laplacian term counts in full
     rng = np.random.default_rng(10)
     k = _gram_from_points(rng.normal(size=(9, 2)))
     y = rng.normal(size=(9, 3))
     lam = 0.7
-    qp = assemble_alpha_qp(y, k, lam)
+    qp = _weight_qp(y, k, lam)
     for _ in range(5):
         alpha = _random_alpha(rng, 9)
-        g = disc_similarity(k, alpha, lam)
-        got = cdsk_objective(y, g, k, alpha, lam)
-        recorded = laplacian_quadratic(y, g) + alpha_objective_terms(k, alpha, lam)
-        want = qp_objective(qp, alpha)
-        assert abs(got - want) <= 1e-8 * abs(want)
-        assert got == recorded
+        want = joint_objective(y, disc_similarity(k, alpha, lam), k, alpha, lam)
+        assert abs(qp_objective(qp, alpha) - want) <= 1e-8 * abs(want)
 
 
 def test_cdsk_objective_middle_term_identity():

@@ -12,7 +12,9 @@ from cdsk.simplex_qp import (
     qp_objective,
     solve_smo,
 )
-from cdsk.similarity import alpha_objective_terms, disc_similarity, laplacian_quadratic
+from cdsk.embedding import solve_embedding
+from cdsk.similarity import disc_similarity
+from test_similarity import alpha_terms, joint_objective, laplacian_trace
 
 
 def _grid_minimum_loop(qp, step=0.01):
@@ -32,7 +34,7 @@ def _grid_minimum(qp, step=0.01):
     head = np.indices((ticks + 1,) * (qp.n - 1)).reshape(qp.n - 1, -1).T
     head = head[head.sum(axis=1) <= ticks]
     alpha = np.column_stack([head, ticks - head.sum(axis=1)]) * step
-    values = np.einsum("ij,jk,ik->i", alpha, qp.a, alpha) + alpha @ qp.b + qp.constant
+    values = np.einsum("ij,jk,ik->i", alpha, qp.a, alpha) + alpha @ qp.b
     return float(values.min())
 
 
@@ -46,9 +48,9 @@ def test_simplex_qp_validation():
 
 
 def test_qp_objective_direct():
-    qp = SimplexQP(a=np.array([[2.0, 0.5], [0.5, 1.0]]), b=np.array([1.0, -1.0]), constant=3.0)
+    qp = SimplexQP(a=np.array([[2.0, 0.5], [0.5, 1.0]]), b=np.array([1.0, -1.0]))
     a = np.array([0.25, 0.75])
-    want = a @ qp.a @ a + qp.b @ a + 3.0
+    want = a @ qp.a @ a + qp.b @ a
     assert abs(qp_objective(qp, a) - want) < 1e-14
 
 
@@ -58,23 +60,36 @@ def test_assemble_alpha_qp_matches_joint_objective():
     k = gram(data, KernelSpec(1.0))
     y = rng.normal(size=(7, 3))
     lam = 0.6
-    qp = assemble_alpha_qp(y, k, lam)
-    assert qp.constant == 0.0
+    qp = assemble_alpha_qp(y, k, lam, k.values.sum(axis=1))
     assert np.array_equal(qp.a, qp.a.T)
     for _ in range(50):
         a = rng.uniform(0.05, 1.0, size=7)
         a /= a.sum()
-        direct = laplacian_quadratic(y, disc_similarity(k, a, lam)) + alpha_objective_terms(
-            k, a, lam
-        )
+        direct = joint_objective(y, disc_similarity(k, a, lam), k, a, lam)
         assert abs(qp_objective(qp, a) - direct) < 1e-8 * max(1.0, abs(direct))
+    # n = 300: q less its alpha-only terms against the dense Laplacian
+    # tr(Y^T L Y) and the pair form 1/2 sum_ij s_ij ||y_i - y_j||^2
+    n = 300
+    for lam in (0.1, 2.0):
+        rng = np.random.default_rng(9)
+        k = gram(SampleMatrix(rng.uniform(size=(n, 2))), KernelSpec(0.2))
+        a = rng.dirichlet(np.ones(n))
+        g = disc_similarity(k, a, lam)
+        for y in (solve_embedding(g, 3).y, rng.normal(size=(n, 3))):
+            qp = assemble_alpha_qp(y, k, lam, k.values.sum(axis=1))
+            got = qp_objective(qp, a) - alpha_terms(k, a, lam)
+            direct = laplacian_trace(y, g)
+            sq = np.sum(y * y, axis=1)
+            pair_form = 0.5 * float(np.sum(g.s * (sq[:, None] + sq[None, :] - 2.0 * (y @ y.T))))
+            for want in (direct, pair_form):
+                assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_assemble_alpha_qp_shape_mismatch():
     rng = np.random.default_rng(1)
     k = gram(SampleMatrix(rng.normal(size=(4, 2))), KernelSpec(1.0))
     with pytest.raises(ValidationError):
-        assemble_alpha_qp(np.zeros((5, 2)), k, 1.0)
+        assemble_alpha_qp(np.zeros((5, 2)), k, 1.0, k.values.sum(axis=1))
 
 
 def test_solve_smo_identity_quadratic():
