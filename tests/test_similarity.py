@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdsk.data_io import SampleMatrix
+from cdsk.embedding import solve_embedding
 from cdsk.errors import ConfigError, DegenerateDataError, ValidationError
 from cdsk.kernel import GramMatrix, KernelSpec, gram
 from cdsk.similarity import (
@@ -243,6 +244,24 @@ def test_laplacian_quadratic_matches_pair_sum():
         for j in range(6):
             want += 0.5 * g.s[i, j] * np.sum((y[i] - y[j]) ** 2)
     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("lam", [0.1, 2.0])
+def test_laplacian_quadratic_matches_dense_forms(lam):
+    # q less its alpha-only terms against the dense Laplacian tr(Y^T L Y)
+    # and the pair form 1/2 sum_ij s_ij ||y_i - y_j||^2
+    rng = np.random.default_rng(9)
+    n = 300
+    k = _gram_from_points(rng.uniform(size=(n, 2)), bandwidth=0.2)
+    alpha = rng.dirichlet(np.ones(n))
+    g = disc_similarity(k, alpha, lam)
+    for y in (solve_embedding(g, 3).y, rng.normal(size=(n, 3))):
+        got = qp_objective(_weight_qp(y, k, lam), alpha) - alpha_terms(k, alpha, lam)
+        direct = laplacian_trace(y, g)
+        sq = np.sum(y * y, axis=1)
+        pair_form = 0.5 * float(np.sum(g.s * (sq[:, None] + sq[None, :] - 2.0 * (y @ y.T))))
+        for want in (direct, pair_form):
+            assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_laplacian_quadratic_constant_rows_zero():

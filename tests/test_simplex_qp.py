@@ -12,9 +12,8 @@ from cdsk.simplex_qp import (
     qp_objective,
     solve_smo,
 )
-from cdsk.embedding import solve_embedding
 from cdsk.similarity import disc_similarity
-from test_similarity import alpha_terms, joint_objective, laplacian_trace
+from test_similarity import joint_objective
 
 
 def _grid_minimum_loop(qp, step=0.01):
@@ -67,22 +66,6 @@ def test_assemble_alpha_qp_matches_joint_objective():
         a /= a.sum()
         direct = joint_objective(y, disc_similarity(k, a, lam), k, a, lam)
         assert abs(qp_objective(qp, a) - direct) < 1e-8 * max(1.0, abs(direct))
-    # n = 300: q less its alpha-only terms against the dense Laplacian
-    # tr(Y^T L Y) and the pair form 1/2 sum_ij s_ij ||y_i - y_j||^2
-    n = 300
-    for lam in (0.1, 2.0):
-        rng = np.random.default_rng(9)
-        k = gram(SampleMatrix(rng.uniform(size=(n, 2))), KernelSpec(0.2))
-        a = rng.dirichlet(np.ones(n))
-        g = disc_similarity(k, a, lam)
-        for y in (solve_embedding(g, 3).y, rng.normal(size=(n, 3))):
-            qp = assemble_alpha_qp(y, k, lam, k.values.sum(axis=1))
-            got = qp_objective(qp, a) - alpha_terms(k, a, lam)
-            direct = laplacian_trace(y, g)
-            sq = np.sum(y * y, axis=1)
-            pair_form = 0.5 * float(np.sum(g.s * (sq[:, None] + sq[None, :] - 2.0 * (y @ y.T))))
-            for want in (direct, pair_form):
-                assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_assemble_alpha_qp_shape_mismatch():
