@@ -12,7 +12,7 @@ from .errors import ConfigError, DegenerateDataError, ValidationError
 from .kernel import GramMatrix, KernelSpec, default_bandwidth, gram
 from .kmeans_metrics import Partition, accuracy, kmeans, nmi
 from .similarity import check_simplex, disc_similarity
-from .simplex_qp import QpSolution, assemble_alpha_qp, qp_objective
+from .simplex_qp import QpSolution, assemble_alpha_qp
 
 DEFAULT_LAMBDA_GRID = tuple(round(0.05 * k, 2) for k in range(1, 11))
 _VALIDATION_FRACTION = 0.1
@@ -23,6 +23,11 @@ _BOUND_EPS = 1e-14
 _STOP_TOL = 1e-8
 
 
+def _degrees(ka: np.ndarray, row_sums: np.ndarray, alpha: np.ndarray, lam: float) -> np.ndarray:
+    """graph_degrees with ka = K alpha already computed."""
+    return 2.0 * (alpha * row_sums + ka - lam * alpha * ka)
+
+
 def graph_degrees(
     kvals: np.ndarray, row_sums: np.ndarray, alpha: np.ndarray, lam: float
 ) -> np.ndarray:
@@ -31,8 +36,7 @@ def graph_degrees(
     Equals disc_similarity(...).degree without materializing the n x n graph:
     D_ii = 2 (alpha_i r_i + (K alpha)_i - lam alpha_i (K alpha)_i), r = K 1.
     """
-    ka = kvals @ alpha
-    return 2.0 * (alpha * row_sums + ka - lam * alpha * ka)
+    return _degrees(kvals @ alpha, row_sums, alpha, lam)
 
 
 def solve_alpha_coupled(
@@ -61,10 +65,19 @@ def solve_alpha_coupled(
     solve, m = 1 + c(c+1)/2), and minimizes q exactly along that direction
     with the exact Hessian 2A, capped by a ratio test on the bounds.  Newton
     restoration pulls the point back onto the constraint manifold, and it is
-    accepted only if q strictly drops; otherwise the step is halved.  Every
-    iteration costs O(m n^2) with no n x n factorization.  The returned point
-    is always feasible and never worse than the start; converged means the
-    KKT residual met max(tol, 1e-5).
+    accepted only if q strictly drops; otherwise the step is halved.  The
+    restoration of a step is a chord method: it reuses the iteration's
+    Jacobian instead of building one per Newton step (the start point gets
+    full Newton steps).
+
+    Every iteration costs O(m n^2) with no n x n factorization.  Each point
+    gets K a and A a once: K a serves its residual, its degrees and the next
+    Jacobian, A a its value and the next gradient 2 A a + b.  An iteration
+    whose step is accepted after one Newton step therefore costs four
+    matrix-vector products (A d for the curvature, A a, and K a before and
+    after the Newton step) plus the c(c+1)/2 rows of (W a) K in the Jacobian.
+    The returned point is always feasible and never worse than the start;
+    converged means the KKT residual met max(tol, 1e-5).
     """
     kvals = kernel.values
     d1 = kvals.sum(axis=1)
@@ -76,41 +89,55 @@ def solve_alpha_coupled(
 
     pairs = [(p, q) for p in range(c) for q in range(p, c)]
     w_rows = np.array([y[:, p] * y[:, q] for p, q in pairs])
-    kw_rows = w_rows @ kvals  # K w, one row per constraint; K symmetric
     targets = np.array([1.0 if p == q else 0.0 for p, q in pairs])
+    # the part of the normalization rows' Jacobian that does not depend on a:
+    # 2 (w r + K w), one row per constraint (K w as w^T K, K symmetric)
+    jac_fixed = 2.0 * (w_rows * d1 + w_rows @ kvals)
 
-    def residual(a: np.ndarray) -> np.ndarray:
-        deg = graph_degrees(kvals, d1, a, lam)
+    def evaluate(a: np.ndarray) -> tuple[float, np.ndarray]:
+        """q(a) and A a."""
+        aa = qp.a @ a
+        return float(a @ aa + qp.b @ a), aa
+
+    def residual(a: np.ndarray, ka: np.ndarray) -> np.ndarray:
         out = np.empty(1 + len(pairs))
         out[0] = a.sum() - 1.0
-        out[1:] = w_rows @ deg - targets
+        out[1:] = w_rows @ _degrees(ka, d1, a, lam) - targets
         return out
 
-    def jacobian(a: np.ndarray) -> np.ndarray:
-        ka = kvals @ a
+    def jacobian(a: np.ndarray, ka: np.ndarray) -> np.ndarray:
         jac = np.empty((1 + len(pairs), n))
         jac[0] = 1.0
-        jac[1:] = 2.0 * (w_rows * d1 + kw_rows - lam * (w_rows * ka + (w_rows * a) @ kvals))
+        jac[1:] = jac_fixed - 2.0 * lam * (w_rows * ka + (w_rows * a) @ kvals)
         return jac
 
-    def restore(a: np.ndarray) -> np.ndarray | None:
+    def restore(
+        a: np.ndarray, chord: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """(point, K point) on the constraints near a, or None.
+
+        Newton steps with the Jacobian at each point, or with `chord` at
+        every step when it is given.
+        """
         # Newton steps move only the weights with mass: a weight driven to
-        # zero stays there, so it neither spoils the quadratic convergence
-        # of the next round nor jams the next ratio test
+        # zero stays there, so it neither spoils the convergence of the next
+        # round nor jams the next ratio test
         cand = np.where(a > _BOUND_EPS, a, 0.0)
         for _ in range(6):
-            r = residual(cand)
+            ka = kvals @ cand
+            r = residual(cand, ka)
             if np.abs(r).max() <= _FEAS_TOL:
-                return cand
+                return cand, ka
             support = cand > 0.0
-            jac = jacobian(cand)[:, support]
+            jac = (jacobian(cand, ka) if chord is None else chord)[:, support]
             gram_j = jac @ jac.T
             try:
                 mult = np.linalg.solve(gram_j, r)
             except np.linalg.LinAlgError:
                 mult, *_ = np.linalg.lstsq(gram_j, r, rcond=None)
             cand[support] = np.clip(cand[support] - jac.T @ mult, 0.0, None)
-        return cand if np.abs(residual(cand)).max() <= _FEAS_TOL else None
+        ka = kvals @ cand
+        return (cand, ka) if np.abs(residual(cand, ka)).max() <= _FEAS_TOL else None
 
     def reduced_gradient(grad: np.ndarray, jac: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """grad minus its least-squares fit by the Jacobian rows on `keep`."""
@@ -126,16 +153,17 @@ def solve_alpha_coupled(
     restored = restore(alpha)
     if restored is None:
         raise ValidationError("starting weights are not feasible for this embedding")
-    alpha = restored
-    q_start = q_value = qp_objective(qp, alpha)
+    alpha, ka = restored
+    q_value, a_alpha = evaluate(alpha)
+    q_start = q_value
     iterations = 0
     # with as many normalization equalities as weights the feasible set is
     # (generically) isolated points, so the start is already the answer
     limit = 0 if len(pairs) + 1 >= n else max_inner
 
     while True:
-        grad = 2.0 * (qp.a @ alpha) + qp.b
-        jac = jacobian(alpha)
+        grad = 2.0 * a_alpha + qp.b
+        jac = jacobian(alpha, ka)
         free = alpha > _BOUND_EPS
         zeta = reduced_gradient(grad, jac, free)
         residual_norm = stationarity(grad, zeta, free)
@@ -156,19 +184,19 @@ def solve_alpha_coupled(
         if not np.isfinite(t):
             break
         for _ in range(12):
-            cand = restore(alpha + t * direction)
-            if cand is not None:
-                q_cand = qp_objective(qp, cand)
+            restored = restore(alpha + t * direction, chord=jac)
+            if restored is not None:
+                q_cand, a_cand = evaluate(restored[0])
                 if q_cand < q_value - 1e-15 * (1.0 + abs(q_value)):
                     break
             t *= 0.5
         else:
             break
-        alpha, q_value = cand, q_cand
+        (alpha, ka), q_value, a_alpha = restored, q_cand, a_cand
 
     moved = q_value < q_start
     alpha = alpha / alpha.sum()
-    q_final = qp_objective(qp, alpha)
+    q_final, _ = evaluate(alpha)
     return QpSolution(
         alpha=alpha,
         objective=q_final,

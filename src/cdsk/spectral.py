@@ -58,13 +58,12 @@ def check_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Deterministic sign convention: first nonzero component of each column > 0."""
-    fixed = vectors.copy()
-    for k in range(fixed.shape[1]):
-        col = fixed[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0:
-            fixed[:, k] = -col
-    return fixed
+    if not vectors.size:
+        return vectors.copy()
+    nonzero = np.abs(vectors) > 1e-12
+    first = nonzero.argmax(axis=0)  # 0 for a column with no nonzero entry
+    lead = vectors[first, np.arange(vectors.shape[1])]
+    return np.where(nonzero.any(axis=0) & (lead < 0), -vectors, vectors)
 
 
 @dataclass(frozen=True)
@@ -75,10 +74,16 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
 
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh of an already validated matrix; failure is a NumericError."""
+def _eigh(a: np.ndarray, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of an already validated matrix; failure is a NumericError.
+
+    All of them by np.linalg.eigh, or with count the count smallest alone
+    by LAPACK's subset solver.
+    """
     try:
-        return np.linalg.eigh(a)
+        if count is None:
+            return np.linalg.eigh(a)
+        return scipy.linalg.eigh(a, subset_by_index=[0, count - 1], driver="evr", check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
 
@@ -119,15 +124,17 @@ def smallest_eigenpairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The c algebraically smallest eigenpairs of a symmetric matrix, ascending.
 
-    Up to n = 800 (and whenever c >= n // 4) this is a dense eigh.  Above
-    that, ARPACK's Lanczos iteration runs on the shifted operator
-    x -> sigma x - a x, with sigma the largest absolute row sum of a, and
-    takes its largest eigenvalues theta, returning sigma - theta.  The shift
+    Up to n = 800 (and whenever c >= n // 4) LAPACK's subset solver (syevr,
+    relatively robust representations) computes only these c pairs from the
+    dense matrix, not the other n - c.  Above that, ARPACK's Lanczos
+    iteration runs on the shifted operator x -> sigma x - a x, with sigma
+    the largest absolute row sum of a, and takes its largest eigenvalues
+    theta, returning sigma - theta.  The shift
     matters because ARPACK stops when a Ritz residual falls below a tolerance
     relative to the Ritz value itself: the bottom of a Laplacian spectrum
     sits at zero, where that test is hardest to meet, while the shifted
     values sit near sigma.  The start vector is fixed, so repeated calls are
-    bit-identical; if ARPACK fails the dense path answers instead.
+    bit-identical; if ARPACK fails the subset solver answers instead.
 
     null_vector, if given, is a unit vector spanning an eigenvalue-0
     eigenspace of a, where 0 is the smallest eigenvalue of a (for a
@@ -154,8 +161,8 @@ def smallest_eigenpairs(
             return w[order], _fix_signs(v[:, order])
         except scipy.sparse.linalg.ArpackError:
             pass
-    w, v = _eigh(a)
-    return w[:c], _fix_signs(v[:, :c])
+    w, v = _eigh(a, c)
+    return w, _fix_signs(v)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from cdsk.driver import (
 )
 from cdsk.embedding import solve_embedding
 from cdsk.errors import ConfigError, DegenerateDataError, ValidationError
-from cdsk.kernel import KernelSpec, default_bandwidth, gram
+from cdsk.kernel import GramMatrix, KernelSpec, default_bandwidth, gram
 from cdsk.simplex_qp import assemble_alpha_qp, qp_objective
 from cdsk.similarity import disc_similarity
 from test_acceptance import _descent_dataset
@@ -336,6 +337,52 @@ def test_solve_alpha_coupled_descends_on_three_blobs():
     assert np.max(np.abs(y.T @ (deg[:, None] * y) - np.eye(3))) <= 1e-11
     again = solve_alpha_coupled(y, k, 0.1, start=alpha)
     assert again.alpha.tobytes() == sol.alpha.tobytes()
+
+
+class _CountingMatrix(np.ndarray):
+    """An n x n matrix that adds the rows of every product it takes part in
+    (1 for a matrix-vector product) to counts[name]."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            other = inputs[1] if inputs[0] is self else inputs[0]
+            self.counts[self.name] += 1 if np.ndim(other) == 1 else other.shape[0]
+        plain = [x.view(np.ndarray) if isinstance(x, _CountingMatrix) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def _counting(values, name, counts):
+    out = values.view(_CountingMatrix)
+    out.name, out.counts = name, counts
+    return out
+
+
+def test_solve_alpha_coupled_products_per_iteration(monkeypatch):
+    # one inner iteration touches K in the c(c+1)/2 rows of the Jacobian and
+    # in K a before and after its one Newton step, and the QP matrix A in the
+    # curvature A d and in A a at the accepted point; every other product is
+    # reused (K a by the residual, degrees and next Jacobian, A a by the value
+    # and the next gradient, the iteration's Jacobian by the Newton step)
+    counts = {"K": 0, "A": 0}
+    real = cdsk.driver.assemble_alpha_qp
+
+    def counting_qp(*args):
+        qp = real(*args)
+        return types.SimpleNamespace(a=_counting(qp.a, "A", counts), b=qp.b)
+
+    monkeypatch.setattr(cdsk.driver, "assemble_alpha_qp", counting_qp)
+    _, y, k, alpha = _three_blobs_step()
+    kernel = GramMatrix(_counting(k.values, "K", counts), k.bandwidth)
+    c = y.shape[1]
+    used = []
+    for max_inner in (0, 80):
+        counts.update(K=0, A=0)
+        sol = solve_alpha_coupled(y, kernel, 0.1, start=alpha, max_inner=max_inner)
+        used.append((sol.iterations, counts["K"], counts["A"]))
+    (_, k_setup, a_setup), (iterations, k_total, a_total) = used
+    assert iterations >= 20
+    assert a_total - a_setup == 2 * iterations
+    assert k_total - k_setup <= (c * (c + 1) // 2 + 2) * iterations
 
 
 def test_solve_alpha_coupled_respects_max_inner():

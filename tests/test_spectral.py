@@ -4,11 +4,12 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdsk.spectral
 from cdsk.data_io import make_two_moons
 from cdsk.errors import ValidationError
 from cdsk.kernel import KernelSpec, gram
 from cdsk.similarity import disc_similarity
-from cdsk.spectral import check_symmetric, eigh, psd_split, smallest_eigenpairs
+from cdsk.spectral import _fix_signs, check_symmetric, eigh, psd_split, smallest_eigenpairs
 
 
 def _random_symmetric(seed, n):
@@ -67,6 +68,70 @@ def test_smallest_eigenpairs_matches_full():
     q2 = np.linalg.qr(sys.eigenvectors[:, :4])[0]
     sv = np.linalg.svd(q1.T @ q2, compute_uv=False)
     assert np.min(sv) > 1.0 - 1e-8
+
+
+def _fix_signs_loop(vectors):
+    """The column-by-column sign convention _fix_signs computes at once."""
+    fixed = vectors.copy()
+    for k in range(fixed.shape[1]):
+        col = fixed[:, k]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        if nz.size and col[nz[0]] < 0:
+            fixed[:, k] = -col
+    return fixed
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fix_signs_matches_column_loop(seed):
+    r = np.random.default_rng(seed)
+    v = r.normal(size=(40, 9))
+    v[:, 1] = 0.0
+    v[:, 2] = r.uniform(-1e-12, 1e-12, size=40)  # every entry below the cut
+    v[: r.integers(1, 40), 3] = 0.0  # leading zeros
+    v[:5, 4] = r.uniform(-1e-12, 1e-12, size=5)  # leading tiny entries of either sign
+    v[0, 5] = -0.0
+    v[0, 6] = -1e-12  # exactly at the cut: not a nonzero
+    got = _fix_signs(v)
+    assert got.tobytes() == _fix_signs_loop(v).tobytes()
+    assert not np.array_equal(got, v)  # some column was flipped
+    assert _fix_signs(np.empty((0, 0))).shape == (0, 0)
+
+
+def _subspace_cosines(v, ref):
+    return np.linalg.svd(np.linalg.qr(v)[0].T @ np.linalg.qr(ref)[0], compute_uv=False)
+
+
+def _check_against_numpy(a, w, v, c):
+    w_ref, v_ref = np.linalg.eigh(a)
+    assert w.shape == (c,) and v.shape == (a.shape[0], c)
+    assert np.max(np.abs(w - w_ref[:c])) <= 1e-12 * max(1.0, np.abs(w_ref).max())
+    assert np.min(_subspace_cosines(v, v_ref[:, :c])) > 1.0 - 1e-10
+    # sign convention: the first entry above 1e-12 in magnitude is positive
+    first = np.argmax(np.abs(v) > 1e-12, axis=0)
+    assert np.all(v[first, np.arange(c)] > 0)
+
+
+@pytest.mark.parametrize("n,c", [(300, 1), (300, 2), (300, 3), (800, 1), (800, 2), (800, 3), (900, 225)])
+def test_smallest_eigenpairs_dense_matches_numpy(n, c, eigsh_calls):
+    # n <= 800 and, at n = 900, c = n // 4 take the dense subset solve
+    a = _random_symmetric(40 + n, n)
+    w, v = smallest_eigenpairs(a, c)
+    assert eigsh_calls == []
+    _check_against_numpy(a, w, v, c)
+    w2, v2 = smallest_eigenpairs(a, c)
+    assert w.tobytes() == w2.tobytes() and v.tobytes() == v2.tobytes()
+
+
+@pytest.mark.parametrize("with_null", [False, True])
+def test_smallest_eigenpairs_arpack_failure_falls_back(moons_laplacian, monkeypatch, with_null):
+    a, null_vector, _, _ = moons_laplacian
+
+    def failing(*args):
+        raise scipy.sparse.linalg.ArpackError(-9999)
+
+    monkeypatch.setattr(cdsk.spectral, "_shifted_lanczos", failing)
+    w, v = smallest_eigenpairs(a, 3, null_vector=null_vector if with_null else None)
+    _check_against_numpy(a, w, v, 3)
 
 
 def test_smallest_eigenpairs_size_error():
