@@ -91,7 +91,7 @@ def empirical_loss(train: SampleMatrix, alpha, spec: KernelSpec, gamma: float) -
 
 
 def empirical_loss_upper_bound(
-    train: SampleMatrix, alpha, spec: KernelSpec, gamma: float, similarity: np.ndarray
+    train: SampleMatrix, alpha, gamma: float, similarity: np.ndarray
 ) -> float:
     """Similarity-weighted upper bound on the mean ramp loss (gamma >= 1 only).
 
@@ -102,7 +102,6 @@ def empirical_loss_upper_bound(
         raise ValidationError("training data carries no labels")
     if not gamma >= 1.0:
         raise ValidationError(f"the surrogate bound requires gamma >= 1, got {gamma}")
-    del spec
     s = check_symmetric(np.asarray(similarity, dtype=np.float64))
     if s.shape[0] != train.n:
         raise ValidationError("similarity matrix does not match the sample")

@@ -223,7 +223,7 @@ def cmd_bounds(args) -> int:
         r=r,
     )
     empirical = empirical_loss(data, alpha, spec, args.gamma)
-    upper = empirical_loss_upper_bound(data, alpha, spec, args.gamma, kmat.values)
+    upper = empirical_loss_upper_bound(data, alpha, args.gamma, kmat.values)
     _emit("command", "bounds")
     _emit("n", data.n)
     _emit("classes", c)
@@ -262,6 +262,7 @@ def cmd_ise(args) -> int:
         h=bandwidth,
     )
     hat_ise, k_alpha, s_ise = empirical_ise_terms(model, args.lambda1)
+    slack = ise_residual_slack(model, args.eps)
     _emit("command", "ise")
     _emit("n", data.n)
     _emit("bandwidth", _fmt(bandwidth))
@@ -270,7 +271,7 @@ def cmd_ise(args) -> int:
     _emit("k_alpha", _fmt(k_alpha))
     _emit("s_ise_max", _fmt(s_ise.max()))
     _emit("decision_squared_integral", _fmt(decision_squared_integral(model)))
-    _emit("residual_slack", _fmt(ise_residual_slack(model, args.eps)))
+    _emit("residual_slack", _fmt(slack))
     return 0
 
 

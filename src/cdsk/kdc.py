@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .errors import ValidationError
-from .kernel import pairwise_kernel
+from .kernel import KernelSpec, pairwise_kernel
 from .similarity import check_simplex
 
 
@@ -40,8 +40,7 @@ class KdeModel:
             raise ValidationError("labels must have one entry per point")
         if not np.all((labels == 1) | (labels == 2)):
             raise ValidationError("labels must take values in {1, 2}")
-        if not self.h > 0:
-            raise ValidationError(f"bandwidth must be > 0, got {self.h}")
+        KernelSpec(self.h)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "labels", labels)
@@ -133,8 +132,8 @@ def ise_residual_slack(model: KdeModel, eps: float) -> float:
     """Additive slack 2 tau0 (1/(n-1) + eps) of the ISE surrogate."""
     if model.n < 2:
         raise ValidationError("residual slack needs n >= 2")
-    if eps < 0:
-        raise ValidationError("eps must be >= 0")
+    if not eps >= 0:
+        raise ValidationError(f"eps must be >= 0, got {eps}")
     return 2.0 * model.tau0 * (1.0 / (model.n - 1) + eps)
 
 
@@ -145,8 +144,7 @@ def gaussian_convolution_check(a: float, b: float, h: float) -> tuple[float, flo
     comes from a composite trapezoid on [min - 10h, max + 10h] with 20001
     nodes.
     """
-    if not h > 0:
-        raise ValidationError(f"bandwidth must be > 0, got {h}")
+    KernelSpec(h)
     a, b = float(a), float(b)
     grid = np.linspace(min(a, b) - 10.0 * h, max(a, b) + 10.0 * h, 20001)
     values = np.exp(-((grid - a) ** 2) / (2.0 * h * h)) * np.exp(

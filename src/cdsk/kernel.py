@@ -19,13 +19,18 @@ _ROW_BLOCK = 128
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Gaussian kernel exp(-||x - t||^2 / (2 bandwidth^2))."""
+    """Gaussian kernel exp(-||x - t||^2 / (2 bandwidth^2)).
+
+    The one bandwidth rule: finite, > 0, and with 2 bandwidth^2 > 0, so the
+    kernel's denominator does not underflow to zero.
+    """
 
     bandwidth: float
 
     def __post_init__(self):
-        if not np.isfinite(self.bandwidth) or self.bandwidth <= 0:
-            raise ValidationError(f"bandwidth must be a positive real, got {self.bandwidth}")
+        h = self.bandwidth
+        if not (np.isfinite(h) and h > 0 and 2.0 * h * h > 0):
+            raise ValidationError(f"bandwidth must be finite and > 0 with 2 h^2 > 0, got {h}")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import ValidationError
 
 _MAX_LLOYD_ITER = 300
+_RESTARTS = 10
 
 
 @dataclass(frozen=True)
@@ -59,14 +60,12 @@ def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.nda
     return assign, sq[np.arange(points.shape[0]), assign]
 
 
-def _lloyd(
-    points: np.ndarray, centers: np.ndarray, max_iter: int = _MAX_LLOYD_ITER
-) -> tuple[np.ndarray, float]:
+def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
     """Lloyd iterations from given centers; returns labels and inertia."""
     n, c = points.shape[0], centers.shape[0]
     centers = centers.copy()
     assign = np.full(n, -1)
-    for _ in range(max_iter):
+    for _ in range(_MAX_LLOYD_ITER):
         new_assign, dist_sq = _assign(points, centers)
         # empty clusters grab the point currently farthest from its center
         counts = np.bincount(new_assign, minlength=c)
@@ -87,19 +86,17 @@ def _lloyd(
     return assign, float(dist_sq.sum())
 
 
-def kmeans(points: np.ndarray, c: int, restarts: int = 10, seed: int = 0) -> Partition:
-    """Best-of-restarts k-means; ties keep the lowest restart index."""
+def kmeans(points: np.ndarray, c: int, seed: int = 0) -> Partition:
+    """Best of _RESTARTS k-means++ starts; ties keep the lowest restart index."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValidationError("points must be a 2-D array")
     n = points.shape[0]
     if not 1 <= c <= n:
         raise ValidationError(f"need 1 <= c <= n, got c={c}, n={n}")
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
     if not np.all(np.isfinite(points)):
         raise ValidationError("points contain non-finite entries")
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
+    seeds = np.random.SeedSequence(seed).spawn(_RESTARTS)
     best_labels, best_inertia = None, np.inf
     for child in seeds:
         rng = np.random.default_rng(child)

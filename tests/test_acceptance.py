@@ -32,7 +32,6 @@ from cdsk.kdc import (
 )
 from cdsk.kernel import KernelSpec, gram
 from cdsk.similarity import disc_similarity
-from cdsk.simplex_qp import SimplexQP, solve_smo
 from cdsk.spectral import psd_split, smallest_eigenpairs
 
 
@@ -128,42 +127,6 @@ def test_03_similarity_entries_nonnegative_for_lambda_up_to_two():
         assert graph.s.min() >= 0.0, (t, graph.s.min())
 
 
-def test_04_pair_descent_matches_brute_force_grid_minima():
-    """Solver lands within 1e-3 of 0.01-step simplex grid minima; KKT <= 1e-6 convex."""
-    start = time.time()
-    blocks = []
-    for a0 in range(101):
-        for a1 in range(101 - a0):
-            rem = 100 - a0 - a1
-            a2 = np.arange(rem + 1, dtype=float)
-            block = np.empty((rem + 1, 4))
-            block[:, 0] = a0
-            block[:, 1] = a1
-            block[:, 2] = a2
-            block[:, 3] = rem - a2
-            blocks.append(block)
-    grid = np.vstack(blocks) * 0.01
-
-    rng = np.random.default_rng(42)
-    for trial in range(100):
-        if trial % 3 == 0:
-            root = rng.normal(size=(4, 3))
-            quad = root @ root.T + 0.05 * np.eye(4)
-            convex = True
-        else:
-            raw = rng.normal(size=(4, 4))
-            quad = 0.5 * (raw + raw.T)
-            convex = False
-        lin = rng.normal(size=4)
-        qp = SimplexQP(a=quad, b=lin)
-        grid_min = float((((grid @ quad) * grid).sum(axis=1) + grid @ lin).min())
-        sol = solve_smo(qp, np.full(4, 0.25))
-        assert abs(sol.objective - grid_min) <= 1e-3, (trial, sol.objective, grid_min)
-        if convex:
-            assert sol.kkt_residual <= 1e-6, (trial, sol.kkt_residual)
-    assert time.time() - start < 60.0
-
-
 def test_05_psd_split_reconstructs_and_parts_stay_psd():
     """200 symmetric matrices: exact reconstruction, PSD parts, PSD in -> zero minus."""
     rng = np.random.default_rng(5000)
@@ -200,9 +163,7 @@ def test_06_empirical_loss_never_exceeds_similarity_bound():
         alpha = rng.dirichlet(np.ones(n))
         gamma = float(rng.uniform(1.0, 4.0))
         loss = empirical_loss(train, alpha, spec, gamma)
-        bound = empirical_loss_upper_bound(
-            train, alpha, spec, gamma, gram(train, spec).values
-        )
+        bound = empirical_loss_upper_bound(train, alpha, gamma, gram(train, spec).values)
         assert loss <= bound + 1e-12, (t, loss, bound)
 
 

@@ -108,16 +108,14 @@ def test_empirical_loss_hand_mixture():
 def test_upper_bound_single_class_unit_kernel():
     train = SampleMatrix(np.array([[0.0], [0.0]]), labels=np.array([1, 1]))
     s = np.ones((2, 2))
-    got = empirical_loss_upper_bound(train, [0.5, 0.5], KernelSpec(1.0), 1.0, s)
+    got = empirical_loss_upper_bound(train, [0.5, 0.5], 1.0, s)
     assert abs(got) < 1e-12
 
 
 def test_upper_bound_zero_similarity():
     rng = np.random.default_rng(3)
     train = _labeled_sample(rng, 5, c=2)
-    got = empirical_loss_upper_bound(
-        train, _random_alpha(rng, 5), KernelSpec(1.0), 1.5, np.zeros((5, 5))
-    )
+    got = empirical_loss_upper_bound(train, _random_alpha(rng, 5), 1.5, np.zeros((5, 5)))
     assert got == 1.0
 
 
@@ -125,9 +123,7 @@ def test_upper_bound_gamma_domain():
     rng = np.random.default_rng(4)
     train = _labeled_sample(rng, 4, c=2)
     with pytest.raises(ValidationError):
-        empirical_loss_upper_bound(
-            train, np.full(4, 0.25), KernelSpec(1.0), 0.5, np.eye(4)
-        )
+        empirical_loss_upper_bound(train, np.full(4, 0.25), 0.5, np.eye(4))
 
 
 def test_upper_bound_dominates_empirical_loss():
@@ -140,7 +136,7 @@ def test_upper_bound_dominates_empirical_loss():
         gamma = float(rng.uniform(1.0, 3.0))
         k = gram(train, spec).values
         lhs = empirical_loss(train, alpha, spec, gamma)
-        rhs = empirical_loss_upper_bound(train, alpha, spec, gamma, k)
+        rhs = empirical_loss_upper_bound(train, alpha, gamma, k)
         assert lhs <= rhs + 1e-10
 
 

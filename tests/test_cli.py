@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,33 @@ def test_ise_convolution_check(capsys):
     assert rc == 0
     assert abs(float(_value(out, "closed")) - 0.6520493321732922) < 1e-12
     assert float(_value(out, "rel_err")) < 1e-6
+
+
+def test_ise_convolution_check_rejects_underflowing_bandwidth():
+    # a separate process, so an uncaught exception would show as a traceback
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdsk.cli", "ise", "--check-convolution", "--h", "1e-300"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_ise_dataset_mode_rejects_unusable_inputs(capsys, blobs_csv):
+    base = ["ise", "--input", blobs_csv, "--labels", "2"]
+    for extra, message in (
+        (["--bandwidth", "inf"], "bandwidth"),
+        (["--bandwidth", "1.0", "--eps", "nan"], "eps"),
+    ):
+        rc, out, err = _run(capsys, base + extra)
+        assert rc == 1
+        assert out == ""
+        assert message in err
 
 
 def test_ise_requires_mode(capsys):

@@ -175,6 +175,8 @@ def test_ise_residual_slack_formula():
     assert abs(got - want) < 1e-14
     with pytest.raises(ValidationError):
         ise_residual_slack(model, -0.1)
+    with pytest.raises(ValidationError):
+        ise_residual_slack(model, np.nan)
     single = KdeModel(points=np.array([[0.0]]), alpha=np.array([1.0]), labels=np.array([1]), h=1.0)
     with pytest.raises(ValidationError):
         ise_residual_slack(single, 0.0)
@@ -198,6 +200,15 @@ def test_gaussian_convolution_scaling_law():
     assert abs(c2 - 2.0 * c1) < 1e-12
     with pytest.raises(ValidationError):
         gaussian_convolution_check(0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("h", [np.inf, 1e-300, np.nan])
+def test_unusable_bandwidths_are_rejected(h):
+    # inf and nan are not finite; at 1e-300 the kernel's 2 h^2 underflows to 0
+    with pytest.raises(ValidationError):
+        KdeModel(points=np.zeros((2, 1)), alpha=[0.5, 0.5], labels=[1, 2], h=h)
+    with pytest.raises(ValidationError):
+        gaussian_convolution_check(0.0, 1.0, h)
 
 
 def test_tau_constants():

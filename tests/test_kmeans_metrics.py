@@ -28,14 +28,14 @@ def test_partition_validation():
 def test_kmeans_recovers_separated_groups():
     rng = np.random.default_rng(0)
     pts, truth = _separated_points(rng)
-    part = kmeans(pts, 3, restarts=5, seed=1)
+    part = kmeans(pts, 3, seed=1)
     assert accuracy(part, Partition(truth, 3)) == 1.0
 
 
 def test_kmeans_c_equals_n_zero_inertia():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(6, 2))
-    part = kmeans(pts, 6, restarts=3, seed=0)
+    part = kmeans(pts, 6, seed=0)
     # every point its own cluster
     assert len(set(part.labels.tolist())) == 6
 
@@ -49,8 +49,8 @@ def test_kmeans_c1():
 def test_kmeans_deterministic():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(40, 2))
-    a = kmeans(pts, 4, restarts=6, seed=7)
-    b = kmeans(pts, 4, restarts=6, seed=7)
+    a = kmeans(pts, 4, seed=7)
+    b = kmeans(pts, 4, seed=7)
     assert np.array_equal(a.labels, b.labels)
 
 
@@ -58,8 +58,6 @@ def test_kmeans_validation():
     pts = np.zeros((4, 2))
     with pytest.raises(ValidationError):
         kmeans(pts, 5)
-    with pytest.raises(ValidationError):
-        kmeans(pts, 2, restarts=0)
     with pytest.raises(ValidationError):
         kmeans(np.array([[np.inf, 0.0], [0.0, 0.0]]), 1)
 
