@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .kdc import (
     ise_residual_slack,
 )
 from .kernel import KernelSpec, default_bandwidth, gram
-from .kmeans_metrics import Partition, accuracy, nmi
 from .spectral import eigh, psd_split
 
 
@@ -90,79 +88,55 @@ def _load(args):
     return load_csv(args.input, label_column=args.labels, header=args.header)
 
 
-def _print_metrics(per_run: list[dict | None]) -> None:
-    present = [m for m in per_run if m is not None]
-    if not present:
-        return
-    for key in ("accuracy", "nmi"):
-        vals = np.array([m[key] for m in present])
-        if len(vals) == 1:
-            _emit(key, f"{vals[0]:.3f}")
-        else:
-            _emit(key, f"{vals.mean():.3f} ± {vals.std():.3f}")
+def _print_metrics(metrics: dict | None) -> None:
+    if metrics is not None:
+        _emit("accuracy", f"{metrics['accuracy']:.3f}")
+        _emit("nmi", f"{metrics['nmi']:.3f}")
 
 
-def _cluster_runs(args, data, lam: float) -> list:
-    """The runs of `cluster` and `tune --then-cluster`, result document written."""
+def cmd_cluster(args) -> int:
+    data = _load(args)
     cfg = CdskConfig(
-        c=args.clusters, lam=lam, bandwidth=args.bandwidth, max_iter=args.max_iter, seed=args.seed
+        c=args.clusters, lam=args.lam, bandwidth=args.bandwidth, max_iter=args.max_iter,
+        seed=args.seed,
     )
-    runs = args.runs or 1  # tune leaves --runs unset unless given
-    results = [run_cdsk(data, replace(cfg, seed=args.seed + i)) for i in range(runs)]
+    result = run_cdsk(data, cfg)
     if args.output is not None:
-        write_result(results[0], args.output)
-    return results
-
-
-def _report_cluster(args, data, results: list, lam_desc: str) -> int:
+        write_result(result, args.output)
     _emit("command", "cluster")
     _emit("input", args.input)
     _emit("n", data.n)
     _emit("d", data.d)
     _emit("clusters", args.clusters)
-    _emit("lambda", lam_desc)
+    _emit("lambda", _fmt(args.lam))
     _emit("bandwidth", "auto" if args.bandwidth is None else _fmt(args.bandwidth))
     _emit("max_iter", args.max_iter)
     _emit("seed", args.seed)
-    _emit("runs", len(results))
-    first = results[0]
-    _emit("bandwidth_used", _fmt(first.bandwidth_used))
-    _emit("lambda_used", _fmt(first.lambda_used))
-    _emit("iterations", len(first.objective_trace))
-    if first.objective_trace:
-        _emit("objective_final", _fmt(first.objective_trace[-1]))
-    all_converged = all(r.qp_converged for r in results)
-    _emit("qp_converged", "true" if all_converged else "false")
-    _print_metrics([r.metrics for r in results])
+    _emit("bandwidth_used", _fmt(result.bandwidth_used))
+    _emit("lambda_used", _fmt(result.lambda_used))
+    _emit("iterations", len(result.objective_trace))
+    if result.objective_trace:
+        _emit("objective_final", _fmt(result.objective_trace[-1]))
+    _emit("qp_converged", "true" if result.qp_converged else "false")
+    _print_metrics(result.metrics)
     if args.output is not None:
         _emit("output", args.output)
-    return 0 if all_converged else 2
-
-
-def cmd_cluster(args) -> int:
-    data = _load(args)
-    return _report_cluster(args, data, _cluster_runs(args, data, args.lam), _fmt(args.lam))
+    return 0 if result.qp_converged else 2
 
 
 def cmd_tune(args) -> int:
-    if not args.then_cluster and (args.output is not None or args.runs is not None):
-        print("error: --output and --runs need --then-cluster", file=sys.stderr)
-        raise SystemExit(64)
     data = _load(args)
     grid = DEFAULT_LAMBDA_GRID if args.grid is None else tuple(args.grid)
     cfg = CdskConfig(
         c=args.clusters, bandwidth=args.bandwidth, max_iter=args.max_iter, seed=args.seed
     )
     chosen, entropies = tune_lambda(data, cfg, grid=grid)
-    results = _cluster_runs(args, data, chosen) if args.then_cluster else None
     _emit("command", "tune")
     _emit("input", args.input)
     _emit("lambda_grid", " ".join(_fmt(v) for v in grid))
     for lam, ent in zip(grid, entropies):
         _emit(f"entropy {_fmt(lam)}", _fmt(ent))
     _emit("chosen_lambda", _fmt(chosen))
-    if results is not None:
-        return _report_cluster(args, data, results, f"{_fmt(chosen)} (tuned)")
     return 0
 
 
@@ -176,7 +150,7 @@ def cmd_baseline(args) -> int:
     _emit("n", data.n)
     _emit("clusters", args.clusters)
     _emit("bandwidth_used", _fmt(result.bandwidth_used))
-    _print_metrics([result.metrics])
+    _print_metrics(result.metrics)
     if args.output is not None:
         _emit("output", args.output)
     return 0
@@ -307,16 +281,12 @@ def build_parser() -> _Parser:
     _add_run_flags(p)
     p.add_argument("--lambda", dest="lam", type=float, default=0.1)
     p.add_argument("--output", default=None, help="write the result document here")
-    p.add_argument("--runs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("tune", help="pick lambda on a validation subsample")
     _add_input_flags(p, "column holding ground-truth labels, for metrics")
     _add_run_flags(p)
     p.add_argument("--grid", type=float, nargs="+", default=None)
-    p.add_argument("--then-cluster", action="store_true")
-    p.add_argument("--output", default=None, help="with --then-cluster only")
-    p.add_argument("--runs", type=_int_at_least(1), default=None, help="with --then-cluster only")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("baseline", help="plain spectral clustering on the raw kernel")

@@ -24,19 +24,13 @@ _STOP_TOL = 1e-8
 
 
 def _degrees(ka: np.ndarray, row_sums: np.ndarray, alpha: np.ndarray, lam: float) -> np.ndarray:
-    """graph_degrees with ka = K alpha already computed."""
-    return 2.0 * (alpha * row_sums + ka - lam * alpha * ka)
-
-
-def graph_degrees(
-    kvals: np.ndarray, row_sums: np.ndarray, alpha: np.ndarray, lam: float
-) -> np.ndarray:
     """Row sums of the discriminative similarity matrix, in closed form.
 
     Equals disc_similarity(...).degree without materializing the n x n graph:
-    D_ii = 2 (alpha_i r_i + (K alpha)_i - lam alpha_i (K alpha)_i), r = K 1.
+    D_ii = 2 (alpha_i r_i + (K alpha)_i - lam alpha_i (K alpha)_i), with
+    ka = K alpha and row_sums r = K 1.
     """
-    return _degrees(kvals @ alpha, row_sums, alpha, lam)
+    return 2.0 * (alpha * row_sums + ka - lam * alpha * ka)
 
 
 def solve_alpha_coupled(
@@ -228,8 +222,11 @@ class CdskConfig:
             raise ConfigError(f"clustering needs c >= 2, got {self.c}")
         if not np.isfinite(self.lam) or not 0.0 < self.lam <= 2.0:
             raise ConfigError(f"lambda must satisfy 0 < lambda <= 2, got {self.lam}")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ConfigError(f"bandwidth must be > 0, got {self.bandwidth}")
+        if self.bandwidth is not None:
+            try:
+                KernelSpec(self.bandwidth)
+            except ValidationError as exc:
+                raise ConfigError(str(exc)) from None
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
         if self.seed < 0:

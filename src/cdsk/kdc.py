@@ -44,6 +44,15 @@ class KdeModel:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "labels", labels)
+        try:
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(self.tau0) and np.isfinite(self.tau1)
+        except OverflowError:  # h ** (-d) on Python floats
+            finite = False
+        if not finite:
+            raise ValidationError(
+                f"bandwidth {self.h} overflows the density normalizers in d={self.d}"
+            )
 
     @property
     def n(self) -> int:

@@ -21,16 +21,16 @@ _ROW_BLOCK = 128
 class KernelSpec:
     """Gaussian kernel exp(-||x - t||^2 / (2 bandwidth^2)).
 
-    The one bandwidth rule: finite, > 0, and with 2 bandwidth^2 > 0, so the
-    kernel's denominator does not underflow to zero.
+    The one bandwidth rule: > 0, with the kernel's denominator 2 bandwidth^2
+    finite and > 0, so it neither underflows to zero nor overflows to inf.
     """
 
     bandwidth: float
 
     def __post_init__(self):
         h = self.bandwidth
-        if not (np.isfinite(h) and h > 0 and 2.0 * h * h > 0):
-            raise ValidationError(f"bandwidth must be finite and > 0 with 2 h^2 > 0, got {h}")
+        if not (h > 0 and 0.0 < 2.0 * h * h < np.inf):
+            raise ValidationError(f"bandwidth must be > 0 with 2 h^2 finite and > 0, got {h}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdsk.cli import main
+from cdsk.cli import build_parser, main
 from cdsk.data_io import load_csv, make_blobs, read_result, write_csv
 from cdsk.driver import CdskConfig, run_cdsk
 
@@ -48,14 +49,19 @@ def test_cluster_blobs(capsys, blobs_csv, tmp_path):
     assert abs(result.alpha.sum() - 1.0) < 1e-9
 
 
-def test_cluster_multi_run_aggregates(capsys, blobs_csv):
-    rc, out, _ = _run(
-        capsys,
-        ["cluster", "--input", blobs_csv, "--labels", "2", "--clusters", "2",
-         "--runs", "3"],
-    )
-    assert rc == 0
-    assert "±" in _value(out, "accuracy")
+def test_readme_commands_parse():
+    # the README's command examples must stay valid as flags change
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = [
+        line for line in block.replace("\\\n", " ").splitlines() if line.startswith("cdsk ")
+    ]
+    assert commands
+    for line in commands:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_cluster_missing_required_flag(capsys, blobs_csv):
@@ -66,11 +72,7 @@ def test_cluster_missing_required_flag(capsys, blobs_csv):
 
 
 def test_runs_below_one_is_usage_error(capsys, blobs_csv):
-    cases = [
-        (verb, flag)
-        for verb in (["cluster"], ["tune", "--then-cluster"])
-        for flag in (["--runs", "0"], ["--max-iter", "0"])
-    ]
+    cases = [(verb, ["--max-iter", "0"]) for verb in (["cluster"], ["tune"])]
     cases += [(verb, ["--clusters", k]) for verb in (["cluster"], ["tune"]) for k in ("0", "1")]
     cases += [(["baseline"], ["--clusters", "0"])]
     for verb, flag in cases:
@@ -105,31 +107,6 @@ def test_data_dependent_failure_prints_no_report(capsys, tmp_path):
         assert message in err
 
 
-def test_tune_rejects_flags_it_would_ignore(capsys, blobs_csv, tmp_path):
-    doc = tmp_path / "t.json"
-    for flags in (["--output", str(doc)], ["--runs", "3"], ["--runs", "1"]):
-        with pytest.raises(SystemExit) as exc:
-            main(["tune", "--input", blobs_csv, "--clusters", "2"] + flags)
-        assert exc.value.code == 64
-        captured = capsys.readouterr()
-        assert "--then-cluster" in captured.err
-        assert captured.out == ""
-    assert not doc.exists()
-    for then in ([], ["--then-cluster"]):
-        with pytest.raises(SystemExit) as exc:
-            main(["tune", "--input", blobs_csv, "--clusters", "2", "--lambda", "0.3"] + then)
-        assert exc.value.code == 64
-        capsys.readouterr()
-    rc, out, _ = _run(
-        capsys,
-        ["tune", "--input", blobs_csv, "--labels", "2", "--clusters", "2", "--grid", "0.1",
-         "--then-cluster", "--runs", "2", "--output", str(doc)],
-    )
-    assert rc == 0
-    assert _value(out, "runs") == "2"
-    assert doc.exists()
-
-
 def test_cluster_bad_lambda(capsys, blobs_csv):
     # invalid values fail before any part of the report is printed
     for flag, value in (("--lambda", "3"), ("--seed", "-1"), ("--bandwidth", "0")):
@@ -143,13 +120,24 @@ def test_cluster_bad_lambda(capsys, blobs_csv):
         assert flag[2:] in err
 
 
-def test_cluster_has_no_tune_lambda_flag(capsys, blobs_csv):
-    with pytest.raises(SystemExit) as exc:
-        main(["cluster", "--input", blobs_csv, "--clusters", "2", "--tune-lambda"])
-    assert exc.value.code == 64
-    captured = capsys.readouterr()
-    assert "--tune-lambda" in captured.err
-    assert captured.out == ""
+def test_cluster_has_no_tune_lambda_flag(capsys, blobs_csv, tmp_path):
+    # one clustering per call: cluster does not tune or repeat, tune does not cluster
+    doc = tmp_path / "t.json"
+    for verb, flags in (
+        ("cluster", ["--tune-lambda"]),
+        ("cluster", ["--runs", "2"]),
+        ("tune", ["--then-cluster"]),
+        ("tune", ["--output", str(doc)]),
+        ("tune", ["--runs", "2"]),
+        ("tune", ["--lambda", "0.3"]),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--input", blobs_csv, "--clusters", "2"] + flags)
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert flags[0] in captured.err
+        assert captured.out == ""
+    assert not doc.exists()
 
 
 def test_cluster_missing_file(capsys, tmp_path):
@@ -201,29 +189,17 @@ def test_tune_command(capsys, tmp_path):
     assert "entropy 0.1" in out and "entropy 0.3" in out
 
 
-def test_tune_then_cluster(capsys, tmp_path):
-    path = tmp_path / "blobs.csv"
-    write_csv(make_blobs(30, [[0.0, 0.0], [12.0, 12.0]], 0.5, seed=2), path)
-    rc, out, _ = _run(
-        capsys,
-        ["tune", "--input", str(path), "--labels", "2", "--clusters", "2",
-         "--grid", "0.1", "0.2", "--then-cluster"],
-    )
-    assert rc == 0
-    assert "(tuned)" in _value(out, "lambda")
-    assert _value(out, "accuracy") == "1.000"
-
-
 def test_tune_then_cluster_document_equals_run_cdsk(capsys, tmp_path):
     path, doc = tmp_path / "blobs.csv", tmp_path / "res.json"
     write_csv(make_blobs(30, [[0.0, 0.0], [4.0, 1.0]], 1.5, seed=5), path)
-    rc, out, _ = _run(
-        capsys,
-        ["tune", "--input", str(path), "--labels", "2", "--clusters", "2", "--bandwidth", "1.5",
-         "--seed", "3", "--grid", "0.1", "0.2", "--then-cluster", "--output", str(doc)],
-    )
+    common = ["--input", str(path), "--labels", "2", "--clusters", "2", "--bandwidth", "1.5",
+              "--seed", "3"]
+    rc, out, _ = _run(capsys, ["tune"] + common + ["--grid", "0.1", "0.2"])
+    assert rc == 0
+    chosen_text = _value(out, "chosen_lambda")
+    rc, _, _ = _run(capsys, ["cluster"] + common + ["--lambda", chosen_text, "--output", str(doc)])
     assert rc in (0, 2)
-    chosen = float(_value(out, "chosen_lambda"))
+    chosen = float(chosen_text)
     want = run_cdsk(
         load_csv(path, label_column=2), CdskConfig(c=2, lam=chosen, bandwidth=1.5, seed=3)
     )
@@ -287,6 +263,7 @@ def test_ise_dataset_mode_rejects_unusable_inputs(capsys, blobs_csv):
     base = ["ise", "--input", blobs_csv, "--labels", "2"]
     for extra, message in (
         (["--bandwidth", "inf"], "bandwidth"),
+        (["--bandwidth", "1e-160"], "bandwidth"),
         (["--bandwidth", "1.0", "--eps", "nan"], "eps"),
     ):
         rc, out, err = _run(capsys, base + extra)

@@ -10,7 +10,6 @@ from cdsk.driver import (
     DEFAULT_LAMBDA_GRID,
     CdskConfig,
     embedding_entropy,
-    graph_degrees,
     run_baseline_spectral,
     run_cdsk,
     solve_alpha_coupled,
@@ -37,6 +36,9 @@ def test_config_validation():
         dict(c=2, lam=0.0),
         dict(c=2, lam=2.5),
         dict(c=2, bandwidth=0.0),
+        dict(c=2, bandwidth=np.inf),
+        dict(c=2, bandwidth=np.nan),
+        dict(c=2, bandwidth=1e-300),
         dict(c=2, max_iter=0),
         dict(c=2, seed=-1),
     ):
@@ -46,17 +48,6 @@ def test_config_validation():
 
 def test_default_lambda_grid():
     assert DEFAULT_LAMBDA_GRID == (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5)
-
-
-def test_graph_degrees_matches_graph():
-    rng = np.random.default_rng(0)
-    data = SampleMatrix(rng.normal(size=(9, 2)))
-    k = gram(data, KernelSpec(1.0))
-    alpha = rng.uniform(0.1, 1.0, size=9)
-    alpha /= alpha.sum()
-    lam = 0.7
-    want = disc_similarity(k, alpha, lam).degree
-    assert np.allclose(graph_degrees(k.values, k.values.sum(axis=1), alpha, lam), want, atol=1e-12)
 
 
 def test_run_cdsk_monotone_trace():
@@ -143,7 +134,7 @@ def test_solve_alpha_coupled_descends_and_stays_feasible():
     assert sol.alpha.min() >= 0.0
     assert abs(sol.alpha.sum() - 1.0) < 1e-9
     # the embedding normalization is preserved by the new weights
-    deg = graph_degrees(k.values, k.values.sum(axis=1), sol.alpha, lam)
+    deg = disc_similarity(k, sol.alpha, lam).degree
     feas = y.T @ (deg[:, None] * y)
     assert np.max(np.abs(feas - np.eye(2))) < 1e-8
 
@@ -333,7 +324,7 @@ def test_solve_alpha_coupled_descends_on_three_blobs():
     assert 1 <= sol.iterations <= 80
     assert sol.alpha.min() >= 0.0
     assert abs(sol.alpha.sum() - 1.0) <= 1e-11
-    deg = graph_degrees(k.values, k.values.sum(axis=1), sol.alpha, 0.1)
+    deg = disc_similarity(k, sol.alpha, 0.1).degree
     assert np.max(np.abs(y.T @ (deg[:, None] * y) - np.eye(3))) <= 1e-11
     again = solve_alpha_coupled(y, k, 0.1, start=alpha)
     assert again.alpha.tobytes() == sol.alpha.tobytes()

@@ -47,6 +47,9 @@ def test_kde_model_validation():
         KdeModel(points=np.zeros((2, 1)), alpha=[0.5, 0.5], labels=[1, 2], h=0.0)
     with pytest.raises(ValidationError):
         KdeModel(points=np.zeros((2, 1)), alpha=[0.6, 0.6], labels=[1, 2], h=1.0)
+    # a usable kernel bandwidth whose normalizer h^(-d) overflows in d = 2
+    with pytest.raises(ValidationError, match="bandwidth"):
+        KdeModel(points=np.zeros((2, 2)), alpha=[0.5, 0.5], labels=[1, 2], h=1e-160)
 
 
 def test_class_kde_additivity_and_single_class():
@@ -202,9 +205,10 @@ def test_gaussian_convolution_scaling_law():
         gaussian_convolution_check(0.0, 1.0, 0.0)
 
 
-@pytest.mark.parametrize("h", [np.inf, 1e-300, np.nan])
+@pytest.mark.parametrize("h", [np.inf, 1e-300, np.nan, 1e200, 1e154])
 def test_unusable_bandwidths_are_rejected(h):
-    # inf and nan are not finite; at 1e-300 the kernel's 2 h^2 underflows to 0
+    # inf and nan are not finite; at 1e-300 the kernel's 2 h^2 underflows to 0,
+    # at 1e154 and 1e200 it overflows to inf
     with pytest.raises(ValidationError):
         KdeModel(points=np.zeros((2, 1)), alpha=[0.5, 0.5], labels=[1, 2], h=h)
     with pytest.raises(ValidationError):
