@@ -120,23 +120,30 @@ def test_cluster_bad_lambda(capsys, blobs_csv):
         assert flag[2:] in err
 
 
-def test_cluster_has_no_tune_lambda_flag(capsys, blobs_csv, tmp_path):
-    # one clustering per call: cluster does not tune or repeat, tune does not cluster
-    doc = tmp_path / "t.json"
-    for verb, flags in (
-        ("cluster", ["--tune-lambda"]),
-        ("cluster", ["--runs", "2"]),
-        ("tune", ["--then-cluster"]),
-        ("tune", ["--output", str(doc)]),
-        ("tune", ["--runs", "2"]),
-        ("tune", ["--lambda", "0.3"]),
-    ):
+def _assert_unknown_flags(capsys, verb, blobs_csv, cases):
+    for flags in cases:
         with pytest.raises(SystemExit) as exc:
             main([verb, "--input", blobs_csv, "--clusters", "2"] + flags)
         assert exc.value.code == 64
         captured = capsys.readouterr()
         assert flags[0] in captured.err
         assert captured.out == ""
+
+
+def test_cluster_has_no_tune_lambda_flag(capsys, blobs_csv):
+    # one clustering per call: cluster does not tune or repeat
+    _assert_unknown_flags(capsys, "cluster", blobs_csv, (["--tune-lambda"], ["--runs", "2"]))
+
+
+def test_tune_rejects_flags_it_would_ignore(capsys, blobs_csv, tmp_path):
+    # tune only reports lambda: it does not cluster, repeat or write a result document
+    doc = tmp_path / "t.json"
+    _assert_unknown_flags(
+        capsys,
+        "tune",
+        blobs_csv,
+        (["--then-cluster"], ["--output", str(doc)], ["--runs", "2"], ["--lambda", "0.3"]),
+    )
     assert not doc.exists()
 
 
