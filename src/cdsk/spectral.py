@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.linalg.blas import dsymv
 
 from .errors import NumericError, ValidationError
 
@@ -101,14 +102,20 @@ def _shifted_lanczos(
     (sigma - theta, v) in ARPACK's order; without u the last term is absent.
 
     sigma is the largest absolute row sum of a, so sigma I - a is PSD by
-    Gershgorin.
+    Gershgorin.  a must have passed check_symmetric: each product
+    sigma x - a x is one BLAS symv call that reads only the upper triangle of
+    a's Fortran-ordered form, which is a.T for C-ordered a and a itself for
+    F-ordered a.  A strided view is copied once, to Fortran order.
     """
     n = a.shape[0]
-    # LAPACK's row-sum norm reads a in place, with no n x n |a| temporary
-    sigma = float(scipy.linalg.norm(a, np.inf, check_finite=False))
+    # f2py would copy a C-ordered array on every symv call
+    f = a.T if a.flags.c_contiguous else np.asfortranarray(a)
+    # LAPACK's column-sum norm of f (a's row sums) reads f in place, with no
+    # n x n |a| temporary, and in the same order for every layout of a
+    sigma = float(scipy.linalg.norm(f, 1, check_finite=False))
 
     def matvec(x):
-        out = sigma * x - a @ x
+        out = dsymv(-1.0, f, x, beta=sigma, y=x)
         if u is not None:
             out -= (sigma * (u @ x)) * u
         return out
@@ -129,12 +136,16 @@ def smallest_eigenpairs(
     dense matrix, not the other n - c.  Above that, ARPACK's Lanczos
     iteration runs on the shifted operator x -> sigma x - a x, with sigma
     the largest absolute row sum of a, and takes its largest eigenvalues
-    theta, returning sigma - theta.  The shift
-    matters because ARPACK stops when a Ritz residual falls below a tolerance
-    relative to the Ritz value itself: the bottom of a Laplacian spectrum
-    sits at zero, where that test is hardest to meet, while the shifted
-    values sit near sigma.  The start vector is fixed, so repeated calls are
-    bit-identical; if ARPACK fails the subset solver answers instead.
+    theta, returning sigma - theta.  Each product is one BLAS symv call that
+    reads one triangle of a; check_symmetric, run first, is what makes that
+    valid (the graph's N passes its exact test).  C- and F-ordered a are
+    read in place and give the same bytes; a strided view of a is copied
+    once.  The shift matters because ARPACK stops when a Ritz residual falls
+    below a tolerance relative to the Ritz value itself: the bottom of a
+    Laplacian spectrum sits at zero, where that test is hardest to meet,
+    while the shifted values sit near sigma.  The start vector is fixed, so
+    repeated calls are bit-identical; if ARPACK fails the subset solver
+    answers instead.
 
     null_vector, if given, is a unit vector spanning an eigenvalue-0
     eigenspace of a, where 0 is the smallest eigenvalue of a (for a

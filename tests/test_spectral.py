@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -221,18 +223,50 @@ def test_smallest_eigenpairs_lanczos_c1_returns_null_vector(moons_laplacian, eig
     assert np.array_equal(v[:, 0], null_vector)
 
 
+def _layout(a, layout):
+    """a itself (C order), an F-ordered copy, or a strided view of a copy."""
+    if layout == "C":
+        return a
+    if layout == "F":
+        return np.asfortranarray(a)
+    big = np.zeros((2 * a.shape[0], 2 * a.shape[1]))
+    big[::2, ::2] = a
+    return big[::2, ::2]
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
 @pytest.mark.parametrize("with_null", [False, True])
-def test_smallest_eigenpairs_lanczos_repeat_bit_identical(moons_laplacian, with_null):
+def test_smallest_eigenpairs_lanczos_repeat_bit_identical(moons_laplacian, with_null, layout):
     # ARPACK keeps state between calls; an unrelated solve in between must not
-    # change the next answer
+    # change the next answer.  Every layout reads the same triangle values in
+    # the same order, so it must not change the answer either.
     a, null_vector, _, _ = moons_laplacian
     null_vector = null_vector if with_null else None
     w1, v1 = smallest_eigenpairs(a, 3, null_vector=null_vector)
     rng = np.random.default_rng(11)
     scipy.sparse.linalg.eigsh(_random_symmetric(12, 60), k=4, which="LM", v0=rng.normal(size=60))
-    w2, v2 = smallest_eigenpairs(a, 3, null_vector=null_vector)
+    w2, v2 = smallest_eigenpairs(_layout(a, layout), 3, null_vector=null_vector)
     assert w1.tobytes() == w2.tobytes()
     assert v1.tobytes() == v2.tobytes()
+
+
+@pytest.mark.parametrize("layout,bound", [("C", 0.1), ("F", 0.1), ("strided", 1.1)])
+def test_smallest_eigenpairs_lanczos_copies_a_at_most_once(layout, bound, eigsh_calls):
+    # a copy of a per Lanczos product would show as one more n x n array;
+    # only the strided view is copied, once, before the first product
+    n = 1000
+    data = make_two_moons(n, 0.05, seed=0)
+    graph = disc_similarity(gram(data, KernelSpec(0.1)), np.full(n, 1.0 / n), 0.1)
+    sqrt_degree = np.sqrt(graph.degree)
+    a = _layout(graph.normalized_laplacian, layout)
+    tracemalloc.start()
+    try:
+        smallest_eigenpairs(a, 2, sqrt_degree / np.linalg.norm(sqrt_degree))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert eigsh_calls == [1]
+    assert peak / (8.0 * n * n) <= bound, peak / (8.0 * n * n)
 
 
 # --- check_symmetric --------------------------------------------------------
