@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -56,6 +57,11 @@ def _fmt(v: float) -> str:
 
 def _emit(key: str, value) -> None:
     print(f"{key}: {value}")
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(64)
 
 
 def _int_at_least(low: int):
@@ -213,8 +219,27 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+# the flags each ise mode reads, with their defaults; the parser leaves out
+# flags not given, so a flag of the other mode is caught instead of ignored
+_ISE_CONVOLUTION_FLAGS = {"a": 0.0, "b": 0.0, "h": 1.0}
+_ISE_DATASET_FLAGS = {
+    "input": None, "labels": None, "header": False, "bandwidth": None, "lambda1": 1.0, "eps": 0.0,
+}
+
+
 def cmd_ise(args) -> int:
-    if args.check_convolution:
+    given = vars(args)
+    convolution = given.pop("check_convolution", False)
+    if convolution:
+        own, other, mode = _ISE_CONVOLUTION_FLAGS, _ISE_DATASET_FLAGS, "--check-convolution"
+    else:
+        own, other, mode = _ISE_DATASET_FLAGS, _ISE_CONVOLUTION_FLAGS, "the --input mode"
+    for dest in other:
+        if dest in given:
+            _usage_error(f"--{dest} is not used by {mode}")
+    for dest, default in own.items():
+        given.setdefault(dest, default)
+    if convolution:
         numeric, closed = gaussian_convolution_check(args.a, args.b, args.h)
         rel = abs(numeric - closed) / max(abs(closed), 1e-300)
         _emit("command", "ise")
@@ -223,8 +248,7 @@ def cmd_ise(args) -> int:
         _emit("rel_err", _fmt(rel))
         return 0
     if args.input is None:
-        print("error: ise needs --check-convolution or --input", file=sys.stderr)
-        raise SystemExit(64)
+        _usage_error("ise needs --check-convolution or --input")
     data = load_csv(args.input, label_column=args.labels, header=args.header)
     if data.labels is None:
         raise CdskError("ise needs two-class labels; pass --labels COL")
@@ -309,29 +333,36 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=0.1)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("ise", help="density-classification ISE diagnostics")
+    # the defaults of each mode are in _ISE_CONVOLUTION_FLAGS and _ISE_DATASET_FLAGS
+    p = sub.add_parser(
+        "ise", help="density-classification ISE diagnostics", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--check-convolution", action="store_true")
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--h", type=float, default=1.0)
-    p.add_argument("--input", default=None)
-    p.add_argument("--labels", type=int, default=None)
+    p.add_argument("--a", type=float)
+    p.add_argument("--b", type=float)
+    p.add_argument("--h", type=float)
+    p.add_argument("--input")
+    p.add_argument("--labels", type=int)
     p.add_argument("--header", action="store_true")
-    p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--lambda1", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--bandwidth", type=float)
+    p.add_argument("--lambda1", type=float)
+    p.add_argument("--eps", type=float)
     p.set_defaults(func=cmd_ise)
 
     p = sub.add_parser("synth", help="write a synthetic dataset as CSV")
-    p.add_argument("kind", choices=("blobs", "moons"))
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-per-cluster", type=int, default=100)
-    p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--centers", default="0,0;10,10")
-    p.add_argument("--n", type=int, default=400)
-    p.add_argument("--noise", type=float, default=0.05)
     p.set_defaults(func=cmd_synth)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    # no abbreviations: blobs would otherwise take moons' --n as --n-per-cluster
+    blobs = kinds.add_parser("blobs", help="isotropic Gaussian blobs", allow_abbrev=False)
+    blobs.add_argument("--n-per-cluster", type=int, default=100)
+    blobs.add_argument("--sigma", type=float, default=0.5)
+    blobs.add_argument("--centers", default="0,0;10,10")
+    moons = kinds.add_parser("moons", help="two interleaved half-circles", allow_abbrev=False)
+    moons.add_argument("--n", type=int, default=400)
+    moons.add_argument("--noise", type=float, default=0.05)
+    for q in (blobs, moons):
+        q.add_argument("--out", required=True)
+        q.add_argument("--seed", type=int, default=0)
 
     return parser
 

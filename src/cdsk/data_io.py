@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -210,25 +212,73 @@ def write_result(result: ClusteringResult, path) -> None:
         fh.write("\n")
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; JSON true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def read_result(path) -> ClusteringResult:
-    """Inverse of write_result; raises ParseError on malformed documents."""
+    """Inverse of write_result; raises ParseError on malformed documents.
+
+    Every field must have the type write_result gives it, and labels and
+    alpha must have one entry per sample; the error names the key that does
+    not.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read result document {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: a result document must be a JSON object")
     missing = [k for k in _RESULT_KEYS if k not in doc]
     if missing:
         raise ParseError(f"{path}: missing result keys {missing}")
+
+    def fail(key: str, expected: str) -> NoReturn:
+        raise ParseError(f"{path}: {key} must be {expected}")
+
+    def numbers(key: str) -> list[float]:
+        if not isinstance(doc[key], list) or not all(_is_number(v) for v in doc[key]):
+            fail(key, "a list of finite numbers")
+        return [float(v) for v in doc[key]]
+
+    def number(key: str) -> float:
+        if not _is_number(doc[key]):
+            fail(key, "a finite number")
+        return float(doc[key])
+
+    alpha = numbers("alpha")
+    labels = doc["labels"]
+    # cluster ids run from 1 to c <= n
+    if not isinstance(labels, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= len(labels) for v in labels
+    ):
+        fail("labels", "a list of integers in 1..n")
+    if len(labels) != len(alpha):
+        raise ParseError(f"{path}: labels has {len(labels)} entries but alpha has {len(alpha)}")
+    metrics = doc["metrics"]
+    if metrics is not None and not (
+        isinstance(metrics, dict) and all(_is_number(v) for v in metrics.values())
+    ):
+        fail("metrics", "null or an object of finite numbers")
+    seed = doc["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        fail("seed", "a nonnegative integer")
     if not isinstance(doc["qp_converged"], bool):
-        raise ParseError(f"{path}: qp_converged must be true or false")
+        fail("qp_converged", "true or false")
     return ClusteringResult(
-        labels=np.array(doc["labels"], dtype=np.int64),
-        alpha=np.array(doc["alpha"], dtype=np.float64),
-        objective_trace=[float(v) for v in doc["objective_trace"]],
-        metrics=doc["metrics"],
-        lambda_used=float(doc["lambda"]),
-        bandwidth_used=float(doc["bandwidth"]),
-        seed=int(doc["seed"]),
+        labels=np.array(labels, dtype=np.int64),
+        alpha=np.array(alpha, dtype=np.float64),
+        objective_trace=numbers("objective_trace"),
+        metrics=metrics,
+        lambda_used=number("lambda"),
+        bandwidth_used=number("bandwidth"),
+        seed=seed,
         qp_converged=doc["qp_converged"],
     )

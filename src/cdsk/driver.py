@@ -9,10 +9,10 @@ import numpy as np
 from .data_io import ClusteringResult, SampleMatrix
 from .embedding import solve_embedding
 from .errors import ConfigError, DegenerateDataError, ValidationError
-from .kernel import GramMatrix, KernelSpec, default_bandwidth, gram
+from .kernel import GramMatrix, KernelSpec, default_bandwidth, gram, pairwise_sq_dists
 from .kmeans_metrics import Partition, accuracy, kmeans, nmi
 from .similarity import check_simplex, disc_similarity
-from .simplex_qp import QpSolution, assemble_alpha_qp
+from .spectral import check_symmetric
 
 DEFAULT_LAMBDA_GRID = tuple(round(0.05 * k, 2) for k in range(1, 11))
 _VALIDATION_FRACTION = 0.1
@@ -31,6 +31,61 @@ def _degrees(ka: np.ndarray, row_sums: np.ndarray, alpha: np.ndarray, lam: float
     ka = K alpha and row_sums r = K 1.
     """
     return 2.0 * (alpha * row_sums + ka - lam * alpha * ka)
+
+
+@dataclass(frozen=True)
+class SimplexQP:
+    """q(alpha) = alpha^T a alpha + b^T alpha, alpha on the simplex."""
+
+    a: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        a = check_symmetric(self.a)
+        b = np.asarray(self.b, dtype=np.float64)
+        if b.shape != (a.shape[0],):
+            raise ValidationError("linear term does not match the quadratic term")
+        if not np.all(np.isfinite(b)):
+            raise ValidationError("QP coefficients must be finite")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+
+def qp_objective(qp: SimplexQP, alpha: np.ndarray) -> float:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    return float(alpha @ qp.a @ alpha + qp.b @ alpha)
+
+
+@dataclass
+class QpSolution:
+    alpha: np.ndarray
+    objective: float
+    kkt_residual: float
+    iterations: int
+    converged: bool
+    objective_trace: list[float]
+
+
+def assemble_alpha_qp(y: np.ndarray, gram: GramMatrix, lam: float, row_sums: np.ndarray) -> SimplexQP:
+    """The weight step's QP at a fixed embedding Y, with row_sums = K 1.
+
+    q(alpha) = tr(Y^T L(alpha) Y) - alpha^T K 1 + lam alpha^T K alpha is the
+    one definition of the joint objective, which the weight step minimizes
+    and the alternation records.  As alpha^T A alpha + b^T alpha it has
+    A = lam (K - M), b = 2 M 1 - K 1 and M_ij = K_ij ||Y_i - Y_j||^2; A is
+    indefinite in general.
+    """
+    k = gram.values
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if y.ndim != 2 or y.shape[0] != k.shape[0]:
+        raise ValidationError(f"embedding shape {y.shape} does not match gram matrix")
+    # m, then a, in one buffer; k and y's distances are exactly symmetric, so a is
+    m = pairwise_sq_dists(y, y)
+    m *= k
+    b = 2.0 * m.sum(axis=1) - row_sums
+    a = np.subtract(k, m, out=m)
+    a *= lam
+    return SimplexQP(a=a, b=b)
 
 
 def solve_alpha_coupled(
@@ -247,23 +302,21 @@ def _gram(data: SampleMatrix, bandwidth: float | None) -> GramMatrix:
 
 
 def _alternate(kmat: GramMatrix, config: CdskConfig):
-    """run_cdsk's loop: (alpha, its graph, last Y, trace, qp_converged)."""
+    """run_cdsk's loop: (alpha, last Y, trace, qp_converged)."""
     n = kmat.values.shape[0]
     alpha = np.full(n, 1.0 / n)
     graph = disc_similarity(kmat, alpha, config.lam)
     trace: list[float] = []
     qp_converged = True
     for _ in range(config.max_iter):
-        y = solve_embedding(graph, config.c).y
+        y = solve_embedding(graph, config.c)
         graph = None  # free N before the weight step and next graph allocate
         sol = solve_alpha_coupled(y, kmat, config.lam, start=alpha)
         qp_converged = qp_converged and sol.converged
         try:
             graph = disc_similarity(kmat, sol.alpha, config.lam)
         except DegenerateDataError:
-            # the weight step drained a neighborhood; the normalized Laplacian
-            # needs positive degrees, so keep (rebuild) the last valid iterate
-            graph = disc_similarity(kmat, alpha, config.lam)
+            # a drained neighborhood leaves no normalized Laplacian: keep the last iterate
             break
         alpha = sol.alpha
         trace.append(sol.objective)  # the joint objective at (y, alpha)
@@ -271,7 +324,7 @@ def _alternate(kmat: GramMatrix, config: CdskConfig):
             prev = trace[-2]
             if abs(trace[-1] - prev) <= _STOP_TOL * max(1.0, abs(prev)):
                 break
-    return alpha, graph, y, trace, qp_converged
+    return alpha, y, trace, qp_converged
 
 
 def run_cdsk(data: SampleMatrix, config: CdskConfig) -> ClusteringResult:
@@ -295,7 +348,7 @@ def run_cdsk(data: SampleMatrix, config: CdskConfig) -> ClusteringResult:
     if data.n < config.c:
         raise ValidationError(f"n={data.n} is smaller than c={config.c}")
     kmat = _gram(data, config.bandwidth)
-    alpha, _, y, trace, qp_converged = _alternate(kmat, config)
+    alpha, y, trace, qp_converged = _alternate(kmat, config)
     part = kmeans(y, config.c, seed=config.seed)
     return ClusteringResult(
         labels=part.labels,
@@ -343,8 +396,9 @@ def tune_lambda(
     kmat = _gram(SampleMatrix(data.data[idx]), config.bandwidth)
     entropies: list[float] = []
     for lam_config in configs:
-        _, graph, _, _, _ = _alternate(kmat, lam_config)
-        entropies.append(embedding_entropy(solve_embedding(graph, config.c).y))
+        alpha, _, _, _ = _alternate(kmat, lam_config)
+        graph = disc_similarity(kmat, alpha, lam_config.lam)
+        entropies.append(embedding_entropy(solve_embedding(graph, config.c)))
     best = min(range(len(grid)), key=lambda i: (entropies[i], grid[i]))
     return grid[best], entropies
 
@@ -367,8 +421,8 @@ def run_baseline_spectral(
     kmat = _gram(data, bandwidth)
     uniform = np.full(data.n, 1.0 / data.n)
     graph = disc_similarity(kmat, uniform, 0.1)
-    emb = solve_embedding(graph, c)
-    part = kmeans(emb.y, c, seed=seed)
+    y = solve_embedding(graph, c)
+    part = kmeans(y, c, seed=seed)
     return ClusteringResult(
         labels=part.labels,
         alpha=uniform,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError, ValidationError
@@ -11,24 +9,16 @@ from .similarity import DiscSimilarityGraph
 from .spectral import smallest_eigenpairs
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Rows of y are the embedded samples; y is degree-orthonormal."""
-
-    y: np.ndarray
-    c: int
-
-
-def solve_embedding(graph: DiscSimilarityGraph, c: int) -> Embedding:
+def solve_embedding(graph: DiscSimilarityGraph, c: int) -> np.ndarray:
     """Trace-minimizing embedding under the degree constraint Y^T D Y = I.
 
     Takes the c smallest eigenvectors U of the normalized Laplacian
-    N = I - D^{-1/2} S D^{-1/2} and returns Y = D^{-1/2} U.  With positive
-    degrees, N has the null vector D^{1/2} 1 in closed form; it is handed to
-    the eigensolver normalized, so above the dense size limit the Lanczos
-    iteration (run on the shifted operator sigma I - N, see
-    smallest_eigenpairs) deflates it and computes only the other c - 1
-    vectors.
+    N = I - D^{-1/2} S D^{-1/2} and returns the (n, c) array Y = D^{-1/2} U,
+    one row per sample.  With positive degrees, N has the null vector
+    D^{1/2} 1 in closed form; it is handed to the eigensolver normalized, so
+    above the dense size limit the Lanczos iteration (run on the shifted
+    operator sigma I - N, see smallest_eigenpairs) deflates it and computes
+    only the other c - 1 vectors.
     """
     n = graph.degree.shape[0]
     if not 1 <= c <= n:
@@ -40,4 +30,4 @@ def solve_embedding(graph: DiscSimilarityGraph, c: int) -> Embedding:
     feas = y.T @ (graph.degree[:, None] * y)
     if float(np.max(np.abs(feas - np.eye(c)))) > 1e-6:
         raise NumericError("embedding violates the degree-orthonormality constraint")
-    return Embedding(y=y, c=c)
+    return y

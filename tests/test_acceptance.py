@@ -98,7 +98,7 @@ def test_02_uniform_weights_reduce_to_plain_spectral_embedding():
         uniform = np.full(data.n, 1.0 / data.n)
 
         graph = disc_similarity(kmat, uniform, lam)
-        y_weighted = solve_embedding(graph, c).y
+        y_weighted = solve_embedding(graph, c)
 
         k = kmat.values
         deg = k.sum(axis=1)

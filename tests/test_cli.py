@@ -285,6 +285,22 @@ def test_ise_requires_mode(capsys):
     assert exc.value.code == 64
 
 
+def test_ise_rejects_flags_of_the_other_mode(capsys, blobs_csv):
+    # the convolution check reads no dataset, the dataset mode no --a, --b, --h
+    for argv, flag in (
+        (["--check-convolution", "--input", blobs_csv], "--input"),
+        (["--check-convolution", "--lambda1", "2"], "--lambda1"),
+        (["--input", blobs_csv, "--labels", "2", "--a", "5", "--h", "3"], "--a"),
+        (["--input", blobs_csv, "--labels", "2", "--h", "3"], "--h"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["ise"] + argv)
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+
+
 def test_ise_dataset_mode(capsys, blobs_csv):
     rc, out, _ = _run(
         capsys, ["ise", "--input", blobs_csv, "--labels", "2", "--bandwidth", "1.0"]
@@ -342,3 +358,20 @@ def test_synth_moons_roundtrip(capsys, tmp_path):
     )
     assert rc2 in (0, 2)
     assert "accuracy" in out2
+
+
+def test_synth_rejects_flags_of_the_other_kind(capsys, tmp_path):
+    out = tmp_path / "s.csv"
+    for argv, flag in (
+        (["blobs", "--n", "10", "--noise", "0.3"], "--n"),
+        (["blobs", "--noise", "0.3"], "--noise"),
+        (["moons", "--sigma", "9", "--centers", "1,1;2,2"], "--sigma"),
+        (["moons", "--n-per-cluster", "5"], "--n-per-cluster"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth"] + argv + ["--out", str(out)])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+        assert not out.exists()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,42 @@ def test_sample_matrix_validates():
         SampleMatrix(np.array([[np.inf, 0.0], [1.0, 2.0]]))
     with pytest.raises(ValidationError):
         SampleMatrix(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("labels", [1.5, 2]),
+        ("labels", [1, 2, 1]),
+        ("labels", [0, 1]),
+        ("labels", [True, 2]),
+        ("seed", 1.7),
+        ("seed", -1),
+        ("alpha", [[0.25], [0.75]]),
+        ("alpha", "x"),
+        ("alpha", [0.25, None]),
+        ("lambda", "a"),
+        ("bandwidth", None),
+        ("objective_trace", None),
+        ("objective_trace", [1.0, "0.5"]),
+        ("metrics", [1.0]),
+        ("metrics", {"accuracy": "1"}),
+    ],
+)
+def test_result_rejects_wrong_typed_or_inconsistent_fields(tmp_path, key, value):
+    # each must raise ParseError naming the key, never load a coerced value
+    # or leak a ValueError or TypeError
+    p = tmp_path / "res.json"
+    write_result(_tiny_result(), p)
+    doc = json.loads(p.read_text())
+    doc[key] = value
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=key):
+        read_result(p)
+
+
+def test_result_rejects_a_document_that_is_not_an_object(tmp_path):
+    p = tmp_path / "res.json"
+    p.write_text("5")
+    with pytest.raises(ParseError, match="object"):
+        read_result(p)

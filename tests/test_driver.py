@@ -9,7 +9,9 @@ from cdsk.data_io import SampleMatrix, make_blobs, make_two_moons
 from cdsk.driver import (
     DEFAULT_LAMBDA_GRID,
     CdskConfig,
+    assemble_alpha_qp,
     embedding_entropy,
+    qp_objective,
     run_baseline_spectral,
     run_cdsk,
     solve_alpha_coupled,
@@ -18,7 +20,6 @@ from cdsk.driver import (
 from cdsk.embedding import solve_embedding
 from cdsk.errors import ConfigError, DegenerateDataError, ValidationError
 from cdsk.kernel import GramMatrix, KernelSpec, default_bandwidth, gram
-from cdsk.simplex_qp import assemble_alpha_qp, qp_objective
 from cdsk.similarity import disc_similarity
 from test_acceptance import _descent_dataset
 from test_similarity import joint_objective
@@ -127,7 +128,7 @@ def test_solve_alpha_coupled_descends_and_stays_feasible():
     n = data.n
     alpha = np.full(n, 1.0 / n)
     graph = disc_similarity(k, alpha, lam)
-    y = solve_embedding(graph, 2).y
+    y = solve_embedding(graph, 2)
     qp = assemble_alpha_qp(y, k, lam, k.values.sum(axis=1))
     sol = solve_alpha_coupled(y, k, lam, start=alpha)
     assert sol.objective <= qp_objective(qp, alpha) + 1e-12
@@ -137,6 +138,28 @@ def test_solve_alpha_coupled_descends_and_stays_feasible():
     deg = disc_similarity(k, sol.alpha, lam).degree
     feas = y.T @ (deg[:, None] * y)
     assert np.max(np.abs(feas - np.eye(2))) < 1e-8
+
+
+def test_run_cdsk_calls_its_layers_through_driver_globals(monkeypatch):
+    # the benchmark's tracer times each layer by replacing these names in
+    # cdsk.driver; a layer called any other way drops out of its report
+    names = (
+        "gram", "disc_similarity", "solve_embedding", "assemble_alpha_qp",
+        "solve_alpha_coupled", "kmeans",
+    )
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cdsk.driver, name, counting(name, getattr(cdsk.driver, name)))
+    run_cdsk(_blobs(n_per=15), CdskConfig(c=2, bandwidth=2.0, max_iter=3))
+    assert all(counts.values()), counts
 
 
 def test_run_cdsk_records_the_joint_objective(monkeypatch):
@@ -169,7 +192,7 @@ def test_solve_alpha_coupled_rejects_far_start():
     n = data.n
     alpha = np.full(n, 1.0 / n)
     graph = disc_similarity(k, alpha, lam)
-    y = solve_embedding(graph, 2).y
+    y = solve_embedding(graph, 2)
     # a wildly rescaled embedding cannot be normalized by any simplex weights
     with pytest.raises(ValidationError):
         solve_alpha_coupled(1e6 * y, k, lam, start=alpha)
@@ -222,7 +245,7 @@ def test_tune_lambda_matches_per_grid_point_runs():
             result = run_cdsk(subset, replace(config, lam=lam, seed=seed))
             kmat = gram(subset, KernelSpec(result.bandwidth_used))
             graph = disc_similarity(kmat, result.alpha, lam)
-            entropies.append(embedding_entropy(solve_embedding(graph, config.c).y))
+            entropies.append(embedding_entropy(solve_embedding(graph, config.c)))
         best = min(range(len(grid)), key=lambda i: (entropies[i], grid[i]))
         return grid[best], entropies
 
@@ -256,7 +279,7 @@ def test_tune_lambda_domain_errors(monkeypatch):
 def test_alternate_keeps_last_iterate_when_a_graph_degenerates(monkeypatch):
     # _alternate frees each graph before the weight step; when the next graph
     # is degenerate it must still return the last valid iterate: its weights,
-    # its graph (rebuilt), the embedding of that graph and the trace so far
+    # the embedding of its graph and the trace so far
     data = make_two_moons(80, 0.1, seed=0)
     kmat = gram(data, KernelSpec(default_bandwidth(data)))
     config = CdskConfig(c=2, max_iter=6)
@@ -268,7 +291,7 @@ def test_alternate_keeps_last_iterate_when_a_graph_degenerates(monkeypatch):
         return real(kmat, alpha, lam)
 
     monkeypatch.setattr(cdsk.driver, "disc_similarity", spy)
-    _, _, _, full_trace, _ = cdsk.driver._alternate(kmat, config)
+    _, _, full_trace, _ = cdsk.driver._alternate(kmat, config)
     assert len(full_trace) == 6
     for fail_at in (2, 4, 7):
         calls = []
@@ -280,14 +303,40 @@ def test_alternate_keeps_last_iterate_when_a_graph_degenerates(monkeypatch):
             return real(kmat, alpha, lam)
 
         monkeypatch.setattr(cdsk.driver, "disc_similarity", failing)
-        alpha, graph, y, trace, _ = cdsk.driver._alternate(kmat, config)
+        alpha, y, trace, _ = cdsk.driver._alternate(kmat, config)
         kept = weights[fail_at - 2]
         want = real(kmat, kept, config.lam)
         assert alpha.tobytes() == kept.tobytes()
-        assert graph.degree.tobytes() == want.degree.tobytes()
-        assert graph.normalized_laplacian.tobytes() == want.normalized_laplacian.tobytes()
-        assert y.tobytes() == solve_embedding(want, config.c).y.tobytes()
+        assert y.tobytes() == solve_embedding(want, config.c).tobytes()
         assert trace == full_trace[: fail_at - 2]
+
+
+def test_tune_lambda_scores_the_kept_iterate_when_a_graph_degenerates(monkeypatch):
+    # at lam 0.3 the graph after the second weight step is degenerate; the
+    # tuner must score the embedding of the kept weights' graph
+    data = make_two_moons(200, 0.1, seed=0)
+    config = CdskConfig(c=2, bandwidth=0.3, max_iter=6)
+    real = cdsk.driver.disc_similarity
+    at_lam = []
+
+    def failing(kmat, alpha, lam):
+        if lam == 0.3:
+            at_lam.append((kmat, np.array(alpha, copy=True)))
+            if len(at_lam) == 3:
+                raise DegenerateDataError("drained")
+        return real(kmat, alpha, lam)
+
+    monkeypatch.setattr(cdsk.driver, "disc_similarity", failing)
+    _, entropies = tune_lambda(data, config, grid=(0.1, 0.3))
+    # uniform graph, one after the first weight step, the degenerate one,
+    # then the tuner's graph of the weights _alternate kept
+    assert len(at_lam) == 4
+    kmat, kept = at_lam[1]
+    assert at_lam[3][1].tobytes() == kept.tobytes()
+    want = embedding_entropy(solve_embedding(real(kmat, kept, 0.3), config.c))
+    assert entropies[1] == want
+    monkeypatch.undo()
+    assert tune_lambda(data, config, grid=(0.1,))[1] == entropies[:1]
 
 
 def test_baseline_spectral_separates_blobs():
@@ -308,7 +357,7 @@ def _first_weight_step(data, c, lam, bandwidth):
     """The QP of a run's first iteration: uniform start, uniform-weight embedding."""
     k = gram(data, KernelSpec(bandwidth))
     alpha = np.full(data.n, 1.0 / data.n)
-    y = solve_embedding(disc_similarity(k, alpha, lam), c).y
+    y = solve_embedding(disc_similarity(k, alpha, lam), c)
     return assemble_alpha_qp(y, k, lam, k.values.sum(axis=1)), y, k, alpha
 
 

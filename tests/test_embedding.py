@@ -30,8 +30,8 @@ def _two_component_graph():
 def test_embedding_feasibility():
     rng = np.random.default_rng(1)
     g = _graph_from_points(rng.normal(size=(10, 3)))
-    emb = solve_embedding(g, 3)
-    feas = emb.y.T @ (g.degree[:, None] * emb.y)
+    y = solve_embedding(g, 3)
+    feas = y.T @ (g.degree[:, None] * y)
     assert np.max(np.abs(feas - np.eye(3))) < 1e-8
 
 
@@ -48,29 +48,29 @@ def test_embedding_c1_pair():
     # for a symmetric pair the single bottom eigenvector is the degree-scaled
     # constant vector
     g = _graph_from_points([[0.0], [1.0]])
-    emb = solve_embedding(g, 1)
-    assert emb.y.shape == (2, 1)
+    y = solve_embedding(g, 1)
+    assert y.shape == (2, 1)
     # constant embedding: both samples land at the same coordinate
-    assert abs(emb.y[0, 0] - emb.y[1, 0]) < 1e-10
-    assert emb.y[0, 0] > 0
+    assert abs(y[0, 0] - y[1, 0]) < 1e-10
+    assert y[0, 0] > 0
 
 
 def test_embedding_separates_components():
     g = _two_component_graph()
-    emb = solve_embedding(g, 2)
+    y = solve_embedding(g, 2)
     # rows are constant within each connected component
     for block in (slice(0, 6), slice(6, 12)):
-        assert np.max(np.std(emb.y[block], axis=0)) < 1e-6
+        assert np.max(np.std(y[block], axis=0)) < 1e-6
     # and the two components land at distinct points
-    assert np.linalg.norm(emb.y[0] - emb.y[6]) > 1e-3
+    assert np.linalg.norm(y[0] - y[6]) > 1e-3
 
 
 def test_embedding_trace_optimality():
     rng = np.random.default_rng(3)
     g = _graph_from_points(rng.normal(size=(9, 2)))
     c = 3
-    emb = solve_embedding(g, c)
-    best = laplacian_trace(emb.y, g)
+    y = solve_embedding(g, c)
+    best = laplacian_trace(y, g)
     d_inv_sqrt = 1.0 / np.sqrt(g.degree)
     for _ in range(25):
         # random feasible competitor: orthonormal basis pushed through D^{-1/2}
@@ -96,7 +96,7 @@ def test_embedding_uniform_alpha_matches_plain_spectral():
     k = gram(data, KernelSpec(1.0))
     n, lam, c = 11, 0.8, 2
     g = disc_similarity(k, np.full(n, 1.0 / n), lam)
-    emb = solve_embedding(g, c)
+    y = solve_embedding(g, c)
 
     deg = k.values.sum(axis=1)
     inv = 1.0 / np.sqrt(deg)
@@ -104,7 +104,7 @@ def test_embedding_uniform_alpha_matches_plain_spectral():
     _, u = smallest_eigenpairs(norm_lap, c)
     y_plain = u * inv[:, None]
 
-    q1 = np.linalg.qr(emb.y)[0]
+    q1 = np.linalg.qr(y)[0]
     q2 = np.linalg.qr(y_plain)[0]
     sv = np.linalg.svd(q1.T @ q2, compute_uv=False)
     # largest principal angle between the two column spaces
@@ -122,15 +122,15 @@ def moons_graph():
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_embedding_lanczos_matches_dense(moons_graph, c):
     g = moons_graph
-    emb = solve_embedding(g, c)
+    y = solve_embedding(g, c)
     sqrt_degree = np.sqrt(g.degree)
     # the deflated null vector D^{1/2} 1 comes back as the constant column
-    assert np.allclose(emb.y[:, 0], 1.0 / np.linalg.norm(sqrt_degree), rtol=1e-12, atol=0.0)
-    feas = emb.y.T @ (g.degree[:, None] * emb.y)
+    assert np.allclose(y[:, 0], 1.0 / np.linalg.norm(sqrt_degree), rtol=1e-12, atol=0.0)
+    feas = y.T @ (g.degree[:, None] * y)
     assert np.max(np.abs(feas - np.eye(c))) < 1e-8
     w, v = np.linalg.eigh(g.normalized_laplacian)
-    q1 = np.linalg.qr(sqrt_degree[:, None] * emb.y)[0]
+    q1 = np.linalg.qr(sqrt_degree[:, None] * y)[0]
     sv = np.linalg.svd(q1.T @ v[:, :c], compute_uv=False)
     assert np.min(sv) > 1.0 - 1e-8
     # trace of the embedding equals the sum of the c smallest eigenvalues
-    assert abs(laplacian_trace(emb.y, g) - np.sum(w[:c])) < 1e-10
+    assert abs(laplacian_trace(y, g) - np.sum(w[:c])) < 1e-10

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdsk.data_io import SampleMatrix
+from cdsk.driver import assemble_alpha_qp, qp_objective
 from cdsk.embedding import solve_embedding
 from cdsk.errors import ConfigError, DegenerateDataError, ValidationError
 from cdsk.kernel import GramMatrix, KernelSpec, gram
@@ -15,7 +16,6 @@ from cdsk.similarity import (
     general_disc_similarity,
     hypothesis_score,
 )
-from cdsk.simplex_qp import assemble_alpha_qp, qp_objective
 from cdsk.spectral import psd_split
 
 
@@ -255,7 +255,7 @@ def test_laplacian_quadratic_matches_dense_forms(lam):
     k = _gram_from_points(rng.uniform(size=(n, 2)), bandwidth=0.2)
     alpha = rng.dirichlet(np.ones(n))
     g = disc_similarity(k, alpha, lam)
-    for y in (solve_embedding(g, 3).y, rng.normal(size=(n, 3))):
+    for y in (solve_embedding(g, 3), rng.normal(size=(n, 3))):
         got = qp_objective(_weight_qp(y, k, lam), alpha) - alpha_terms(k, alpha, lam)
         direct = laplacian_trace(y, g)
         sq = np.sum(y * y, axis=1)

@@ -4,7 +4,7 @@ import pytest
 from cdsk.data_io import SampleMatrix
 from cdsk.errors import ValidationError
 from cdsk.kernel import KernelSpec, gram
-from cdsk.simplex_qp import SimplexQP, assemble_alpha_qp, qp_objective
+from cdsk.driver import SimplexQP, assemble_alpha_qp, qp_objective
 from cdsk.similarity import disc_similarity
 from test_similarity import joint_objective
 
