@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data_io import ClusteringResult, SampleMatrix
-from .embedding import solve_embedding
+from .embedding import solve_embedding, uniform_embedding
 from .errors import ConfigError, DegenerateDataError, ValidationError
 from .kernel import GramMatrix, KernelSpec, default_bandwidth, gram, pairwise_sq_dists
 from .kmeans_metrics import Partition, accuracy, kmeans, nmi
@@ -408,24 +408,25 @@ def run_baseline_spectral(
 ) -> ClusteringResult:
     """Plain normalized spectral clustering on the raw gram matrix.
 
-    Numerically identical to the uniform-weights special case: scaling the
-    similarity by a constant leaves the normalized Laplacian unchanged, so
-    lambda plays no role here (reported as the library default).  Unlike
-    run_cdsk it accepts c = 1.  bandwidth None picks the heuristic, seed
-    drives k-means, whose 10 restarts are fixed.
+    The uniform-weights special case: scaling the similarity by a constant
+    leaves the normalized Laplacian unchanged, so lambda only scales the
+    degrees, and hence Y, and is reported as the library default.  Up to
+    n = 800 (and for c >= n // 4) the uniform graph is built and embedded
+    densely; above that the embedding comes straight from K, with no n x n
+    array besides it (see uniform_embedding).  Unlike run_cdsk it accepts
+    c = 1.  bandwidth None picks the heuristic, seed drives k-means, whose
+    10 restarts are fixed.
     """
     if c < 1:
         raise ConfigError(f"cluster count must be >= 1, got {c}")
     if data.n < c:
         raise ValidationError(f"n={data.n} is smaller than c={c}")
     kmat = _gram(data, bandwidth)
-    uniform = np.full(data.n, 1.0 / data.n)
-    graph = disc_similarity(kmat, uniform, 0.1)
-    y = solve_embedding(graph, c)
+    y = uniform_embedding(kmat, c)
     part = kmeans(y, c, seed=seed)
     return ClusteringResult(
         labels=part.labels,
-        alpha=uniform,
+        alpha=np.full(data.n, 1.0 / data.n),
         objective_trace=[],
         metrics=_metrics_against(part.labels, data.labels),
         lambda_used=0.1,

@@ -51,30 +51,42 @@ def eval_kernel(x, t, spec: KernelSpec) -> float:
     return float(np.exp(-np.dot(diff, diff) / (2.0 * spec.bandwidth**2)))
 
 
-def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between rows of a and rows of b.
+def _pairwise(a: np.ndarray, b: np.ndarray, denominator: float | None) -> np.ndarray:
+    """Squared distances between rows of a and rows of b, then with a
+    denominator the kernel exp(-sq / denominator).
 
-    Built in place in the array a @ b.T returns.  Exactly symmetric for
-    b = a contiguous: numpy runs a @ a.T as a rank-k update (syrk) that
-    mirrors one triangle; strided views take another path.
+    Built in place in the array a @ b.T returns, one row block at a time:
+    every operation of the chain runs on a block while it is in cache, in the
+    same order for every entry as whole-array passes would.
     """
     aa = np.sum(a * a, axis=1)
     bb = np.sum(b * b, axis=1)
-    sq = a @ b.T
-    sq *= 2.0
-    for start in range(0, sq.shape[0], _ROW_BLOCK):
+    out = a @ b.T
+    for start in range(0, out.shape[0], _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        np.subtract(aa[rows, None] + bb[None, :], sq[rows], out=sq[rows])
-    np.maximum(sq, 0.0, out=sq)
-    return sq
+        block = out[rows]
+        block *= 2.0
+        np.subtract(aa[rows, None] + bb[None, :], block, out=block)
+        np.maximum(block, 0.0, out=block)
+        if denominator is not None:
+            np.negative(block, out=block)
+            np.divide(block, denominator, out=block)
+            np.exp(block, out=block)
+    return out
+
+
+def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between rows of a and rows of b.
+
+    Exactly symmetric for b = a contiguous: numpy runs a @ a.T as a rank-k
+    update (syrk) that mirrors one triangle; strided views take another path.
+    """
+    return _pairwise(a, b, None)
 
 
 def pairwise_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
     """Kernel matrix between rows of a and rows of b."""
-    values = pairwise_sq_dists(a, b)
-    np.negative(values, out=values)
-    np.divide(values, 2.0 * bandwidth**2, out=values)
-    return np.exp(values, out=values)
+    return _pairwise(a, b, 2.0 * bandwidth**2)
 
 
 def gram(data: SampleMatrix, spec: KernelSpec) -> GramMatrix:

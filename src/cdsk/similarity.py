@@ -39,6 +39,17 @@ def check_simplex(alpha, n: int | None = None, tol: float = _SIMPLEX_TOL) -> np.
     return alpha
 
 
+def check_degrees(degree: np.ndarray) -> np.ndarray:
+    """Raise DegenerateDataError if a graph row's degree is (near-)zero, at or
+    below _DEGREE_REL_FLOOR times the largest degree; returns degree."""
+    floor = _DEGREE_REL_FLOOR * max(float(degree.max()), 0.0)
+    if float(degree.min()) <= floor:
+        raise DegenerateDataError(
+            "a graph row has (near-)zero degree; similarity graph is disconnected"
+        )
+    return degree
+
+
 @dataclass(frozen=True)
 class DiscSimilarityGraph:
     """Weighted graph induced by the discriminative similarity.
@@ -99,12 +110,7 @@ def disc_similarity(gram: GramMatrix, alpha, lam: float) -> DiscSimilarityGraph:
     k = gram.values
     alpha = check_simplex(alpha, n=k.shape[0])
     normalized = np.empty_like(k)
-    degree = _fill_similarity(k, alpha, lam, normalized)
-    floor = _DEGREE_REL_FLOOR * max(float(degree.max()), 0.0)
-    if float(degree.min()) <= floor:
-        raise DegenerateDataError(
-            "a graph row has (near-)zero degree; similarity graph is disconnected"
-        )
+    degree = check_degrees(_fill_similarity(k, alpha, lam, normalized))
     # (diag(degree) - s) * outer(inv_sqrt, inv_sqrt), the outer product taken a
     # block of rows at a time; 0 - s, not -s, keeps the sign of zeros.  gram()
     # makes k exactly symmetric, and then s and this product are too, so no

@@ -95,27 +95,25 @@ def eigh(a: np.ndarray) -> EigenSystem:
     return EigenSystem(eigenvalues=w, eigenvectors=_fix_signs(v))
 
 
-def _shifted_lanczos(
-    a: np.ndarray, k: int, u: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The k largest eigenpairs (theta, v) of sigma I - a - sigma u u^T, as
-    (sigma - theta, v) in ARPACK's order; without u the last term is absent.
+def lanczos_applies(n: int, c: int) -> bool:
+    """Whether the c smallest eigenpairs of an n x n problem are computed by
+    Lanczos iteration (see smallest_eigenpairs) rather than densely."""
+    return n > _DENSE_LIMIT and c < n // 4
 
-    sigma is the largest absolute row sum of a, so sigma I - a is PSD by
-    Gershgorin.  a must have passed check_symmetric: each product
-    sigma x - a x is one BLAS symv call that reads only the upper triangle of
-    a's Fortran-ordered form, which is a.T for C-ordered a and a itself for
-    F-ordered a.  A strided view is copied once, to Fortran order.
+
+def _shifted_lanczos(
+    product, n: int, sigma: float, k: int, u: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenpairs (theta, v) of x -> product(x) - sigma u u^T x,
+    as (sigma - theta, v) in ARPACK's order; without u the last term is absent.
+
+    product(x) is sigma x - a x for a symmetric n x n a with sigma I - a PSD,
+    so these are the k smallest eigenpairs of a (with u deflated).  The start
+    vector is fixed, so repeated calls are bit-identical.
     """
-    n = a.shape[0]
-    # f2py would copy a C-ordered array on every symv call
-    f = a.T if a.flags.c_contiguous else np.asfortranarray(a)
-    # LAPACK's column-sum norm of f (a's row sums) reads f in place, with no
-    # n x n |a| temporary, and in the same order for every layout of a
-    sigma = float(scipy.linalg.norm(f, 1, check_finite=False))
 
     def matvec(x):
-        out = dsymv(-1.0, f, x, beta=sigma, y=x)
+        out = product(x)
         if u is not None:
             out -= (sigma * (u @ x)) * u
         return out
@@ -126,6 +124,66 @@ def _shifted_lanczos(
     return sigma - theta, v
 
 
+def _shifted_product(a: np.ndarray, w: np.ndarray | None):
+    """(product, sigma): x -> sigma x - m x as one BLAS symv call, for m = a,
+    or with w for m = I - W a W, W = diag(w); see lanczos_smallest."""
+    # f2py would copy a C-ordered array on every symv call
+    f = a.T if a.flags.c_contiguous else np.asfortranarray(a)
+    if w is None:
+        # LAPACK's column-sum norm of f (a's row sums) reads f in place, with
+        # no n x n |a| temporary, and in the same order for every layout of a
+        sigma = float(scipy.linalg.norm(f, 1, check_finite=False))
+        return (lambda x: dsymv(-1.0, f, x, beta=sigma, y=x)), sigma
+
+    def product(x):
+        out = dsymv(1.0, f, w * x)
+        out *= w
+        out += x
+        return out
+
+    return product, 2.0
+
+
+def lanczos_smallest(
+    a: np.ndarray, c: int, null_vector: np.ndarray | None, dense, w: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The c smallest eigenpairs, ascending, by Lanczos iteration of a, or
+    with w of I - W a W, W = diag(w), a matrix that is never formed.
+
+    a must have passed check_symmetric: each product is one BLAS symv call
+    that reads only the upper triangle of a's Fortran-ordered form, which is
+    a.T for C-ordered a and a itself for F-ordered a; a strided view is
+    copied once, to Fortran order.  ARPACK runs on sigma I minus the matrix.
+    Without w, sigma is the largest absolute row sum of a, so sigma I - a is
+    PSD by Gershgorin.  With w = (a 1)^{-1/2} for a >= 0, I - W a W is a
+    normalized Laplacian, whose spectrum lies in [0, 2], so sigma = 2 and no
+    row-sum pass is needed.
+
+    null_vector, if given, is a unit vector spanning an eigenvalue-0
+    eigenspace of the matrix, where 0 is its smallest eigenvalue.  It is
+    deflated from the operator, ARPACK computes only the other c - 1 pairs
+    (none when c = 1) and (0, null_vector) is added to them.  If ARPACK
+    fails, LAPACK's subset solver answers from the dense matrix dense()
+    returns.
+    """
+    n = a.shape[0]
+    if null_vector is None:
+        u, theta, v = None, np.empty(0), np.empty((n, 0))
+    else:
+        u = np.asarray(null_vector, dtype=np.float64)
+        theta, v = np.zeros(1), u[:, None]
+    if c > theta.size:
+        product, sigma = _shifted_product(a, w)
+        try:
+            rest_theta, rest_v = _shifted_lanczos(product, n, sigma, c - theta.size, u)
+        except scipy.sparse.linalg.ArpackError:
+            theta, v = _eigh(dense(), c)
+            return theta, _fix_signs(v)
+        theta, v = np.concatenate([theta, rest_theta]), np.hstack([v, rest_v])
+    order = np.argsort(theta, kind="stable")
+    return theta[order], _fix_signs(v[:, order])
+
+
 def smallest_eigenpairs(
     a: np.ndarray, c: int, null_vector: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -134,18 +192,18 @@ def smallest_eigenpairs(
     Up to n = 800 (and whenever c >= n // 4) LAPACK's subset solver (syevr,
     relatively robust representations) computes only these c pairs from the
     dense matrix, not the other n - c.  Above that, ARPACK's Lanczos
-    iteration runs on the shifted operator x -> sigma x - a x, with sigma
-    the largest absolute row sum of a, and takes its largest eigenvalues
-    theta, returning sigma - theta.  Each product is one BLAS symv call that
-    reads one triangle of a; check_symmetric, run first, is what makes that
-    valid (the graph's N passes its exact test).  C- and F-ordered a are
-    read in place and give the same bytes; a strided view of a is copied
-    once.  The shift matters because ARPACK stops when a Ritz residual falls
-    below a tolerance relative to the Ritz value itself: the bottom of a
-    Laplacian spectrum sits at zero, where that test is hardest to meet,
-    while the shifted values sit near sigma.  The start vector is fixed, so
-    repeated calls are bit-identical; if ARPACK fails the subset solver
-    answers instead.
+    iteration (lanczos_smallest) runs on the shifted operator
+    x -> sigma x - a x, with sigma the largest absolute row sum of a, and
+    takes its largest eigenvalues theta, returning sigma - theta.  Each
+    product is one BLAS symv call that reads one triangle of a;
+    check_symmetric, run first, is what makes that valid (the graph's N
+    passes its exact test).  C- and F-ordered a are read in place and give
+    the same bytes; a strided view of a is copied once.  The shift matters
+    because ARPACK stops when a Ritz residual falls below a tolerance
+    relative to the Ritz value itself: the bottom of a Laplacian spectrum
+    sits at zero, where that test is hardest to meet, while the shifted
+    values sit near sigma.  The start vector is fixed, so repeated calls are
+    bit-identical; if ARPACK fails the subset solver answers instead.
 
     null_vector, if given, is a unit vector spanning an eigenvalue-0
     eigenspace of a, where 0 is the smallest eigenvalue of a (for a
@@ -158,20 +216,8 @@ def smallest_eigenpairs(
     n = a.shape[0]
     if not 1 <= c <= n:
         raise ValidationError(f"need 1 <= c <= n, got c={c}, n={n}")
-    if n > _DENSE_LIMIT and c < n // 4:
-        if null_vector is None:
-            u, w, v = None, np.empty(0), np.empty((n, 0))
-        else:
-            u = np.asarray(null_vector, dtype=np.float64)
-            w, v = np.zeros(1), u[:, None]
-        try:
-            if c > w.size:
-                rest_w, rest_v = _shifted_lanczos(a, c - w.size, u)
-                w, v = np.concatenate([w, rest_w]), np.hstack([v, rest_v])
-            order = np.argsort(w, kind="stable")
-            return w[order], _fix_signs(v[:, order])
-        except scipy.sparse.linalg.ArpackError:
-            pass
+    if lanczos_applies(n, c):
+        return lanczos_smallest(a, c, null_vector, lambda: a)
     w, v = _eigh(a, c)
     return w, _fix_signs(v)
 

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+import cdsk.embedding
+import cdsk.spectral
 from cdsk.data_io import SampleMatrix, make_two_moons
-from cdsk.embedding import solve_embedding
-from cdsk.errors import ValidationError
+from cdsk.driver import run_baseline_spectral
+from cdsk.embedding import solve_embedding, uniform_embedding
+from cdsk.errors import DegenerateDataError, ValidationError
 from cdsk.kernel import GramMatrix, KernelSpec, gram
+from cdsk.kmeans_metrics import kmeans
 from cdsk.similarity import disc_similarity
 from cdsk.spectral import smallest_eigenpairs
 from test_similarity import laplacian_trace
@@ -134,3 +139,80 @@ def test_embedding_lanczos_matches_dense(moons_graph, c):
     assert np.min(sv) > 1.0 - 1e-8
     # trace of the embedding equals the sum of the c smallest eigenvalues
     assert abs(laplacian_trace(y, g) - np.sum(w[:c])) < 1e-10
+
+
+# --- uniform_embedding: the uniform graph's embedding straight from K -------
+
+
+def _moons_gram(graph):
+    return GramMatrix(values=graph.kernel, bandwidth=0.1)
+
+
+def _no_graph(*args):
+    raise AssertionError("the K path built a similarity graph")
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_uniform_embedding_matches_dense_graph_solve(moons_graph, monkeypatch, eigsh_calls, c):
+    g = moons_graph
+    monkeypatch.setattr(cdsk.embedding, "disc_similarity", _no_graph)
+    y = uniform_embedding(_moons_gram(g), c)
+    # one Lanczos solve, for the c - 1 pairs beside the deflated null vector
+    assert eigsh_calls == [c - 1]
+    assert np.allclose(y[:, 0], y[0, 0], rtol=1e-12, atol=0.0)
+    feas = y.T @ (g.degree[:, None] * y)
+    assert np.max(np.abs(feas - np.eye(c))) < 1e-8
+    _, v = np.linalg.eigh(g.normalized_laplacian)
+    q = np.linalg.qr(np.sqrt(g.degree)[:, None] * y)[0]
+    assert np.min(np.linalg.svd(q.T @ v[:, :c], compute_uv=False)) > 1.0 - 1e-8
+
+
+def test_uniform_embedding_c1_is_the_null_vector_without_arpack(moons_graph, eigsh_calls):
+    g = moons_graph
+    y = uniform_embedding(_moons_gram(g), 1)
+    assert eigsh_calls == []
+    assert y.shape == (900, 1)
+    assert np.allclose(y[:, 0], 1.0 / np.linalg.norm(np.sqrt(g.degree)), rtol=1e-12, atol=0.0)
+
+
+def test_uniform_embedding_arpack_failure_falls_back_to_dense(moons_graph, monkeypatch):
+    g = moons_graph
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        raise scipy.sparse.linalg.ArpackError(-9999)
+
+    monkeypatch.setattr(cdsk.spectral, "_shifted_lanczos", failing)
+    y = uniform_embedding(_moons_gram(g), 3)
+    assert len(calls) == 1
+    # the dense subset solve on the same N; only the degrees' rounding differs
+    y_dense = solve_embedding(g, 3)
+    assert len(calls) == 2
+    assert np.max(np.abs(y - y_dense)) <= 1e-12 * np.max(np.abs(y_dense))
+
+
+def test_uniform_embedding_isolated_point_is_degenerate(moons_graph):
+    k = moons_graph.kernel.copy()
+    k[7, :] = 0.0
+    k[:, 7] = 0.0
+    with pytest.raises(DegenerateDataError):
+        uniform_embedding(GramMatrix(values=k, bandwidth=0.1), 2)
+
+
+def test_uniform_embedding_repeat_bit_identical(moons_graph):
+    kmat = _moons_gram(moons_graph)
+    y1 = uniform_embedding(kmat, 3)
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(60, 60))
+    scipy.sparse.linalg.eigsh(a + a.T, k=4, which="LM", v0=rng.normal(size=60))
+    y2 = uniform_embedding(kmat, 3)
+    assert y1.tobytes() == y2.tobytes()
+
+
+def test_baseline_spectral_labels_match_the_graph_path():
+    data = make_two_moons(900, 0.05, seed=0)
+    got = run_baseline_spectral(data, 2, seed=3, bandwidth=0.1)
+    kmat = gram(data, KernelSpec(0.1))
+    y = solve_embedding(disc_similarity(kmat, np.full(data.n, 1.0 / data.n), 0.1), 2)
+    assert np.array_equal(got.labels, kmeans(y, 2, seed=3).labels)

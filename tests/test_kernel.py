@@ -70,8 +70,8 @@ def _reference_gram(points, bandwidth):
 
 
 def test_gram_bit_identical_to_allocating_chain():
-    # n spans one and more than two 256-row blocks of the in-place build
-    for n in (301, 513):
+    # n spans two, three and four 256-row blocks of the in-place build
+    for n in (301, 513, 1000):
         for d in (2, 34):
             x = rng.normal(size=(n, 2 * d))
             for points in (x[:, ::2].copy(), x[:, ::2]):

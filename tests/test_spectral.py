@@ -184,20 +184,6 @@ def moons_laplacian():
     return graph.normalized_laplacian, null_vector, w, v
 
 
-@pytest.fixture
-def eigsh_calls(monkeypatch):
-    """Count the ARPACK calls smallest_eigenpairs makes."""
-    calls = []
-    real = scipy.sparse.linalg.eigsh
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("k"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
-    return calls
-
-
 @pytest.mark.parametrize("with_null", [False, True])
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_smallest_eigenpairs_lanczos_matches_dense(moons_laplacian, eigsh_calls, c, with_null):
