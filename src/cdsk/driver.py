@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .data_io import ClusteringResult, SampleMatrix
 from .embedding import solve_embedding, uniform_embedding
@@ -19,18 +20,27 @@ _VALIDATION_FRACTION = 0.1
 
 _FEAS_TOL = 1e-11
 _BOUND_EPS = 1e-14
+# Cholesky pivots spanning more than 1/this mark a Gram singular for normal equations
+_PIVOT_TOL = 1e-4
 # the alternation stops once the recorded objective moves by at most this, relative
 _STOP_TOL = 1e-8
 
 
-def _degrees(ka: np.ndarray, row_sums: np.ndarray, alpha: np.ndarray, lam: float) -> np.ndarray:
-    """Row sums of the discriminative similarity matrix, in closed form.
+def _gram_solve(
+    gram: np.ndarray, rhs: np.ndarray, lsq_a: np.ndarray, lsq_b: np.ndarray
+) -> np.ndarray:
+    """gram^-1 rhs by LAPACK Cholesky, or lstsq(lsq_a, lsq_b) if gram is (numerically) singular."""
+    chol, x, info = dposv(gram, rhs)
+    pivots = chol.diagonal().tolist()  # a few entries: Python's min and max are cheaper
+    if info == 0 and min(pivots) > _PIVOT_TOL * max(pivots):
+        return x
+    return np.linalg.lstsq(lsq_a, lsq_b, rcond=None)[0]
 
-    Equals disc_similarity(...).degree without materializing the n x n graph:
-    D_ii = 2 (alpha_i r_i + (K alpha)_i - lam alpha_i (K alpha)_i), with
-    ka = K alpha and row_sums r = K 1.
-    """
-    return 2.0 * (alpha * row_sums + ka - lam * alpha * ka)
+
+def _project(grad: np.ndarray, jac: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """grad minus its least-squares fit by the Jacobian rows on the columns `keep`."""
+    jk = jac * keep
+    return grad - _gram_solve(jk @ jac.T, jk @ grad, jk.T, grad) @ jac
 
 
 @dataclass(frozen=True)
@@ -110,14 +120,17 @@ def solve_alpha_coupled(
     The step is Rosen's gradient projection on the active face.  Each
     iteration keeps the coordinates with mass plus the zero ones whose
     reduced gradient asks for mass, projects -grad q onto the null space of
-    the constraint Jacobian restricted to them (an m-column least-squares
-    solve, m = 1 + c(c+1)/2), and minimizes q exactly along that direction
-    with the exact Hessian 2A, capped by a ratio test on the bounds.  Newton
-    restoration pulls the point back onto the constraint manifold, and it is
-    accepted only if q strictly drops; otherwise the step is halved.  The
-    restoration of a step is a chord method: it reuses the iteration's
-    Jacobian instead of building one per Newton step (the start point gets
-    full Newton steps).
+    the constraint Jacobian J restricted to them, and minimizes q exactly
+    along that direction with the exact Hessian 2A, capped by a ratio test
+    on the bounds.  Newton restoration pulls the point back onto the
+    constraint manifold, and it is accepted only if q strictly drops;
+    otherwise the step is halved.  The restoration of a step is a chord
+    method: it reuses the iteration's Jacobian instead of building one per
+    Newton step (the start point gets full Newton steps).  The projection and
+    each Newton step solve the normal equations on the m x m Gram J_S J_S^T
+    (m = 1 + c(c+1)/2, S the kept columns, masked, not copied) by a LAPACK
+    Cholesky solve, falling back to numpy's least squares when the Gram is
+    numerically singular (its pivots span more than 1e4).
 
     Every iteration costs O(m n^2) with no n x n factorization.  Each point
     gets K a and A a once: K a serves its residual, its degrees and the next
@@ -137,11 +150,12 @@ def solve_alpha_coupled(
     c = y.shape[1]
 
     pairs = [(p, q) for p in range(c) for q in range(p, c)]
-    w_rows = np.array([y[:, p] * y[:, q] for p, q in pairs])
-    targets = np.array([1.0 if p == q else 0.0 for p, q in pairs])
-    # the part of the normalization rows' Jacobian that does not depend on a:
-    # 2 (w r + K w), one row per constraint (K w as w^T K, K symmetric)
-    jac_fixed = 2.0 * (w_rows * d1 + w_rows @ kvals)
+    w_deg = 2.0 * np.array([y[:, p] * y[:, q] for p, q in pairs])
+    w_lam = -lam * w_deg
+    # the simplex sum, then the normalization rows, each against its target
+    targets = np.array([1.0] + [1.0 if p == q else 0.0 for p, q in pairs])
+    # the a-free part of the normalization rows' Jacobian: 2 (w d1 + K w), K w as w^T K
+    jac_fixed = w_deg * d1 + w_deg @ kvals
 
     def evaluate(a: np.ndarray) -> tuple[float, np.ndarray]:
         """q(a) and A a."""
@@ -149,55 +163,38 @@ def solve_alpha_coupled(
         return float(a @ aa + qp.b @ a), aa
 
     def residual(a: np.ndarray, ka: np.ndarray) -> np.ndarray:
-        out = np.empty(1 + len(pairs))
-        out[0] = a.sum() - 1.0
-        out[1:] = w_rows @ _degrees(ka, d1, a, lam) - targets
-        return out
+        """Constraint values minus targets, with the degrees of the graph in
+        closed form: D = 2 (a d1 + K a - lam a K a), ka = K a, d1 = K 1."""
+        out = np.empty(targets.size)
+        out[0] = a.sum()
+        np.matmul(w_deg, (d1 - lam * ka) * a + ka, out=out[1:])
+        return out - targets
 
     def jacobian(a: np.ndarray, ka: np.ndarray) -> np.ndarray:
-        jac = np.empty((1 + len(pairs), n))
+        jac = np.empty((targets.size, n))
         jac[0] = 1.0
-        jac[1:] = jac_fixed - 2.0 * lam * (w_rows * ka + (w_rows * a) @ kvals)
+        np.matmul(w_lam * a, kvals, out=jac[1:])
+        jac[1:] += w_lam * ka + jac_fixed
         return jac
 
-    def restore(
-        a: np.ndarray, chord: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """(point, K point) on the constraints near a, or None.
-
-        Newton steps with the Jacobian at each point, or with `chord` at
-        every step when it is given.
-        """
-        # Newton steps move only the weights with mass: a weight driven to
-        # zero stays there, so it neither spoils the convergence of the next
-        # round nor jams the next ratio test
+    def restore(a: np.ndarray, chord: np.ndarray | None = None) -> tuple | None:
+        """(point, K point) on the constraints near a, or None, by Newton steps
+        with the Jacobian at each point, or with `chord` when it is given."""
+        # Newton steps move only the weights with mass: one driven to zero stays
+        # there, so it neither spoils the next round's convergence nor jams the ratio test
         cand = np.where(a > _BOUND_EPS, a, 0.0)
         for _ in range(6):
             ka = kvals @ cand
             r = residual(cand, ka)
             if np.abs(r).max() <= _FEAS_TOL:
                 return cand, ka
-            support = cand > 0.0
-            jac = (jacobian(cand, ka) if chord is None else chord)[:, support]
-            gram_j = jac @ jac.T
-            try:
-                mult = np.linalg.solve(gram_j, r)
-            except np.linalg.LinAlgError:
-                mult, *_ = np.linalg.lstsq(gram_j, r, rcond=None)
-            cand[support] = np.clip(cand[support] - jac.T @ mult, 0.0, None)
+            jac = jacobian(cand, ka) if chord is None else chord
+            jk = jac * (cand > 0.0)
+            gram_j = jk @ jac.T
+            cand -= _gram_solve(gram_j, r, gram_j, r) @ jk
+            np.maximum(cand, 0.0, out=cand)
         ka = kvals @ cand
         return (cand, ka) if np.abs(residual(cand, ka)).max() <= _FEAS_TOL else None
-
-    def reduced_gradient(grad: np.ndarray, jac: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """grad minus its least-squares fit by the Jacobian rows on `keep`."""
-        mult, *_ = np.linalg.lstsq(jac[:, keep].T, grad[keep], rcond=None)
-        return grad - jac.T @ mult
-
-    def stationarity(grad: np.ndarray, zeta: np.ndarray, free: np.ndarray) -> float:
-        # free coordinates must be stationary; zero ones must not want mass
-        worst = np.abs(np.where(free, zeta, 0.0)).max()
-        pull = max(0.0, float(-(np.where(~free, zeta, 0.0)).min())) if (~free).any() else 0.0
-        return float(max(worst, pull) / (1.0 + np.abs(grad).max()))
 
     restored = restore(alpha)
     if restored is None:
@@ -208,26 +205,29 @@ def solve_alpha_coupled(
     iterations = 0
     # with as many normalization equalities as weights the feasible set is
     # (generically) isolated points, so the start is already the answer
-    limit = 0 if len(pairs) + 1 >= n else max_inner
+    limit = 0 if targets.size >= n else max_inner
 
     while True:
         grad = 2.0 * a_alpha + qp.b
         jac = jacobian(alpha, ka)
         free = alpha > _BOUND_EPS
-        zeta = reduced_gradient(grad, jac, free)
-        residual_norm = stationarity(grad, zeta, free)
+        zeta = _project(grad, jac, free)
+        # KKT residual: free weights must be stationary, zero ones must not want mass
+        pull = -float(np.minimum.reduce(zeta, where=~free, initial=0.0))
+        worst = max(float(np.maximum.reduce(np.abs(zeta), where=free, initial=0.0)), pull)
+        residual_norm = worst / (1.0 + float(np.abs(grad).max()))
         if residual_norm <= tol or iterations >= limit:
             break
         iterations += 1
-        work = free | (zeta < 0.0)
-        # with no zero weight asking for mass the projection is the one just made
-        step = zeta if np.array_equal(work, free) else reduced_gradient(grad, jac, work)
-        direction = np.where(work, -step, 0.0)
+        work = free | (zeta < 0.0)  # zero weights that ask for mass join the face
+        if pull > 0.0:
+            zeta = _project(grad, jac, work)
+        direction = np.where(work, -zeta, 0.0)
         slope = float(grad @ direction)
         if not slope < 0.0:
             break
         shrink = free & (direction < 0.0)
-        t_bound = float(np.min(alpha[shrink] / -direction[shrink])) if shrink.any() else np.inf
+        t_bound = float(np.min(alpha[shrink] / -direction[shrink], initial=np.inf))
         curvature = float(direction @ (qp.a @ direction))
         t = min(-slope / (2.0 * curvature), t_bound) if curvature > 0.0 else t_bound
         if not np.isfinite(t):

@@ -433,13 +433,70 @@ def test_solve_alpha_coupled_respects_max_inner():
         assert sol.objective <= qp_objective(qp, alpha)
 
 
+def _jacobian_and_gradient(qp, y, k, lam, alpha):
+    """The weight step's constraint Jacobian (the simplex row, then one row per
+    entry of Y^T D(alpha) Y on or above the diagonal) and grad q, by definition."""
+    kv = k.values
+    c = y.shape[1]
+    w = np.array([y[:, p] * y[:, q] for p in range(c) for q in range(p, c)])
+    ka = kv @ alpha
+    rows = 2.0 * (w * kv.sum(axis=1) + w @ kv) - 2.0 * lam * (w * ka + (w * alpha) @ kv)
+    return np.vstack([np.ones(alpha.size), rows]), 2.0 * (qp.a @ alpha) + qp.b
+
+
+def _lstsq_projection(grad, jac, keep):
+    return grad - jac.T @ np.linalg.lstsq(jac[:, keep].T, grad[keep], rcond=None)[0]
+
+
+def test_projection_matches_least_squares(monkeypatch):
+    # the Cholesky projection against numpy's least squares on the kept
+    # columns, at the weights a step returns: on the free set, on the free
+    # set plus zero weights, and on fewer columns than constraints, where the
+    # Gram is singular and the projection must fall back to least squares
+    real, calls = np.linalg.lstsq, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    moons = _first_weight_step(make_two_moons(400, 0.05, seed=1), 2, 0.1, 0.1)
+    for qp, y, k, alpha in (_three_blobs_step(), moons):
+        at = solve_alpha_coupled(y, k, 0.1, start=alpha).alpha
+        jac, grad = _jacobian_and_gradient(qp, y, k, 0.1, at)
+        free = at > 1e-14
+        more = free.copy()
+        more[np.flatnonzero(~free)[:5]] = True
+        few = np.zeros(at.size, dtype=bool)
+        few[np.flatnonzero(free)[: jac.shape[0] - 1]] = True
+        assert more.sum() == free.sum() + 5
+        for keep, singular in ((free, False), (more, False), (few, True)):
+            want = _lstsq_projection(grad, jac, keep)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "lstsq", counting)
+                got = cdsk.driver._project(grad, jac, keep)
+            assert bool(calls) == singular
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(grad).max()
+
+
 def test_solve_alpha_coupled_converged_means_kkt_within_tolerance():
+    # qp_converged, and exit code 2 with it, rest on kkt_residual: it must be
+    # what a least-squares projection measures at the returned weights, to
+    # 1e-8 relative above a rounding floor of 1e-11 (a millionth of the 1e-5
+    # threshold) that only residuals far below the tolerance reach
     seen = set()
-    for i in (2, 4, 6, 7, 9):
+    for i in range(10):
         data, c, lam, bw = _descent_dataset(i)
         qp, y, k, alpha = _first_weight_step(data, c, lam, bw or default_bandwidth(data))
         for tol in (1e-6, 1e-3):
             sol = solve_alpha_coupled(y, k, lam, start=alpha, tol=tol)
+            jac, grad = _jacobian_and_gradient(qp, y, k, lam, sol.alpha)
+            free = sol.alpha > 1e-14
+            zeta = _lstsq_projection(grad, jac, free)
+            pull = max(0.0, -zeta[~free].min(initial=0.0))
+            want = max(np.abs(zeta[free]).max(), pull) / (1.0 + np.abs(grad).max())
+            assert abs(sol.kkt_residual - want) <= 1e-8 * want + 1e-11, (i, tol)
             assert sol.converged == (sol.kkt_residual <= max(tol, 1e-5)), (i, tol)
+            assert sol.converged == (want <= max(tol, 1e-5)), (i, tol)
             seen.add(sol.converged)
     assert seen == {True, False}
