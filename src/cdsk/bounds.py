@@ -8,7 +8,7 @@ import numpy as np
 
 from .data_io import SampleMatrix
 from .errors import ValidationError
-from .kernel import KernelSpec, gram
+from .kernel import KernelSpec
 from .similarity import check_simplex, class_scores
 from .spectral import PsdSplit, check_symmetric, eigh
 
@@ -49,44 +49,18 @@ def phi(x: float) -> float:
     return float(min(1.0, max(0.0, 1.0 - x)))
 
 
-def _score_table(train: SampleMatrix, alpha, spec: KernelSpec) -> np.ndarray:
-    """scores[i, y-1] = sum_{j: y_j = y} alpha_j k(x_i, x_j) for all samples."""
-    if train.labels is None:
-        raise ValidationError("training data carries no labels")
-    alpha = check_simplex(alpha, n=train.n)
-    k = gram(train, spec).values
-    c = int(train.labels.max())
-    table = np.empty((train.n, c))
-    for label in range(1, c + 1):
-        mask = train.labels == label
-        table[:, label - 1] = k[:, mask] @ alpha[mask]
-    return table
-
-
-def margin(x, y: int, train: SampleMatrix, alpha, spec: KernelSpec) -> float:
-    """Own-class score minus the best competing class score."""
-    scores = class_scores(x, train, alpha, spec)
-    if scores.shape[0] < 2:
-        raise ValidationError("margins need at least 2 classes")
-    if not 1 <= y <= scores.shape[0]:
-        raise ValidationError(f"class {y} outside {{1..{scores.shape[0]}}}")
-    own = scores[y - 1]
-    rest = np.delete(scores, y - 1)
-    return float(own - rest.max())
-
-
 def empirical_loss(train: SampleMatrix, alpha, spec: KernelSpec, gamma: float) -> float:
     """Mean ramp loss of the margins scaled by gamma over the training sample."""
     if not gamma > 0:
         raise ValidationError("gamma must be > 0")
-    table = _score_table(train, alpha, spec)
+    table = class_scores(train.data, train, alpha, spec)
     if table.shape[1] < 2:
         raise ValidationError("margins need at least 2 classes")
-    n = train.n
-    own = table[np.arange(n), train.labels - 1]
-    masked = table.copy()
-    masked[np.arange(n), train.labels - 1] = -np.inf
-    margins = own - masked.max(axis=1)
+    # margin: own-class score minus the best competing class score
+    own = (np.arange(train.n), train.labels - 1)
+    margins = table[own]
+    table[own] = -np.inf
+    margins -= table.max(axis=1)
     return float(np.mean(np.clip(1.0 - margins / gamma, 0.0, 1.0)))
 
 

@@ -87,7 +87,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--clusters", type=_int_at_least(2), required=True)
     p.add_argument("--bandwidth", type=float, default=None)
     p.add_argument("--max-iter", type=_int_at_least(1), default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
 
 def _load(args):
@@ -317,7 +317,7 @@ def build_parser() -> _Parser:
     _add_input_flags(p, "column holding ground-truth labels, for metrics")
     p.add_argument("--clusters", type=_int_at_least(1), required=True)
     p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_baseline)
 
@@ -362,7 +362,7 @@ def build_parser() -> _Parser:
     moons.add_argument("--noise", type=float, default=0.05)
     for q in (blobs, moons):
         q.add_argument("--out", required=True)
-        q.add_argument("--seed", type=int, default=0)
+        q.add_argument("--seed", type=_int_at_least(0), default=0)
 
     return parser
 

@@ -13,7 +13,6 @@ from .errors import ConfigError, DegenerateDataError, ValidationError
 from .kernel import GramMatrix, KernelSpec, default_bandwidth, gram, pairwise_sq_dists
 from .kmeans_metrics import Partition, accuracy, kmeans, nmi
 from .similarity import check_simplex, disc_similarity
-from .spectral import check_symmetric
 
 DEFAULT_LAMBDA_GRID = tuple(round(0.05 * k, 2) for k in range(1, 11))
 _VALIDATION_FRACTION = 0.1
@@ -43,29 +42,6 @@ def _project(grad: np.ndarray, jac: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return grad - _gram_solve(jk @ jac.T, jk @ grad, jk.T, grad) @ jac
 
 
-@dataclass(frozen=True)
-class SimplexQP:
-    """q(alpha) = alpha^T a alpha + b^T alpha, alpha on the simplex."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = check_symmetric(self.a)
-        b = np.asarray(self.b, dtype=np.float64)
-        if b.shape != (a.shape[0],):
-            raise ValidationError("linear term does not match the quadratic term")
-        if not np.all(np.isfinite(b)):
-            raise ValidationError("QP coefficients must be finite")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-
-def qp_objective(qp: SimplexQP, alpha: np.ndarray) -> float:
-    alpha = np.asarray(alpha, dtype=np.float64)
-    return float(alpha @ qp.a @ alpha + qp.b @ alpha)
-
-
 @dataclass
 class QpSolution:
     alpha: np.ndarray
@@ -76,14 +52,16 @@ class QpSolution:
     objective_trace: list[float]
 
 
-def assemble_alpha_qp(y: np.ndarray, gram: GramMatrix, lam: float, row_sums: np.ndarray) -> SimplexQP:
+def assemble_alpha_qp(
+    y: np.ndarray, gram: GramMatrix, lam: float, row_sums: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The weight step's QP at a fixed embedding Y, with row_sums = K 1.
 
     q(alpha) = tr(Y^T L(alpha) Y) - alpha^T K 1 + lam alpha^T K alpha is the
     one definition of the joint objective, which the weight step minimizes
     and the alternation records.  As alpha^T A alpha + b^T alpha it has
     A = lam (K - M), b = 2 M 1 - K 1 and M_ij = K_ij ||Y_i - Y_j||^2; A is
-    indefinite in general.
+    indefinite in general.  Returns (A, b).
     """
     k = gram.values
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -95,7 +73,7 @@ def assemble_alpha_qp(y: np.ndarray, gram: GramMatrix, lam: float, row_sums: np.
     b = 2.0 * m.sum(axis=1) - row_sums
     a = np.subtract(k, m, out=m)
     a *= lam
-    return SimplexQP(a=a, b=b)
+    return a, b
 
 
 def solve_alpha_coupled(
@@ -143,7 +121,7 @@ def solve_alpha_coupled(
     """
     kvals = kernel.values
     d1 = kvals.sum(axis=1)
-    qp = assemble_alpha_qp(y, kernel, lam, d1)
+    quad, lin = assemble_alpha_qp(y, kernel, lam, d1)
     n = start.size
     alpha = check_simplex(start, n=n)
     y = np.asarray(y, dtype=np.float64)
@@ -159,8 +137,8 @@ def solve_alpha_coupled(
 
     def evaluate(a: np.ndarray) -> tuple[float, np.ndarray]:
         """q(a) and A a."""
-        aa = qp.a @ a
-        return float(a @ aa + qp.b @ a), aa
+        aa = quad @ a
+        return float(a @ aa + lin @ a), aa
 
     def residual(a: np.ndarray, ka: np.ndarray) -> np.ndarray:
         """Constraint values minus targets, with the degrees of the graph in
@@ -208,7 +186,7 @@ def solve_alpha_coupled(
     limit = 0 if targets.size >= n else max_inner
 
     while True:
-        grad = 2.0 * a_alpha + qp.b
+        grad = 2.0 * a_alpha + lin
         jac = jacobian(alpha, ka)
         free = alpha > _BOUND_EPS
         zeta = _project(grad, jac, free)
@@ -228,7 +206,7 @@ def solve_alpha_coupled(
             break
         shrink = free & (direction < 0.0)
         t_bound = float(np.min(alpha[shrink] / -direction[shrink], initial=np.inf))
-        curvature = float(direction @ (qp.a @ direction))
+        curvature = float(direction @ (quad @ direction))
         t = min(-slope / (2.0 * curvature), t_bound) if curvature > 0.0 else t_bound
         if not np.isfinite(t):
             break

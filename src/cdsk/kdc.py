@@ -2,9 +2,11 @@
 
 For a binary-labeled sample with simplex weights alpha and Gaussian kernel
 bandwidth h, the class densities are p_hat(x, y) = tau0 sum_{i: y_i = y}
-alpha_i K_h(x - x_i) with tau0 = (2 pi)^{-d/2} h^{-d}; products of two such
-kernels integrate against the wider kernel at bandwidth sqrt(2) h, whose
-normalizer is tau1 = (2 pi)^{-d/2} (sqrt(2) h)^{-d}.
+alpha_i K_h(x - x_i) with tau0 = (2 pi)^{-d/2} h^{-d}: tau0 times the
+kernel classifier's table similarity.class_scores, so the density rule is
+that classifier's argmax.  Products of two such kernels integrate against the
+wider kernel at bandwidth sqrt(2) h, whose normalizer is
+tau1 = (2 pi)^{-d/2} (sqrt(2) h)^{-d}.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import ValidationError
 from .kernel import KernelSpec, pairwise_kernel
@@ -69,31 +70,6 @@ class KdeModel:
     @property
     def tau1(self) -> float:
         return float((2.0 * np.pi) ** (-self.d / 2.0) * (np.sqrt(2.0) * self.h) ** (-self.d))
-
-
-def _kernel_row(model: KdeModel, x) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape != (1, model.d):
-        raise ValidationError(f"query point must have {model.d} features")
-    return pairwise_kernel(x, model.points, model.h)[0]
-
-
-def kde(x, model: KdeModel) -> float:
-    """Weighted kernel density estimate at x (all points, both classes)."""
-    return model.tau0 * float(np.sum(model.alpha * _kernel_row(model, x)))
-
-
-def class_kde(x, y: int, model: KdeModel) -> float:
-    """Class-restricted weighted density estimate at x."""
-    if y not in (1, 2):
-        raise ValidationError(f"class must be 1 or 2, got {y}")
-    mask = model.labels == y
-    return model.tau0 * float(np.sum(model.alpha[mask] * _kernel_row(model, x)[mask]))
-
-
-def decide(x, model: KdeModel) -> int:
-    """Density rule: class 1 iff p_hat(x, 1) - p_hat(x, 2) >= 0."""
-    return 1 if class_kde(x, 1, model) - class_kde(x, 2, model) >= 0.0 else 2
 
 
 def empirical_ise_terms(model: KdeModel, lambda1: float) -> tuple[float, float, np.ndarray]:
@@ -159,6 +135,6 @@ def gaussian_convolution_check(a: float, b: float, h: float) -> tuple[float, flo
     values = np.exp(-((grid - a) ** 2) / (2.0 * h * h)) * np.exp(
         -((grid - b) ** 2) / (2.0 * h * h)
     )
-    numeric = float(trapezoid(values, grid))
+    numeric = float(np.sum(np.diff(grid) * (values[1:] + values[:-1]) / 2.0))
     closed = float(np.sqrt(np.pi) * h * np.exp(-((a - b) ** 2) / (4.0 * h * h)))
     return numeric, closed

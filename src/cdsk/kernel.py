@@ -12,8 +12,8 @@ from .errors import DegenerateDataError, ValidationError
 
 # Relative spread below this treats the pairwise-distance multiset as constant.
 _DEGENERATE_REL_STD = 1e-12
-# Rows per block of the in-place n x n builds here and in similarity, which
-# bounds their temporaries to _ROW_BLOCK x n.
+# Rows per block of the in-place n x n builds here and in similarity, and of
+# the query blocks of similarity.class_scores: their temporaries are _ROW_BLOCK x n.
 _ROW_BLOCK = 128
 
 

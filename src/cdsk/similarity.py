@@ -13,8 +13,7 @@ import numpy as np
 
 from .data_io import SampleMatrix
 from .errors import ConfigError, DegenerateDataError, ValidationError
-from .kernel import _ROW_BLOCK, GramMatrix, KernelSpec, pairwise_kernel
-from .spectral import PsdSplit
+from .kernel import _ROW_BLOCK, GramMatrix, KernelSpec
 
 _SIMPLEX_TOL = 1e-10
 # A graph row whose degree falls below this fraction of the largest degree is
@@ -125,55 +124,38 @@ def disc_similarity(gram: GramMatrix, alpha, lam: float) -> DiscSimilarityGraph:
     return DiscSimilarityGraph(k, alpha, lam, degree, normalized)
 
 
-def general_disc_similarity(s_raw: np.ndarray, split: PsdSplit, alpha, lam: float) -> np.ndarray:
-    """Discriminative similarity for a possibly indefinite base similarity.
+def class_scores(queries, train: SampleMatrix, alpha, spec: KernelSpec) -> np.ndarray:
+    """The paper's kernel classifier as a (q, c) table of class scores.
 
-    Entry-wise 2 (alpha_i + alpha_j) s_ij - 2 lam alpha_i alpha_j s_plus_ij
-    - 2 lam alpha_i alpha_j s_minus_ij, where s_plus - s_minus must
-    reconstruct s_raw.
+    scores[r, y - 1] = sum_{i: y_i = y} alpha_i k(x_r, x_i) for y = 1..max
+    label; the classifier picks argmax_y, ties to the smaller class id.  A 1-D
+    query is one point.  Built _ROW_BLOCK query rows at a time, so no q x n
+    array outlives a block.  Distances are sums of squared differences and a
+    class's votes a row sum, with no BLAS product, whose summation order
+    depends on the shape: each row is bit-identical to scoring its point alone.
     """
-    lam = float(lam)
-    if not np.isfinite(lam) or lam < 0:
-        raise ConfigError(f"lambda must be >= 0, got {lam}")
-    s_raw = np.asarray(s_raw, dtype=np.float64)
-    gap = float(np.linalg.norm(s_raw - (split.s_plus - split.s_minus)))
-    if gap > 1e-8 * max(1.0, float(np.linalg.norm(s_raw))):
-        raise ValidationError(f"split does not reconstruct the similarity (gap {gap:.2e})")
-    alpha = check_simplex(alpha, n=s_raw.shape[0])
-    pair_sum = alpha[:, None] + alpha[None, :]
-    pair_prod = np.outer(alpha, alpha)
-    return 2.0 * pair_sum * s_raw - 2.0 * lam * pair_prod * split.s_plus \
-        - 2.0 * lam * pair_prod * split.s_minus
-
-
-def class_scores(x, train: SampleMatrix, alpha, spec: KernelSpec) -> np.ndarray:
-    """Weighted kernel votes of one query point, one score per class."""
     if train.labels is None:
         raise ValidationError("training data carries no labels")
     alpha = check_simplex(alpha, n=train.n)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] != 1:
-        raise ValidationError(f"expected one query point, got {x.shape[0]} rows")
-    if x.shape[1] != train.d:
-        raise ValidationError(f"point has {x.shape[1]} features, expected {train.d}")
-    krow = pairwise_kernel(x, train.data, spec.bandwidth)[0]
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    if queries.ndim != 2 or queries.shape[1] != train.d:
+        raise ValidationError(f"queries have shape {queries.shape}, expected (q, {train.d})")
+    order = np.argsort(train.labels, kind="stable")
+    points, weights = train.data[order], alpha[order]
     c = int(train.labels.max())
-    scores = np.zeros(c)
-    for label in range(1, c + 1):
-        mask = train.labels == label
-        scores[label - 1] = float(np.sum(alpha[mask] * krow[mask]))
+    # class y holds the sorted columns cuts[y - 1]:cuts[y]
+    cuts = np.searchsorted(train.labels[order], np.arange(1, c + 2))
+    scores = np.empty((queries.shape[0], c))
+    for start in range(0, queries.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        block = queries[rows]
+        votes = np.zeros((block.shape[0], train.n))
+        for j in range(train.d):
+            votes += np.square(block[:, j, None] - points[:, j])
+        np.negative(votes, out=votes)
+        votes /= 2.0 * spec.bandwidth**2
+        np.exp(votes, out=votes)
+        votes *= weights
+        for y in range(c):
+            scores[rows, y] = votes[:, cuts[y] : cuts[y + 1]].sum(axis=1)
     return scores
-
-
-def hypothesis_score(x, y: int, train: SampleMatrix, alpha, spec: KernelSpec) -> float:
-    """Weighted kernel vote for class y: sum_{i: y_i = y} alpha_i k(x, x_i)."""
-    scores = class_scores(x, train, alpha, spec)
-    if not 1 <= y <= scores.shape[0]:
-        raise ValidationError(f"class {y} outside {{1..{scores.shape[0]}}}")
-    return float(scores[y - 1])
-
-
-def classify(x, train: SampleMatrix, alpha, spec: KernelSpec) -> int:
-    """Highest-scoring class; ties resolve to the smallest class id."""
-    scores = class_scores(x, train, alpha, spec)
-    return int(np.argmax(scores)) + 1

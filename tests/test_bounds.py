@@ -9,14 +9,14 @@ from cdsk.bounds import (
     empirical_loss_upper_bound,
     generalization_bound,
     lemma_b1_check,
-    margin,
     omega_terms,
     phi,
     rademacher_bound,
 )
 from cdsk.data_io import SampleMatrix
 from cdsk.errors import ValidationError
-from cdsk.kernel import KernelSpec, gram
+from cdsk.kernel import KernelSpec, eval_kernel, gram
+from cdsk.similarity import class_scores
 from cdsk.spectral import PsdSplit, psd_split
 
 
@@ -40,6 +40,20 @@ def test_phi_piecewise():
     assert phi(1.0) == 0.0
 
 
+def margin(x, y, train, alpha, spec):
+    """Reference: own-class score minus the best competing class score at one point."""
+    scores = class_scores(x, train, alpha, spec)[0]
+    return float(scores[y - 1] - np.delete(scores, y - 1).max())
+
+
+def _kernel_margin(x, y, train, alpha, spec):
+    """The same margin with every class score summed from eval_kernel."""
+    scores = np.zeros(int(train.labels.max()))
+    for point, label, weight in zip(train.data, train.labels, alpha):
+        scores[label - 1] += weight * eval_kernel(x, point, spec)
+    return float(scores[y - 1] - np.delete(scores, y - 1).max())
+
+
 def test_margin_hand_scores():
     # training points placed so the query sees kernel values (0.8, 0.2);
     # with alpha = (1/2, 1/2) the class scores are (0.4, 0.1)
@@ -58,8 +72,8 @@ def test_margin_tie_is_zero():
 
 def test_margin_single_class_rejected():
     train = SampleMatrix(np.array([[0.0], [1.0]]), labels=np.array([1, 1]))
-    with pytest.raises(ValidationError):
-        margin([0.5], 1, train, [0.5, 0.5], KernelSpec(1.0))
+    with pytest.raises(ValidationError, match="2 classes"):
+        empirical_loss(train, [0.5, 0.5], KernelSpec(1.0), 1.0)
 
 
 def test_margin_matches_competitor_enumeration():
@@ -67,24 +81,22 @@ def test_margin_matches_competitor_enumeration():
     train = _labeled_sample(rng, 9, c=3)
     alpha = _random_alpha(rng, 9)
     spec = KernelSpec(1.2)
-    from cdsk.similarity import hypothesis_score
-
     for _ in range(5):
         x = rng.normal(size=2)
         for y in (1, 2, 3):
-            own = hypothesis_score(x, y, train, alpha, spec)
-            rest = max(hypothesis_score(x, z, train, alpha, spec) for z in (1, 2, 3) if z != y)
-            assert abs(margin(x, y, train, alpha, spec) - (own - rest)) < 1e-12
+            want = _kernel_margin(x, y, train, alpha, spec)
+            assert abs(margin(x, y, train, alpha, spec) - want) < 1e-12
 
 
 def test_empirical_loss_mean_of_phi_margins():
+    # the per-point ramp loss from eval_kernel, independent of class_scores
     rng = np.random.default_rng(1)
     train = _labeled_sample(rng, 8, c=2)
     alpha = _random_alpha(rng, 8)
     spec = KernelSpec(0.9)
     gamma = 0.05
     want = np.mean(
-        [phi(margin(train.data[i], int(train.labels[i]), train, alpha, spec) / gamma)
+        [phi(_kernel_margin(train.data[i], int(train.labels[i]), train, alpha, spec) / gamma)
          for i in range(8)]
     )
     assert abs(empirical_loss(train, alpha, spec, gamma) - want) < 1e-12

@@ -71,10 +71,12 @@ def test_cluster_missing_required_flag(capsys, blobs_csv):
     assert "error:" in capsys.readouterr().err
 
 
-def test_runs_below_one_is_usage_error(capsys, blobs_csv):
+def test_runs_below_one_is_usage_error(capsys, blobs_csv, tmp_path):
     cases = [(verb, ["--max-iter", "0"]) for verb in (["cluster"], ["tune"])]
     cases += [(verb, ["--clusters", k]) for verb in (["cluster"], ["tune"]) for k in ("0", "1")]
     cases += [(["baseline"], ["--clusters", "0"])]
+    # a negative seed, on every verb that takes one
+    cases += [(verb, ["--seed", "-1"]) for verb in (["cluster"], ["tune"], ["baseline"])]
     for verb, flag in cases:
         with pytest.raises(SystemExit) as exc:
             main(verb + ["--input", blobs_csv, "--clusters", "2"] + flag)
@@ -82,6 +84,14 @@ def test_runs_below_one_is_usage_error(capsys, blobs_csv):
         captured = capsys.readouterr()
         assert flag[0] in captured.err
         assert captured.out == ""
+    for kind in ("blobs", "moons"):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", kind, "--out", str(tmp_path / "s.csv"), "--seed", "-1"])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_tune_bad_grid_value_prints_no_report(capsys, blobs_csv):
@@ -109,7 +119,7 @@ def test_data_dependent_failure_prints_no_report(capsys, tmp_path):
 
 def test_cluster_bad_lambda(capsys, blobs_csv):
     # invalid values fail before any part of the report is printed
-    for flag, value in (("--lambda", "3"), ("--seed", "-1"), ("--bandwidth", "0")):
+    for flag, value in (("--lambda", "3"), ("--bandwidth", "0")):
         rc, out, err = _run(
             capsys,
             ["cluster", "--input", blobs_csv, "--clusters", "2", flag, value],
@@ -249,6 +259,31 @@ def test_ise_convolution_check(capsys):
     assert rc == 0
     assert abs(float(_value(out, "closed")) - 0.6520493321732922) < 1e-12
     assert float(_value(out, "rel_err")) < 1e-6
+    # the trapezoid sums in scipy's operation order: the bytes that
+    # scipy.integrate.trapezoid gave
+    for a, b, h, numeric in (
+        ("0", "2", "1", "0.6520493321732921"),
+        ("1.5", "1.5", "1.0", "1.7724538509055159"),
+        ("0", "1", "0.8", "0.9594418130258937"),
+        ("0", "2", "1.6", "1.9188836260517874"),
+        ("-3", "4.5", "0.3", "7.365180483549367e-69"),
+    ):
+        rc, out, _ = _run(capsys, ["ise", "--check-convolution", "--a", a, "--b", b, "--h", h])
+        assert rc == 0
+        assert _value(out, "numeric") == numeric
+
+
+def test_cli_import_skips_scipy_integrate():
+    # a fresh process: the test session itself may have imported it
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, cdsk.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_ise_convolution_check_rejects_underflowing_bandwidth():

@@ -1,4 +1,3 @@
-import types
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +10,6 @@ from cdsk.driver import (
     CdskConfig,
     assemble_alpha_qp,
     embedding_entropy,
-    qp_objective,
     run_baseline_spectral,
     run_cdsk,
     solve_alpha_coupled,
@@ -22,7 +20,7 @@ from cdsk.errors import ConfigError, DegenerateDataError, ValidationError
 from cdsk.kernel import GramMatrix, KernelSpec, default_bandwidth, gram
 from cdsk.similarity import disc_similarity
 from test_acceptance import _descent_dataset
-from test_similarity import joint_objective
+from test_similarity import joint_objective, qp_objective
 
 
 def _blobs(n_per=30, gap=12.0, seed=0):
@@ -138,6 +136,29 @@ def test_solve_alpha_coupled_descends_and_stays_feasible():
     deg = disc_similarity(k, sol.alpha, lam).degree
     feas = y.T @ (deg[:, None] * y)
     assert np.max(np.abs(feas - np.eye(2))) < 1e-8
+
+
+def test_assemble_alpha_qp_matches_joint_objective():
+    rng = np.random.default_rng(0)
+    data = SampleMatrix(rng.normal(size=(7, 2)))
+    k = gram(data, KernelSpec(1.0))
+    y = rng.normal(size=(7, 3))
+    lam = 0.6
+    qp = assemble_alpha_qp(y, k, lam, k.values.sum(axis=1))
+    a, _ = qp
+    assert np.array_equal(a, a.T)
+    for _ in range(50):
+        alpha = rng.uniform(0.05, 1.0, size=7)
+        alpha /= alpha.sum()
+        direct = joint_objective(y, disc_similarity(k, alpha, lam), k, alpha, lam)
+        assert abs(qp_objective(qp, alpha) - direct) < 1e-8 * max(1.0, abs(direct))
+
+
+def test_assemble_alpha_qp_shape_mismatch():
+    rng = np.random.default_rng(1)
+    k = gram(SampleMatrix(rng.normal(size=(4, 2))), KernelSpec(1.0))
+    with pytest.raises(ValidationError):
+        assemble_alpha_qp(np.zeros((5, 2)), k, 1.0, k.values.sum(axis=1))
 
 
 def test_run_cdsk_calls_its_layers_through_driver_globals(monkeypatch):
@@ -407,8 +428,8 @@ def test_solve_alpha_coupled_products_per_iteration(monkeypatch):
     real = cdsk.driver.assemble_alpha_qp
 
     def counting_qp(*args):
-        qp = real(*args)
-        return types.SimpleNamespace(a=_counting(qp.a, "A", counts), b=qp.b)
+        a, b = real(*args)
+        return _counting(a, "A", counts), b
 
     monkeypatch.setattr(cdsk.driver, "assemble_alpha_qp", counting_qp)
     _, y, k, alpha = _three_blobs_step()
@@ -441,7 +462,8 @@ def _jacobian_and_gradient(qp, y, k, lam, alpha):
     w = np.array([y[:, p] * y[:, q] for p in range(c) for q in range(p, c)])
     ka = kv @ alpha
     rows = 2.0 * (w * kv.sum(axis=1) + w @ kv) - 2.0 * lam * (w * ka + (w * alpha) @ kv)
-    return np.vstack([np.ones(alpha.size), rows]), 2.0 * (qp.a @ alpha) + qp.b
+    a, b = qp
+    return np.vstack([np.ones(alpha.size), rows]), 2.0 * (a @ alpha) + b
 
 
 def _lstsq_projection(grad, jac, keep):

@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+from cdsk.data_io import SampleMatrix
 from cdsk.errors import ValidationError
 from cdsk.kdc import (
     KdeModel,
-    class_kde,
-    decide,
     decision_squared_integral,
     empirical_ise_terms,
     gaussian_convolution_check,
     ise_residual_slack,
-    kde,
 )
-from cdsk.kernel import GramMatrix, pairwise_kernel
-from cdsk.similarity import disc_similarity
+from cdsk.kernel import GramMatrix, KernelSpec, pairwise_kernel
+from cdsk.similarity import class_scores, disc_similarity
 
 
 def _model_1d(rng, n, h=0.7):
@@ -26,16 +24,32 @@ def _model_1d(rng, n, h=0.7):
     return KdeModel(points=pts, alpha=alpha, labels=labels, h=h)
 
 
+def class_kde(queries, model):
+    """Reference: p_hat(x, y) = tau0 sum_{i: y_i = y} alpha_i K_h(x - x_i), one
+    row per query and one column per class: tau0 times the classifier's scores."""
+    train = SampleMatrix(model.points, labels=model.labels)
+    return model.tau0 * class_scores(queries, train, model.alpha, KernelSpec(model.h))
+
+
+def decide(queries, model):
+    """Reference: class 1 iff p_hat(x, 1) - p_hat(x, 2) >= 0, per query row."""
+    density = class_kde(queries, model)
+    return np.where(density[:, 0] - density[:, 1] >= 0.0, 1, 2)
+
+
 def test_kde_single_point_peak():
-    model = KdeModel(points=np.array([[0.0]]), alpha=np.array([1.0]), labels=np.array([1]), h=1.0)
-    assert abs(kde([0.0], model) - 1.0 / np.sqrt(2.0 * np.pi)) < 1e-12
+    # all mass on one point (a sample needs two; the other carries none)
+    model = KdeModel(
+        points=np.array([[0.0], [3.0]]), alpha=np.array([1.0, 0.0]), labels=np.array([1, 2]), h=1.0
+    )
+    assert abs(class_kde([0.0], model).sum() - 1.0 / np.sqrt(2.0 * np.pi)) < 1e-12
 
 
 def test_kde_nonnegative_and_integrates_to_one():
     rng = np.random.default_rng(0)
     model = _model_1d(rng, 3, h=0.5)
     grid = np.linspace(model.points.min() - 8 * model.h, model.points.max() + 8 * model.h, 40001)
-    vals = np.array([kde([g], model) for g in grid])
+    vals = class_kde(grid[:, None], model).sum(axis=1)
     assert vals.min() >= 0.0
     assert abs(trapezoid(vals, grid) - 1.0) < 1e-6
 
@@ -56,13 +70,15 @@ def test_class_kde_additivity_and_single_class():
     rng = np.random.default_rng(1)
     model = _model_1d(rng, 6)
     x = [0.3]
-    total = class_kde(x, 1, model) + class_kde(x, 2, model)
-    assert abs(total - kde(x, model)) < 1e-12
+    total = class_kde(x, model).sum()
+    kvals = pairwise_kernel(np.array([x]), model.points, model.h)[0]
+    assert abs(total - model.tau0 * float(np.sum(model.alpha * kvals))) < 1e-12
 
+    # a class with no points has density exactly zero
     pure = KdeModel(
-        points=rng.normal(size=(4, 1)), alpha=np.full(4, 0.25), labels=np.ones(4, dtype=int), h=1.0
+        points=rng.normal(size=(4, 1)), alpha=np.full(4, 0.25), labels=np.full(4, 2), h=1.0
     )
-    assert class_kde([0.0], 2, pure) == 0.0
+    assert class_kde([0.0], pure)[0, 0] == 0.0
 
 
 def test_class_kde_single_term():
@@ -73,10 +89,8 @@ def test_class_kde_single_term():
         labels=np.array([1, 2]),
         h=1.0,
     )
-    got = class_kde([5.0], 2, model)
+    got = class_kde([5.0], model)[0, 1]
     assert abs(got - 0.3 * model.tau0) < 1e-10
-    with pytest.raises(ValidationError):
-        class_kde([5.0], 3, model)
 
 
 def test_decide_boundary_goes_to_class_one():
@@ -87,16 +101,23 @@ def test_decide_boundary_goes_to_class_one():
         h=1.0,
     )
     # exact tie at the midpoint
-    assert decide([0.0], model) == 1
+    density = class_kde([0.0], model)
+    assert density[0, 0] == density[0, 1]
+    assert decide([0.0], model).tolist() == [1]
 
 
 def test_decide_matches_density_difference():
+    # the density rule is the kernel classifier's argmax: tau0 > 0 only scales
     rng = np.random.default_rng(2)
     model = _model_1d(rng, 20)
-    for _ in range(20):
-        x = rng.normal(size=1)
-        want = 1 if class_kde(x, 1, model) - class_kde(x, 2, model) >= 0 else 2
-        assert decide(x, model) == want
+    train = SampleMatrix(model.points, labels=model.labels)
+    queries = rng.normal(size=(20, 1))
+    scores = class_scores(queries, train, model.alpha, KernelSpec(model.h))
+    decided = decide(queries, model)
+    for x, label, row in zip(queries, decided, scores):
+        density = class_kde(x, model)[0]
+        assert label == (1 if density[0] - density[1] >= 0 else 2)
+        assert label == int(np.argmax(row)) + 1
 
 
 def test_hat_ise_two_point_hand_case():
@@ -157,15 +178,12 @@ def test_decision_squared_integral_vs_quadrature():
         model = _model_1d(rng, n, h=0.6)
         closed = decision_squared_integral(model)
         grid = np.linspace(model.points.min() - 10 * model.h, model.points.max() + 10 * model.h, 60001)
-        # class_kde on every grid point at once: one kernel call for the grid
-        kvals = pairwise_kernel(grid[:, None], model.points, model.h)
-        p_hat = [
-            model.tau0 * np.sum(model.alpha[mask] * kvals[:, mask], axis=1)
-            for mask in (model.labels == 1, model.labels == 2)
-        ]
-        r_hat = p_hat[0] - p_hat[1]
+        # the densities on every grid point at once, each row as for its point alone
+        p_hat = class_kde(grid[:, None], model)
+        r_hat = p_hat[:, 0] - p_hat[:, 1]
         for i in (0, 12345, 30000, 60000):
-            assert r_hat[i] == class_kde([grid[i]], 1, model) - class_kde([grid[i]], 2, model)
+            single = class_kde([grid[i]], model)[0]
+            assert r_hat[i] == single[0] - single[1]
         numeric = trapezoid(r_hat**2, grid)
         assert abs(numeric - closed) < 1e-4 * max(abs(closed), 1e-12)
 

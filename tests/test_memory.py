@@ -4,13 +4,18 @@ Above the dense eigensolver limit the baseline keeps K alone: it embeds
 straight from K and builds no graph.  run_cdsk holds K plus either its graph's
 normalized Laplacian or the weight step's QP matrix, never both, because the
 alternation frees each graph before the weight step.  Every n x n quantity is
-built in place, a block of rows at a time.  These bounds keep it that way.
+built in place, a block of rows at a time.  The classifier's score table
+needs no n x n array at all.  These bounds keep it that way.
 """
 
 import tracemalloc
 
+import numpy as np
+
+from cdsk.bounds import empirical_loss
 from cdsk.data_io import make_two_moons
 from cdsk.driver import CdskConfig, run_baseline_spectral, run_cdsk
+from cdsk.kernel import KernelSpec
 
 
 def _peak_arrays(run, n: int) -> float:
@@ -40,3 +45,12 @@ def test_run_cdsk_peak_memory():
     peak = _peak_arrays(lambda: result.append(run_cdsk(data, CdskConfig(c=2))), n)
     assert len(result[0].objective_trace) >= 2  # the weight step ran
     assert peak <= 2.5, peak
+
+
+def test_empirical_loss_peak_memory():
+    # the score table a block of 128 query rows at a time: about three
+    # 128 x n temporaries (0.196 measured); a gram alone reads 1.0
+    n = 2000
+    data = make_two_moons(n, 0.1, seed=0)
+    peak = _peak_arrays(lambda: empirical_loss(data, np.full(n, 1.0 / n), KernelSpec(0.1), 1.0), n)
+    assert peak <= 0.25, peak

@@ -4,18 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdsk.data_io import SampleMatrix
-from cdsk.driver import assemble_alpha_qp, qp_objective
+from cdsk.driver import assemble_alpha_qp
 from cdsk.embedding import solve_embedding
 from cdsk.errors import ConfigError, DegenerateDataError, ValidationError
-from cdsk.kernel import GramMatrix, KernelSpec, gram
-from cdsk.similarity import (
-    check_simplex,
-    class_scores,
-    classify,
-    disc_similarity,
-    general_disc_similarity,
-    hypothesis_score,
-)
+from cdsk.kernel import _ROW_BLOCK, GramMatrix, KernelSpec, eval_kernel, gram
+from cdsk.similarity import check_simplex, class_scores, disc_similarity
 from cdsk.spectral import psd_split
 
 
@@ -172,45 +165,18 @@ def test_disc_similarity_nonnegative(seed, n, lam):
 
 
 def test_general_disc_similarity_psd_reduces():
+    # the discriminative similarity of an indefinite base similarity, in its
+    # dense form 2 (a_i + a_j) s_ij - 2 lam a_i a_j (s_plus_ij + s_minus_ij),
+    # is disc_similarity's for a PSD kernel, whose split has s_minus = 0
     rng = np.random.default_rng(3)
     k = _gram_from_points(rng.normal(size=(5, 2)))
     alpha = _random_alpha(rng, 5)
     split = psd_split(k.values)
-    out = general_disc_similarity(k.values, split, alpha, 0.8)
-    assert np.allclose(out, disc_similarity(k, alpha, 0.8).s, atol=1e-10)
-
-
-def test_general_disc_similarity_lambda_zero():
-    rng = np.random.default_rng(4)
-    s_raw = rng.uniform(0.0, 1.0, size=(4, 4))
-    s_raw = 0.5 * (s_raw + s_raw.T)
-    alpha = _random_alpha(rng, 4)
-    out = general_disc_similarity(s_raw, psd_split(s_raw), alpha, 0.0)
-    want = 2.0 * (alpha[:, None] + alpha[None, :]) * s_raw
-    assert np.allclose(out, want, atol=1e-12)
-
-
-def test_general_disc_similarity_indefinite_oracle():
-    s_raw = np.array([[1.0, 0.9, 0.1], [0.9, 1.0, 0.8], [0.1, 0.8, 1.0]])
-    split = psd_split(s_raw)
-    alpha = np.array([0.2, 0.3, 0.5])
-    lam = 1.4
-    out = general_disc_similarity(s_raw, split, alpha, lam)
-    for i in range(3):
-        for j in range(3):
-            want = (
-                2.0 * (alpha[i] + alpha[j]) * s_raw[i, j]
-                - 2.0 * lam * alpha[i] * alpha[j] * split.s_plus[i, j]
-                - 2.0 * lam * alpha[i] * alpha[j] * split.s_minus[i, j]
-            )
-            assert abs(out[i, j] - want) < 1e-10
-
-
-def test_general_disc_similarity_rejects_bad_split():
-    s_raw = np.array([[1.0, 0.5], [0.5, 1.0]])
-    split = psd_split(np.array([[1.0, 0.2], [0.2, 1.0]]))
-    with pytest.raises(ValidationError):
-        general_disc_similarity(s_raw, split, [0.5, 0.5], 1.0)
+    lam = 0.8
+    out = 2.0 * (alpha[:, None] + alpha[None, :]) * k.values - 2.0 * lam * np.outer(
+        alpha, alpha
+    ) * (split.s_plus + split.s_minus)
+    assert np.allclose(out, disc_similarity(k, alpha, lam).s, atol=1e-10)
 
 
 def laplacian_trace(y, g):
@@ -229,6 +195,11 @@ def alpha_terms(k, alpha, lam):
 
 def _weight_qp(y, k, lam):
     return assemble_alpha_qp(y, k, lam, k.values.sum(axis=1))
+
+
+def qp_objective(qp, alpha):
+    """alpha^T A alpha + b^T alpha for the weight step's qp = (A, b)."""
+    return float(alpha @ qp[0] @ alpha + qp[1] @ alpha)
 
 
 def test_laplacian_quadratic_matches_pair_sum():
@@ -287,9 +258,9 @@ def test_cdsk_objective_zero_embedding():
     # with Y = 0 the QP is q = lam alpha^T K alpha - alpha^T K 1, term for term
     rng = np.random.default_rng(8)
     k = _gram_from_points(rng.normal(size=(5, 2)))
-    qp = _weight_qp(np.zeros((5, 2)), k, 1.0)
-    assert np.array_equal(qp.a, k.values)
-    assert np.array_equal(qp.b, -k.values.sum(axis=1))
+    a, b = _weight_qp(np.zeros((5, 2)), k, 1.0)
+    assert np.array_equal(a, k.values)
+    assert np.array_equal(b, -k.values.sum(axis=1))
 
 
 def test_cdsk_objective_hand_pair():
@@ -337,6 +308,16 @@ def _two_point_train(k1, k2, bandwidth=1.0):
     return SampleMatrix(np.array([[t1], [t2]]), labels=np.array([1, 2]))
 
 
+def hypothesis_score(x, y, train, alpha, spec):
+    """Reference: the classifier's vote sum_{i: y_i = y} alpha_i k(x, x_i) at one point."""
+    return float(class_scores(x, train, alpha, spec)[0, y - 1])
+
+
+def classify(queries, train, alpha, spec):
+    """Reference: the classifier's decisions, argmax of each row, ties to the smaller id."""
+    return np.argmax(class_scores(queries, train, alpha, spec), axis=1) + 1
+
+
 def test_hypothesis_score_hand_values():
     train = _two_point_train(0.8, 0.2)
     spec = KernelSpec(1.0)
@@ -367,16 +348,12 @@ def test_hypothesis_score_sum_identity():
     assert abs(total - direct) < 1e-12
 
 
-def test_hypothesis_score_bad_class():
-    train = _two_point_train(0.8, 0.2)
-    with pytest.raises(ValidationError):
-        hypothesis_score([0.0], 3, train, [0.5, 0.5], KernelSpec(1.0))
-
-
 def test_classify_tie_prefers_smaller_id():
     train = SampleMatrix(np.array([[-1.0], [1.0]]), labels=np.array([2, 1]))
     # equidistant query: both classes score identically
-    assert classify([0.0], train, [0.5, 0.5], KernelSpec(1.0)) == 1
+    scores = class_scores([0.0], train, [0.5, 0.5], KernelSpec(1.0))
+    assert scores[0, 0] == scores[0, 1]
+    assert classify([0.0], train, [0.5, 0.5], KernelSpec(1.0)).tolist() == [1]
 
 
 def test_classify_matches_argmax_of_scores():
@@ -386,17 +363,54 @@ def test_classify_matches_argmax_of_scores():
     train = SampleMatrix(pts, labels=labels)
     alpha = _random_alpha(rng, 10)
     spec = KernelSpec(0.8)
-    for _ in range(5):
-        x = rng.normal(size=2)
-        scores = class_scores(x, train, alpha, spec)
-        assert classify(x, train, alpha, spec) == int(np.argmax(scores)) + 1
+    queries = rng.normal(size=(5, 2))
+    decided = classify(queries, train, alpha, spec)
+    for x, label in zip(queries, decided):
+        votes = [hypothesis_score(x, y, train, alpha, spec) for y in (1, 2)]
+        assert label == int(np.argmax(votes)) + 1
 
 
-def test_class_scores_rejects_several_query_rows():
+def test_class_scores_batched_rows_match_single_rows():
+    # three row blocks, the last one partial; c is the largest label even
+    # when a class has no training point, whose column is then zero
+    rng = np.random.default_rng(12)
+    labels = rng.integers(1, 4, size=40)
+    labels[labels == 2] = 4
+    train = SampleMatrix(rng.normal(size=(40, 3)), labels=labels)
+    alpha = _random_alpha(rng, 40)
+    spec = KernelSpec(0.9)
+    queries = rng.normal(size=(2 * _ROW_BLOCK + 3, 3))
+    table = class_scores(queries, train, alpha, spec)
+    assert table.shape == (queries.shape[0], 4)
+    assert np.all(table[:, 1] == 0.0)
+    for r, x in enumerate(queries):
+        assert class_scores(x[None, :], train, alpha, spec).tobytes() == table[r].tobytes()
+    assert class_scores(queries[0], train, alpha, spec).shape == (1, 4)
+
+
+def test_class_scores_match_kernel_double_loop():
+    rng = np.random.default_rng(13)
+    train = SampleMatrix(rng.normal(size=(12, 2)), labels=np.tile([1, 2, 3], 4))
+    alpha = _random_alpha(rng, 12)
+    spec = KernelSpec(1.1)
+    queries = rng.normal(size=(7, 2))
+    table = class_scores(queries, train, alpha, spec)
+    for r in range(7):
+        for y in (1, 2, 3):
+            want = sum(
+                alpha[i] * eval_kernel(queries[r], train.data[i], spec)
+                for i in range(12)
+                if train.labels[i] == y
+            )
+            assert abs(table[r, y - 1] - want) < 1e-12
+
+
+def test_class_scores_validation():
     train = _two_point_train(0.8, 0.2)
     spec = KernelSpec(1.0)
     with pytest.raises(ValidationError):
-        class_scores([[0.0], [1.0]], train, [0.5, 0.5], spec)
+        class_scores([[0.0, 1.0]], train, [0.5, 0.5], spec)
     with pytest.raises(ValidationError):
-        classify([[0.0], [1.0]], train, [0.5, 0.5], spec)
-    assert class_scores([[0.0]], train, [0.5, 0.5], spec).shape == (2,)
+        class_scores([[0.0]], train, [0.6, 0.6], spec)
+    with pytest.raises(ValidationError):
+        class_scores([[0.0]], SampleMatrix(train.data), [0.5, 0.5], spec)
