@@ -288,7 +288,7 @@ def _alternate(kmat: GramMatrix, config: CdskConfig):
     qp_converged = True
     for _ in range(config.max_iter):
         y = solve_embedding(graph, config.c)
-        graph = None  # free N before the weight step and next graph allocate
+        graph = None  # free S before the weight step and next graph allocate
         sol = solve_alpha_coupled(y, kmat, config.lam, start=alpha)
         qp_converged = qp_converged and sol.converged
         try:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .data_io import SampleMatrix
 from .errors import DegenerateDataError, ValidationError
@@ -107,6 +106,10 @@ def default_bandwidth(data: SampleMatrix) -> float:
     Raises DegenerateDataError when all pairwise distances coincide (identical
     rows included): the heuristic then carries no scale information.
     """
+    # imported here: scipy.spatial costs about 0.1 s at start-up, and only
+    # the heuristic needs it
+    from scipy.spatial.distance import pdist
+
     dists = pdist(data.data)
     mean = float(np.mean(dists))
     var = float(np.var(dists))

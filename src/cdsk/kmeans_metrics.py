@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 
@@ -118,6 +117,10 @@ def _contingency(pred: Partition, truth: Partition) -> np.ndarray:
 
 def accuracy(pred: Partition, truth: Partition) -> float:
     """Clustering accuracy under the best one-to-one label matching."""
+    # imported here: scipy.optimize costs about 0.1 s at start-up, and only
+    # scoring against known labels needs it
+    from scipy.optimize import linear_sum_assignment
+
     table = _contingency(pred, truth)
     rows, cols = linear_sum_assignment(-table)
     return float(table[rows, cols].sum()) / pred.labels.shape[0]

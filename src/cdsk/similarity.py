@@ -51,29 +51,11 @@ def check_degrees(degree: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscSimilarityGraph:
-    """Weighted graph induced by the discriminative similarity.
+    """Weighted graph induced by the discriminative similarity: the n x n
+    similarity S and its row sums, the degrees."""
 
-    Holds K (the gram matrix's array), alpha, lam, the degrees and the one
-    n x n array of its own, N = I - D^{-1/2} S D^{-1/2}.  The similarity S
-    and the Laplacian D - S are rebuilt (n x n) on each access.
-    """
-
-    kernel: np.ndarray
-    alpha: np.ndarray
-    lam: float
+    s: np.ndarray
     degree: np.ndarray
-    normalized_laplacian: np.ndarray
-
-    @property
-    def s(self) -> np.ndarray:
-        """The similarity matrix, bit for bit the one disc_similarity sums."""
-        s = np.empty_like(self.kernel)
-        _fill_similarity(self.kernel, self.alpha, self.lam, s)
-        return s
-
-    @property
-    def laplacian(self) -> np.ndarray:
-        return np.diag(self.degree) - self.s
 
 
 def _check_lambda(lam: float) -> float:
@@ -83,45 +65,29 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
-def _fill_similarity(k: np.ndarray, alpha: np.ndarray, lam: float, out: np.ndarray) -> np.ndarray:
-    """Write s = 2 (pair_sum - lam * pair_prod) * k into out, operation for
-    operation, a block of rows at a time; returns the row sums."""
+def disc_similarity(gram: GramMatrix, alpha, lam: float) -> DiscSimilarityGraph:
+    """Build the discriminative similarity graph for given weights and lambda.
+
+    S = 2 (pair_sum - lam * pair_prod) * K is written into one n x n buffer,
+    operation for operation, a block of rows at a time.  gram() makes K
+    exactly symmetric, and then S is too.
+    """
+    lam = _check_lambda(lam)
+    k = gram.values
+    alpha = check_simplex(alpha, n=k.shape[0])
+    s = np.empty_like(k)
     degree = np.empty(k.shape[0])
     prod = np.empty((_ROW_BLOCK, k.shape[0]))  # reused: one block temporary, not two
     for start in range(0, k.shape[0], _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        block = np.add.outer(alpha[rows], alpha, out=out[rows])
+        block = np.add.outer(alpha[rows], alpha, out=s[rows])
         pair_prod = np.outer(alpha[rows], alpha, out=prod[: block.shape[0]])
         pair_prod *= lam
         block -= pair_prod
         block *= 2.0
         block *= k[rows]
         degree[rows] = block.sum(axis=1)
-    return degree
-
-
-def disc_similarity(gram: GramMatrix, alpha, lam: float) -> DiscSimilarityGraph:
-    """Build the discriminative similarity graph for given weights and lambda.
-
-    S is written into one n x n buffer, which then becomes N in place.
-    """
-    lam = _check_lambda(lam)
-    k = gram.values
-    alpha = check_simplex(alpha, n=k.shape[0])
-    normalized = np.empty_like(k)
-    degree = check_degrees(_fill_similarity(k, alpha, lam, normalized))
-    # (diag(degree) - s) * outer(inv_sqrt, inv_sqrt), the outer product taken a
-    # block of rows at a time; 0 - s, not -s, keeps the sign of zeros.  gram()
-    # makes k exactly symmetric, and then s and this product are too, so no
-    # symmetrizing pass is needed
-    diagonal = degree - np.diagonal(normalized)
-    np.subtract(0.0, normalized, out=normalized)
-    np.fill_diagonal(normalized, diagonal)
-    inv_sqrt = 1.0 / np.sqrt(degree)
-    for start in range(0, normalized.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        normalized[rows] *= np.outer(inv_sqrt[rows], inv_sqrt)
-    return DiscSimilarityGraph(k, alpha, lam, degree, normalized)
+    return DiscSimilarityGraph(s, check_degrees(degree))
 
 
 def class_scores(queries, train: SampleMatrix, alpha, spec: KernelSpec) -> np.ndarray:

@@ -13,7 +13,7 @@ from .errors import NumericError, ValidationError
 
 # Eigenvalues within this relative band of zero count as nonnegative.
 _ZERO_EIG_REL = 1e-10
-# Dense solves below this size; above it a truncated Lanczos solve is tried first.
+# Dense embedding solves up to this size; above it a Lanczos solve is tried first.
 _DENSE_LIMIT = 800
 # Edge of the square tiles the exact symmetry test compares.
 _SYMMETRY_TILE = 256
@@ -75,16 +75,21 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
 
-def _eigh(a: np.ndarray, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(
+    a: np.ndarray, count: int | None = None, overwrite: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of an already validated matrix; failure is a NumericError.
 
     All of them by np.linalg.eigh, or with count the count smallest alone
-    by LAPACK's subset solver.
+    by LAPACK's subset solver, which with overwrite may use a as workspace.
     """
     try:
         if count is None:
             return np.linalg.eigh(a)
-        return scipy.linalg.eigh(a, subset_by_index=[0, count - 1], driver="evr", check_finite=False)
+        return scipy.linalg.eigh(
+            a, subset_by_index=[0, count - 1], driver="evr", check_finite=False,
+            overwrite_a=overwrite,
+        )
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
 
@@ -96,129 +101,78 @@ def eigh(a: np.ndarray) -> EigenSystem:
 
 
 def lanczos_applies(n: int, c: int) -> bool:
-    """Whether the c smallest eigenpairs of an n x n problem are computed by
-    Lanczos iteration (see smallest_eigenpairs) rather than densely."""
+    """Whether the c smallest eigenpairs of an n x n normalized Laplacian are
+    computed by Lanczos iteration (see lanczos_smallest) rather than densely."""
     return n > _DENSE_LIMIT and c < n // 4
 
 
-def _shifted_lanczos(
-    product, n: int, sigma: float, k: int, u: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The k largest eigenpairs (theta, v) of x -> product(x) - sigma u u^T x,
-    as (sigma - theta, v) in ARPACK's order; without u the last term is absent.
-
-    product(x) is sigma x - a x for a symmetric n x n a with sigma I - a PSD,
-    so these are the k smallest eigenpairs of a (with u deflated).  The start
-    vector is fixed, so repeated calls are bit-identical.
-    """
-
-    def matvec(x):
-        out = product(x)
-        if u is not None:
-            out -= (sigma * (u @ x)) * u
-        return out
-
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    theta, v = scipy.sparse.linalg.eigsh(op, k=k, which="LA", v0=v0)
-    return sigma - theta, v
-
-
-def _shifted_product(a: np.ndarray, w: np.ndarray | None):
-    """(product, sigma): x -> sigma x - m x as one BLAS symv call, for m = a,
-    or with w for m = I - W a W, W = diag(w); see lanczos_smallest."""
-    # f2py would copy a C-ordered array on every symv call
-    f = a.T if a.flags.c_contiguous else np.asfortranarray(a)
-    if w is None:
-        # LAPACK's column-sum norm of f (a's row sums) reads f in place, with
-        # no n x n |a| temporary, and in the same order for every layout of a
-        sigma = float(scipy.linalg.norm(f, 1, check_finite=False))
-        return (lambda x: dsymv(-1.0, f, x, beta=sigma, y=x)), sigma
-
-    def product(x):
-        out = dsymv(1.0, f, w * x)
-        out *= w
-        out += x
-        return out
-
-    return product, 2.0
-
-
 def lanczos_smallest(
-    a: np.ndarray, c: int, null_vector: np.ndarray | None, dense, w: np.ndarray | None = None
+    m: np.ndarray, c: int, null_vector: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The c smallest eigenpairs, ascending, by Lanczos iteration of a, or
-    with w of I - W a W, W = diag(w), a matrix that is never formed.
+    """The c smallest eigenpairs, ascending, of the normalized Laplacian
+    N = I - W m W, W = diag(w), by Lanczos iteration; N is never formed.
 
-    a must have passed check_symmetric: each product is one BLAS symv call
-    that reads only the upper triangle of a's Fortran-ordered form, which is
-    a.T for C-ordered a and a itself for F-ordered a; a strided view is
-    copied once, to Fortran order.  ARPACK runs on sigma I minus the matrix.
-    Without w, sigma is the largest absolute row sum of a, so sigma I - a is
-    PSD by Gershgorin.  With w = (a 1)^{-1/2} for a >= 0, I - W a W is a
-    normalized Laplacian, whose spectrum lies in [0, 2], so sigma = 2 and no
-    row-sum pass is needed.
+    m >= 0 must have passed check_symmetric and w be (m 1)^{-1/2}, so N's
+    spectrum lies in [0, 2].  ARPACK runs on 2I - N,
+    x -> x + w * (m (w * x)), and takes its largest eigenvalues theta,
+    returning 2 - theta.  The shift matters because ARPACK stops when a Ritz
+    residual falls below a tolerance relative to the Ritz value itself: the
+    bottom of a Laplacian spectrum sits at zero, where that test is hardest
+    to meet, while the shifted values sit near 2.  Each product is one BLAS
+    symv call that reads only the upper triangle of m's Fortran-ordered
+    form, which is m.T for C-ordered m and m itself for F-ordered m; both
+    give the same bytes, and a strided view is copied once, to Fortran order.
 
-    null_vector, if given, is a unit vector spanning an eigenvalue-0
-    eigenspace of the matrix, where 0 is its smallest eigenvalue.  It is
-    deflated from the operator, ARPACK computes only the other c - 1 pairs
-    (none when c = 1) and (0, null_vector) is added to them.  If ARPACK
-    fails, LAPACK's subset solver answers from the dense matrix dense()
-    returns.
+    null_vector is the unit vector D^{1/2} 1 / ||D^{1/2} 1|| spanning N's
+    eigenvalue-0 eigenspace.  It is deflated from the operator (x -> ... -
+    2 u u^T x), ARPACK computes only the other c - 1 pairs (none when c = 1)
+    and (0, null_vector) is added to them.  The start vector is fixed, so
+    repeated calls are bit-identical.  ARPACK's failure propagates as
+    ArpackError.
     """
-    n = a.shape[0]
-    if null_vector is None:
-        u, theta, v = None, np.empty(0), np.empty((n, 0))
-    else:
-        u = np.asarray(null_vector, dtype=np.float64)
-        theta, v = np.zeros(1), u[:, None]
-    if c > theta.size:
-        product, sigma = _shifted_product(a, w)
-        try:
-            rest_theta, rest_v = _shifted_lanczos(product, n, sigma, c - theta.size, u)
-        except scipy.sparse.linalg.ArpackError:
-            theta, v = _eigh(dense(), c)
-            return theta, _fix_signs(v)
-        theta, v = np.concatenate([theta, rest_theta]), np.hstack([v, rest_v])
+    u = np.asarray(null_vector, dtype=np.float64)
+    theta, v = np.zeros(1), u[:, None]
+    if c > 1:
+        n = m.shape[0]
+        # f2py would copy a C-ordered array on every symv call
+        f = m.T if m.flags.c_contiguous else np.asfortranarray(m)
+
+        def matvec(x):
+            out = dsymv(1.0, f, w * x)
+            out *= w
+            out += x
+            out -= (2.0 * (u @ x)) * u
+            return out
+
+        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+        rest_theta, rest_v = scipy.sparse.linalg.eigsh(
+            op, k=c - 1, which="LA", v0=np.full(n, 1.0 / np.sqrt(n))
+        )
+        theta, v = np.concatenate([theta, 2.0 - rest_theta]), np.hstack([v, rest_v])
     order = np.argsort(theta, kind="stable")
     return theta[order], _fix_signs(v[:, order])
 
 
-def smallest_eigenpairs(
-    a: np.ndarray, c: int, null_vector: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def smallest_eigenpairs(a: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     """The c algebraically smallest eigenpairs of a symmetric matrix, ascending.
 
-    Up to n = 800 (and whenever c >= n // 4) LAPACK's subset solver (syevr,
-    relatively robust representations) computes only these c pairs from the
-    dense matrix, not the other n - c.  Above that, ARPACK's Lanczos
-    iteration (lanczos_smallest) runs on the shifted operator
-    x -> sigma x - a x, with sigma the largest absolute row sum of a, and
-    takes its largest eigenvalues theta, returning sigma - theta.  Each
-    product is one BLAS symv call that reads one triangle of a;
-    check_symmetric, run first, is what makes that valid (the graph's N
-    passes its exact test).  C- and F-ordered a are read in place and give
-    the same bytes; a strided view of a is copied once.  The shift matters
-    because ARPACK stops when a Ritz residual falls below a tolerance
-    relative to the Ritz value itself: the bottom of a Laplacian spectrum
-    sits at zero, where that test is hardest to meet, while the shifted
-    values sit near sigma.  The start vector is fixed, so repeated calls are
-    bit-identical; if ARPACK fails the subset solver answers instead.
-
-    null_vector, if given, is a unit vector spanning an eigenvalue-0
-    eigenspace of a, where 0 is the smallest eigenvalue of a (for a
-    normalized Laplacian, D^{1/2} 1 normalized).  The Lanczos path then
-    deflates it from the operator (x -> ... - sigma u u^T x), asks ARPACK for
-    only c - 1 pairs (none when c = 1) and adds (0, u) to them.
-    The dense path ignores it.
+    LAPACK's subset solver (syevr, relatively robust representations)
+    computes only these c pairs from the dense matrix, not the other n - c.
+    a is not overwritten.
     """
     a = check_symmetric(a)
     n = a.shape[0]
     if not 1 <= c <= n:
         raise ValidationError(f"need 1 <= c <= n, got c={c}, n={n}")
-    if lanczos_applies(n, c):
-        return lanczos_smallest(a, c, null_vector, lambda: a)
     w, v = _eigh(a, c)
+    return w, _fix_signs(v)
+
+
+def overwriting_smallest(a: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """smallest_eigenpairs of a C-ordered, exactly symmetric a, which the
+    solve uses as its workspace: a.T is a's Fortran-ordered form, so LAPACK
+    needs no copy, and it gives smallest_eigenpairs' bytes."""
+    w, v = _eigh(a.T, c, overwrite=True)
     return w, _fix_signs(v)
 
 

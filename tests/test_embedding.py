@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse.linalg
 
 import cdsk.embedding
-import cdsk.spectral
 from cdsk.data_io import SampleMatrix, make_two_moons
 from cdsk.driver import run_baseline_spectral
 from cdsk.embedding import solve_embedding, uniform_embedding
@@ -12,7 +11,7 @@ from cdsk.kernel import GramMatrix, KernelSpec, gram
 from cdsk.kmeans_metrics import kmeans
 from cdsk.similarity import disc_similarity
 from cdsk.spectral import smallest_eigenpairs
-from test_similarity import laplacian_trace
+from test_similarity import dense_n, laplacian_trace
 
 
 def _graph_from_points(points, lam=0.5, bandwidth=1.0, alpha=None):
@@ -87,7 +86,7 @@ def test_embedding_trace_optimality():
 def test_embedding_eigenvalues_in_range():
     rng = np.random.default_rng(4)
     g = _graph_from_points(rng.normal(size=(12, 3)), lam=1.5)
-    w, _ = smallest_eigenpairs(g.normalized_laplacian, 12)
+    w, _ = smallest_eigenpairs(dense_n(g), 12)
     assert w.min() >= -1e-8
     assert w.max() <= 2.0 + 1e-8
 
@@ -117,23 +116,32 @@ def test_embedding_uniform_alpha_matches_plain_spectral():
 
 
 @pytest.fixture(scope="module")
-def moons_graph():
+def moons_gram():
+    return gram(make_two_moons(900, 0.05, seed=0), KernelSpec(0.1))
+
+
+@pytest.fixture(scope="module")
+def moons_graph(moons_gram):
     # n = 900 is above the dense eigensolver limit, so the embedding goes
     # through the deflated Lanczos path
-    data = make_two_moons(900, 0.05, seed=0)
-    return disc_similarity(gram(data, KernelSpec(0.1)), np.full(data.n, 1.0 / data.n), 0.1)
+    return disc_similarity(moons_gram, np.full(900, 1.0 / 900), 0.1)
+
+
+def _no_dense_laplacian(*args):
+    raise AssertionError("the Lanczos path built N")
 
 
 @pytest.mark.parametrize("c", [1, 2, 3])
-def test_embedding_lanczos_matches_dense(moons_graph, c):
+def test_embedding_lanczos_matches_dense(moons_graph, monkeypatch, c):
     g = moons_graph
+    monkeypatch.setattr(cdsk.embedding, "_dense_laplacian", _no_dense_laplacian)
     y = solve_embedding(g, c)
     sqrt_degree = np.sqrt(g.degree)
     # the deflated null vector D^{1/2} 1 comes back as the constant column
     assert np.allclose(y[:, 0], 1.0 / np.linalg.norm(sqrt_degree), rtol=1e-12, atol=0.0)
     feas = y.T @ (g.degree[:, None] * y)
     assert np.max(np.abs(feas - np.eye(c))) < 1e-8
-    w, v = np.linalg.eigh(g.normalized_laplacian)
+    w, v = np.linalg.eigh(dense_n(g))
     q1 = np.linalg.qr(sqrt_degree[:, None] * y)[0]
     sv = np.linalg.svd(q1.T @ v[:, :c], compute_uv=False)
     assert np.min(sv) > 1.0 - 1e-8
@@ -141,11 +149,29 @@ def test_embedding_lanczos_matches_dense(moons_graph, c):
     assert abs(laplacian_trace(y, g) - np.sum(w[:c])) < 1e-10
 
 
+@pytest.mark.parametrize("c", [2, 3])
+def test_embedding_lanczos_general_alpha_matches_dense(
+    weighted_moons, monkeypatch, eigsh_calls, c
+):
+    # weights far from uniform, some of them zero: the Lanczos product runs
+    # on S itself, not on a multiple of K
+    kmat, alpha = weighted_moons
+    assert np.count_nonzero(alpha == 0.0) == 153
+    g = disc_similarity(kmat, alpha, 0.1)
+    monkeypatch.setattr(cdsk.embedding, "_dense_laplacian", _no_dense_laplacian)
+    y = solve_embedding(g, c)
+    assert eigsh_calls == [c - 1]
+    sqrt_degree = np.sqrt(g.degree)
+    assert np.allclose(y[:, 0], 1.0 / np.linalg.norm(sqrt_degree), rtol=1e-12, atol=0.0)
+    feas = y.T @ (g.degree[:, None] * y)
+    assert np.max(np.abs(feas - np.eye(c))) < 1e-8
+    w, v = np.linalg.eigh(dense_n(g))
+    q = np.linalg.qr(sqrt_degree[:, None] * y)[0]
+    assert np.min(np.linalg.svd(q.T @ v[:, :c], compute_uv=False)) > 1.0 - 1e-8
+    assert abs(laplacian_trace(y, g) - np.sum(w[:c])) < 1e-10
+
+
 # --- uniform_embedding: the uniform graph's embedding straight from K -------
-
-
-def _moons_gram(graph):
-    return GramMatrix(values=graph.kernel, bandwidth=0.1)
 
 
 def _no_graph(*args):
@@ -153,38 +179,44 @@ def _no_graph(*args):
 
 
 @pytest.mark.parametrize("c", [2, 3])
-def test_uniform_embedding_matches_dense_graph_solve(moons_graph, monkeypatch, eigsh_calls, c):
+def test_uniform_embedding_matches_dense_graph_solve(
+    moons_gram, moons_graph, monkeypatch, eigsh_calls, c
+):
     g = moons_graph
     monkeypatch.setattr(cdsk.embedding, "disc_similarity", _no_graph)
-    y = uniform_embedding(_moons_gram(g), c)
+    y = uniform_embedding(moons_gram, c)
     # one Lanczos solve, for the c - 1 pairs beside the deflated null vector
     assert eigsh_calls == [c - 1]
     assert np.allclose(y[:, 0], y[0, 0], rtol=1e-12, atol=0.0)
     feas = y.T @ (g.degree[:, None] * y)
     assert np.max(np.abs(feas - np.eye(c))) < 1e-8
-    _, v = np.linalg.eigh(g.normalized_laplacian)
+    _, v = np.linalg.eigh(dense_n(g))
     q = np.linalg.qr(np.sqrt(g.degree)[:, None] * y)[0]
     assert np.min(np.linalg.svd(q.T @ v[:, :c], compute_uv=False)) > 1.0 - 1e-8
 
 
-def test_uniform_embedding_c1_is_the_null_vector_without_arpack(moons_graph, eigsh_calls):
+def test_uniform_embedding_c1_is_the_null_vector_without_arpack(
+    moons_gram, moons_graph, eigsh_calls
+):
     g = moons_graph
-    y = uniform_embedding(_moons_gram(g), 1)
+    y = uniform_embedding(moons_gram, 1)
     assert eigsh_calls == []
     assert y.shape == (900, 1)
     assert np.allclose(y[:, 0], 1.0 / np.linalg.norm(np.sqrt(g.degree)), rtol=1e-12, atol=0.0)
 
 
-def test_uniform_embedding_arpack_failure_falls_back_to_dense(moons_graph, monkeypatch):
+def test_uniform_embedding_arpack_failure_falls_back_to_dense(
+    moons_gram, moons_graph, monkeypatch
+):
     g = moons_graph
     calls = []
 
-    def failing(*args):
+    def failing(*args, **kwargs):
         calls.append(None)
         raise scipy.sparse.linalg.ArpackError(-9999)
 
-    monkeypatch.setattr(cdsk.spectral, "_shifted_lanczos", failing)
-    y = uniform_embedding(_moons_gram(g), 3)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+    y = uniform_embedding(moons_gram, 3)
     assert len(calls) == 1
     # the dense subset solve on the same N; only the degrees' rounding differs
     y_dense = solve_embedding(g, 3)
@@ -192,21 +224,20 @@ def test_uniform_embedding_arpack_failure_falls_back_to_dense(moons_graph, monke
     assert np.max(np.abs(y - y_dense)) <= 1e-12 * np.max(np.abs(y_dense))
 
 
-def test_uniform_embedding_isolated_point_is_degenerate(moons_graph):
-    k = moons_graph.kernel.copy()
+def test_uniform_embedding_isolated_point_is_degenerate(moons_gram):
+    k = moons_gram.values.copy()
     k[7, :] = 0.0
     k[:, 7] = 0.0
     with pytest.raises(DegenerateDataError):
         uniform_embedding(GramMatrix(values=k, bandwidth=0.1), 2)
 
 
-def test_uniform_embedding_repeat_bit_identical(moons_graph):
-    kmat = _moons_gram(moons_graph)
-    y1 = uniform_embedding(kmat, 3)
+def test_uniform_embedding_repeat_bit_identical(moons_gram):
+    y1 = uniform_embedding(moons_gram, 3)
     rng = np.random.default_rng(11)
     a = rng.normal(size=(60, 60))
     scipy.sparse.linalg.eigsh(a + a.T, k=4, which="LM", v0=rng.normal(size=60))
-    y2 = uniform_embedding(kmat, 3)
+    y2 = uniform_embedding(moons_gram, 3)
     assert y1.tobytes() == y2.tobytes()
 
 

@@ -1,16 +1,24 @@
 """Peak traced memory of whole runs, in units of one n x n float64 array.
 
 Above the dense eigensolver limit the baseline keeps K alone: it embeds
-straight from K and builds no graph.  run_cdsk holds K plus either its graph's
-normalized Laplacian or the weight step's QP matrix, never both, because the
-alternation frees each graph before the weight step.  Every n x n quantity is
-built in place, a block of rows at a time.  The classifier's score table
-needs no n x n array at all.  These bounds keep it that way.
+straight from K and builds no graph.  There run_cdsk holds K plus either its
+graph's similarity S or the weight step's QP matrix, never both, because the
+alternation frees each graph before the weight step.  At or below the limit
+the dense solve adds N, built next to S in a buffer that the solve itself
+overwrites.  Every n x n quantity is built in place, a block of rows at a
+time.  The classifier's score table needs no n x n array at all.  These
+bounds keep it that way.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
+
+# the library imports these on first use; imported here, their module objects
+# stay out of the traced peaks
+import scipy.optimize  # noqa: F401
+import scipy.spatial.distance  # noqa: F401
 
 from cdsk.bounds import empirical_loss
 from cdsk.data_io import make_two_moons
@@ -37,7 +45,7 @@ def test_baseline_spectral_peak_memory():
 
 
 def test_run_cdsk_peak_memory():
-    # K plus either the QP matrix or the graph's buffer, never both (2.18
+    # K plus either the QP matrix or the graph's S, never both (2.18
     # measured); holding the old graph through the weight step reads 3.17
     n = 900
     data = make_two_moons(n, 0.05, seed=0)
@@ -45,6 +53,19 @@ def test_run_cdsk_peak_memory():
     peak = _peak_arrays(lambda: result.append(run_cdsk(data, CdskConfig(c=2))), n)
     assert len(result[0].objective_trace) >= 2  # the weight step ran
     assert peak <= 2.5, peak
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+def test_dense_embedding_peak_memory(baseline):
+    # at the dense limit: K, S and N, which the subset solve overwrites
+    # instead of copying (3.19 measured for either run); a copy of N reads 4.06
+    n = 800
+    data = make_two_moons(n, 0.05, seed=0)
+    if baseline:
+        peak = _peak_arrays(lambda: run_baseline_spectral(data, 2), n)
+    else:
+        peak = _peak_arrays(lambda: run_cdsk(data, CdskConfig(c=2, max_iter=2)), n)
+    assert peak <= 3.3, peak
 
 
 def test_empirical_loss_peak_memory():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cdsk.data_io import SampleMatrix
 from cdsk.driver import assemble_alpha_qp
-from cdsk.embedding import solve_embedding
+from cdsk.embedding import _dense_laplacian, solve_embedding
 from cdsk.errors import ConfigError, DegenerateDataError, ValidationError
 from cdsk.kernel import _ROW_BLOCK, GramMatrix, KernelSpec, eval_kernel, gram
 from cdsk.similarity import check_simplex, class_scores, disc_similarity
@@ -48,7 +48,6 @@ def test_disc_similarity_hand_pair():
     assert abs(g.s[0, 1] - 0.5) < 1e-12
     assert abs(g.s[0, 0] - 1.0) < 1e-12
     assert np.allclose(g.degree, g.s.sum(axis=1), atol=1e-12)
-    assert np.allclose(g.laplacian, np.diag(g.degree) - g.s, atol=1e-12)
 
 
 def test_disc_similarity_uniform_alpha_scales_kernel():
@@ -82,17 +81,23 @@ def test_disc_similarity_lambda_domain():
             disc_similarity(k, [0.5, 0.5], lam)
 
 
+def dense_n(g):
+    """N = I - D^{-1/2} S D^{-1/2} from its dense formula."""
+    inv_sqrt = 1.0 / np.sqrt(g.degree)
+    return np.eye(g.s.shape[0]) - (inv_sqrt[:, None] * g.s) * inv_sqrt[None, :]
+
+
 def test_disc_similarity_normalized_laplacian():
+    # the embedding's dense solve builds N from the graph's S and degrees
     rng = np.random.default_rng(2)
     k = _gram_from_points(rng.normal(size=(5, 2)))
     g = disc_similarity(k, _random_alpha(rng, 5), 0.3)
-    inv_sqrt = 1.0 / np.sqrt(g.degree)
-    want = np.eye(5) - (inv_sqrt[:, None] * g.s) * inv_sqrt[None, :]
-    assert np.allclose(g.normalized_laplacian, want, atol=1e-10)
+    assert np.allclose(_dense_laplacian(g), dense_n(g), atol=1e-10)
 
 
 def _reference_graph(k, alpha, lam):
-    """The dense formulas disc_similarity must reproduce bit for bit."""
+    """The dense formulas disc_similarity and the embedding's N builder
+    must reproduce bit for bit."""
     pair_sum = alpha[:, None] + alpha[None, :]
     pair_prod = np.outer(alpha, alpha)
     s = 2.0 * (pair_sum - lam * pair_prod) * k
@@ -133,15 +138,15 @@ def test_disc_similarity_bit_identical_to_dense_formulas(lam):
     alpha /= alpha.sum()
     g = disc_similarity(k, alpha, lam)
     assert np.any(g.s == 0.0)
+    normalized_built = _dense_laplacian(g)
     for s, degree, normalized in (
         _reference_graph(k.values, alpha, lam),
         _reference_chain(k.values, alpha, lam),
     ):
         assert g.s.tobytes() == s.tobytes()
         assert g.degree.tobytes() == degree.tobytes()
-        assert g.normalized_laplacian.tobytes() == normalized.tobytes()
-    assert np.array_equal(g.normalized_laplacian, g.normalized_laplacian.T)
-    assert g.laplacian.tobytes() == (np.diag(g.degree) - g.s).tobytes()
+        assert normalized_built.tobytes() == normalized.tobytes()
+    assert np.array_equal(normalized_built, normalized_built.T)
 
 
 def test_disc_similarity_zero_degree_row_raises():
@@ -180,8 +185,8 @@ def test_general_disc_similarity_psd_reduces():
 
 
 def laplacian_trace(y, g):
-    """tr(Y^T L Y) from the dense Laplacian."""
-    return float(np.sum(y * (g.laplacian @ y)))
+    """tr(Y^T L Y) from the dense Laplacian L = D - S."""
+    return float(np.sum(y * ((np.diag(g.degree) - g.s) @ y)))
 
 
 def joint_objective(y, g, k, alpha, lam):

@@ -6,12 +6,21 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cdsk.spectral
 from cdsk.data_io import make_two_moons
+from cdsk.embedding import solve_embedding
 from cdsk.errors import ValidationError
 from cdsk.kernel import KernelSpec, gram
 from cdsk.similarity import disc_similarity
-from cdsk.spectral import _fix_signs, check_symmetric, eigh, psd_split, smallest_eigenpairs
+from cdsk.spectral import (
+    _fix_signs,
+    check_symmetric,
+    eigh,
+    lanczos_smallest,
+    overwriting_smallest,
+    psd_split,
+    smallest_eigenpairs,
+)
+from test_similarity import dense_n
 
 
 def _random_symmetric(seed, n):
@@ -115,25 +124,18 @@ def _check_against_numpy(a, w, v, c):
 
 @pytest.mark.parametrize("n,c", [(300, 1), (300, 2), (300, 3), (800, 1), (800, 2), (800, 3), (900, 225)])
 def test_smallest_eigenpairs_dense_matches_numpy(n, c, eigsh_calls):
-    # n <= 800 and, at n = 900, c = n // 4 take the dense subset solve
+    # the dense subset solve at every size, above the embedding's Lanczos limit too
     a = _random_symmetric(40 + n, n)
+    a_before = a.copy()
     w, v = smallest_eigenpairs(a, c)
     assert eigsh_calls == []
+    assert a.tobytes() == a_before.tobytes()  # the input is not overwritten
     _check_against_numpy(a, w, v, c)
     w2, v2 = smallest_eigenpairs(a, c)
     assert w.tobytes() == w2.tobytes() and v.tobytes() == v2.tobytes()
-
-
-@pytest.mark.parametrize("with_null", [False, True])
-def test_smallest_eigenpairs_arpack_failure_falls_back(moons_laplacian, monkeypatch, with_null):
-    a, null_vector, _, _ = moons_laplacian
-
-    def failing(*args):
-        raise scipy.sparse.linalg.ArpackError(-9999)
-
-    monkeypatch.setattr(cdsk.spectral, "_shifted_lanczos", failing)
-    w, v = smallest_eigenpairs(a, 3, null_vector=null_vector if with_null else None)
-    _check_against_numpy(a, w, v, 3)
+    # the solve that may overwrite its input gives the same bytes
+    w3, v3 = overwriting_smallest(a_before, c)
+    assert w.tobytes() == w3.tobytes() and v.tobytes() == v3.tobytes()
 
 
 def test_smallest_eigenpairs_size_error():
@@ -173,27 +175,33 @@ def test_psd_split_reconstruction_and_psdness(seed, n):
 
 
 @pytest.fixture(scope="module")
-def moons_laplacian():
-    """Normalized Laplacian of a two-moons kernel graph (n = 900), its exact
-    null vector D^{1/2} 1 / ||D^{1/2} 1|| and a dense reference spectrum."""
+def moons_graphs(weighted_moons):
+    """Two-moons similarity graphs above the dense limit (n = 900), keyed by
+    uniform: True for alpha = 1/n, False for weighted_moons' weights.  Each
+    maps to (graph, null vector D^{1/2} 1 / ||D^{1/2} 1||, D^{-1/2}, and the
+    dense reference spectrum of N)."""
     data = make_two_moons(900, 0.05, seed=0)
-    graph = disc_similarity(gram(data, KernelSpec(0.1)), np.full(data.n, 1.0 / data.n), 0.1)
-    sqrt_degree = np.sqrt(graph.degree)
-    null_vector = sqrt_degree / np.linalg.norm(sqrt_degree)
-    w, v = np.linalg.eigh(graph.normalized_laplacian)
-    return graph.normalized_laplacian, null_vector, w, v
+    graphs = {
+        True: disc_similarity(gram(data, KernelSpec(0.1)), np.full(data.n, 1.0 / data.n), 0.1),
+        False: disc_similarity(*weighted_moons, 0.1),
+    }
+    out = {}
+    for uniform, g in graphs.items():
+        sqrt_degree = np.sqrt(g.degree)
+        w, v = np.linalg.eigh(dense_n(g))
+        out[uniform] = (g, sqrt_degree / np.linalg.norm(sqrt_degree), 1.0 / sqrt_degree, w, v)
+    return out
 
 
-@pytest.mark.parametrize("with_null", [False, True])
+@pytest.mark.parametrize("uniform", [False, True])
 @pytest.mark.parametrize("c", [1, 2, 3])
-def test_smallest_eigenpairs_lanczos_matches_dense(moons_laplacian, eigsh_calls, c, with_null):
-    a, null_vector, w_ref, v_ref = moons_laplacian
-    w, v = smallest_eigenpairs(a, c, null_vector=null_vector if with_null else None)
-    # the Lanczos branch ran: with the null vector deflated it asks for c - 1
-    # pairs, and for none at all when c = 1
-    expected_calls = [] if (with_null and c == 1) else [c - 1 if with_null else c]
-    assert eigsh_calls == expected_calls
-    assert w.shape == (c,) and v.shape == (a.shape[0], c)
+def test_smallest_eigenpairs_lanczos_matches_dense(moons_graphs, eigsh_calls, c, uniform):
+    g, null_vector, inv_sqrt, w_ref, v_ref = moons_graphs[uniform]
+    w, v = lanczos_smallest(g.s, c, null_vector, inv_sqrt)
+    # with the null vector deflated ARPACK is asked for c - 1 pairs, and for
+    # none at all when c = 1
+    assert eigsh_calls == ([] if c == 1 else [c - 1])
+    assert w.shape == (c,) and v.shape == (g.s.shape[0], c)
     assert np.max(np.abs(w - w_ref[:c])) < 1e-10
     assert np.all(np.diff(w) >= 0)
     q = np.linalg.qr(v)[0]
@@ -201,12 +209,30 @@ def test_smallest_eigenpairs_lanczos_matches_dense(moons_laplacian, eigsh_calls,
     assert np.min(sv) > 1.0 - 1e-8
 
 
-def test_smallest_eigenpairs_lanczos_c1_returns_null_vector(moons_laplacian, eigsh_calls):
-    a, null_vector, _, _ = moons_laplacian
-    w, v = smallest_eigenpairs(a, 1, null_vector=null_vector)
+def test_smallest_eigenpairs_lanczos_c1_returns_null_vector(moons_graphs, eigsh_calls):
+    g, null_vector, inv_sqrt, _, _ = moons_graphs[True]
+    w, v = lanczos_smallest(g.s, 1, null_vector, inv_sqrt)
     assert eigsh_calls == []
     assert np.array_equal(w, [0.0])
     assert np.array_equal(v[:, 0], null_vector)
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_smallest_eigenpairs_arpack_failure_falls_back(moons_graphs, monkeypatch, uniform):
+    g, _, _, _, _ = moons_graphs[uniform]
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        raise scipy.sparse.linalg.ArpackError(-9999)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+    y = solve_embedding(g, 3)
+    assert len(calls) == 1
+    # the subset solve's U = D^{1/2} Y, with its Rayleigh quotients as eigenvalues
+    n_dense = dense_n(g)
+    u = np.sqrt(g.degree)[:, None] * y
+    _check_against_numpy(n_dense, np.sum(u * (n_dense @ u), axis=0), u, 3)
 
 
 def _layout(a, layout):
@@ -220,45 +246,43 @@ def _layout(a, layout):
     return big[::2, ::2]
 
 
-@pytest.mark.parametrize("with_null", [False, True])
-def test_smallest_eigenpairs_lanczos_repeat_bit_identical(moons_laplacian, with_null):
+@pytest.mark.parametrize("uniform", [False, True])
+def test_smallest_eigenpairs_lanczos_repeat_bit_identical(moons_graphs, uniform):
     # ARPACK keeps state between calls; an unrelated solve in between must not
     # change the next answer
-    a, null_vector, _, _ = moons_laplacian
-    null_vector = null_vector if with_null else None
-    w1, v1 = smallest_eigenpairs(a, 3, null_vector=null_vector)
+    g, null_vector, inv_sqrt, _, _ = moons_graphs[uniform]
+    w1, v1 = lanczos_smallest(g.s, 3, null_vector, inv_sqrt)
     rng = np.random.default_rng(11)
     scipy.sparse.linalg.eigsh(_random_symmetric(12, 60), k=4, which="LM", v0=rng.normal(size=60))
-    w2, v2 = smallest_eigenpairs(a, 3, null_vector=null_vector)
+    w2, v2 = lanczos_smallest(g.s, 3, null_vector, inv_sqrt)
     assert w1.tobytes() == w2.tobytes()
     assert v1.tobytes() == v2.tobytes()
 
 
 @pytest.mark.parametrize("layout", ["F", "strided"])
-@pytest.mark.parametrize("with_null", [False, True])
-def test_smallest_eigenpairs_lanczos_layout_bit_identical(moons_laplacian, with_null, layout):
+@pytest.mark.parametrize("uniform", [False, True])
+def test_smallest_eigenpairs_lanczos_layout_bit_identical(moons_graphs, uniform, layout):
     # every layout reads the same triangle values in the same order, so it
     # must give the same bytes as the C-ordered input
-    a, null_vector, _, _ = moons_laplacian
-    null_vector = null_vector if with_null else None
-    w1, v1 = smallest_eigenpairs(a, 3, null_vector=null_vector)
-    w2, v2 = smallest_eigenpairs(_layout(a, layout), 3, null_vector=null_vector)
+    g, null_vector, inv_sqrt, _, _ = moons_graphs[uniform]
+    w1, v1 = lanczos_smallest(g.s, 3, null_vector, inv_sqrt)
+    w2, v2 = lanczos_smallest(_layout(g.s, layout), 3, null_vector, inv_sqrt)
     assert w1.tobytes() == w2.tobytes()
     assert v1.tobytes() == v2.tobytes()
 
 
 @pytest.mark.parametrize("layout,bound", [("C", 0.1), ("F", 0.1), ("strided", 1.1)])
 def test_smallest_eigenpairs_lanczos_copies_a_at_most_once(layout, bound, eigsh_calls):
-    # a copy of a per Lanczos product would show as one more n x n array;
+    # a copy of S per Lanczos product would show as one more n x n array;
     # only the strided view is copied, once, before the first product
     n = 1000
     data = make_two_moons(n, 0.05, seed=0)
     graph = disc_similarity(gram(data, KernelSpec(0.1)), np.full(n, 1.0 / n), 0.1)
     sqrt_degree = np.sqrt(graph.degree)
-    a = _layout(graph.normalized_laplacian, layout)
+    a = _layout(graph.s, layout)
     tracemalloc.start()
     try:
-        smallest_eigenpairs(a, 2, sqrt_degree / np.linalg.norm(sqrt_degree))
+        lanczos_smallest(a, 2, sqrt_degree / np.linalg.norm(sqrt_degree), 1.0 / sqrt_degree)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
