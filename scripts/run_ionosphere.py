@@ -19,6 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cdsk.data_io import SampleMatrix
 from cdsk.driver import CdskConfig, run_baseline_spectral, run_cdsk, tune_lambda
+from cdsk.errors import CdskError
 
 
 def load_ionosphere(path):
@@ -32,6 +33,8 @@ def load_ionosphere(path):
         rows.append([float(v) for v in cells[:-1]])
         tag = cells[-1].strip().lower()
         labels.append(1 if tag in ("g", "1") else 2)
+    if not rows:
+        raise ValueError("no data rows")
     return SampleMatrix(np.asarray(rows), np.asarray(labels))
 
 
@@ -49,7 +52,12 @@ def main(argv=None):
     if not path.exists():
         print(f"error: {path} not found; download the UCI file first", file=sys.stderr)
         return 1
-    data = load_ionosphere(path)
+    try:
+        data = load_ionosphere(path)
+    except (CdskError, OSError, ValueError) as exc:
+        # ValueError: a non-numeric cell, rows of unequal length, or no rows
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return 1
     print(f"loaded {data.n} samples, {data.data.shape[1]} features")
 
     accs, nmis, base_accs = [], [], []

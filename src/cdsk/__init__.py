@@ -13,7 +13,7 @@ from .data_io import (
 from .driver import CdskConfig, run_baseline_spectral, run_cdsk, tune_lambda
 from .kernel import GramMatrix, KernelSpec, default_bandwidth, eval_kernel, gram
 from .kmeans_metrics import Partition, accuracy, kmeans, nmi
-from .spectral import EigenSystem, PsdSplit, eigh, psd_split, smallest_eigenpairs
+from .spectral import EigenSystem, PsdSplit, eigh, psd_split
 
 __all__ = [
     "CdskConfig",
@@ -38,7 +38,6 @@ __all__ = [
     "read_result",
     "run_baseline_spectral",
     "run_cdsk",
-    "smallest_eigenpairs",
     "tune_lambda",
     "write_csv",
     "write_result",

@@ -8,11 +8,11 @@ import numpy as np
 from scipy.linalg.lapack import dposv
 
 from .data_io import ClusteringResult, SampleMatrix
-from .embedding import solve_embedding, uniform_embedding
+from .embedding import solve_embedding
 from .errors import ConfigError, DegenerateDataError, ValidationError
 from .kernel import GramMatrix, KernelSpec, default_bandwidth, gram, pairwise_sq_dists
 from .kmeans_metrics import Partition, accuracy, kmeans, nmi
-from .similarity import check_simplex, disc_similarity
+from .similarity import DiscSimilarityGraph, check_degrees, check_simplex, disc_similarity
 
 DEFAULT_LAMBDA_GRID = tuple(round(0.05 * k, 2) for k in range(1, 11))
 _VALIDATION_FRACTION = 0.1
@@ -386,21 +386,21 @@ def run_baseline_spectral(
 ) -> ClusteringResult:
     """Plain normalized spectral clustering on the raw gram matrix.
 
-    The uniform-weights special case: scaling the similarity by a constant
-    leaves the normalized Laplacian unchanged, so lambda only scales the
-    degrees, and hence Y, and is reported as the library default.  Up to
-    n = 800 (and for c >= n // 4) the uniform graph is built and embedded
-    densely; above that the embedding comes straight from K, with no n x n
-    array besides it (see uniform_embedding).  Unlike run_cdsk it accepts
-    c = 1.  bandwidth None picks the heuristic, seed drives k-means, whose
-    10 restarts are fixed.
+    The uniform-weights special case: there the similarity is a constant
+    multiple of K, which leaves the normalized Laplacian unchanged, so
+    solve_embedding runs on K's own graph, (K, K1), and builds no S.  Up to
+    n = 800 (and for c >= n // 4) that adds N next to K; above it, no n x n
+    array besides K.  No lambda enters: the result's lambda_used 0.1 is a
+    placeholder.  Unlike run_cdsk it accepts c = 1.  bandwidth None picks
+    the heuristic, seed drives k-means, whose 10 restarts are fixed.
     """
     if c < 1:
         raise ConfigError(f"cluster count must be >= 1, got {c}")
     if data.n < c:
         raise ValidationError(f"n={data.n} is smaller than c={c}")
     kmat = _gram(data, bandwidth)
-    y = uniform_embedding(kmat, c)
+    k = kmat.values
+    y = solve_embedding(DiscSimilarityGraph(k, check_degrees(k.sum(axis=1))), c)
     part = kmeans(y, c, seed=seed)
     return ClusteringResult(
         labels=part.labels,

@@ -106,14 +106,12 @@ def lanczos_applies(n: int, c: int) -> bool:
     return n > _DENSE_LIMIT and c < n // 4
 
 
-def lanczos_smallest(
-    m: np.ndarray, c: int, null_vector: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def lanczos_smallest(m: np.ndarray, c: int, degree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The c smallest eigenpairs, ascending, of the normalized Laplacian
-    N = I - W m W, W = diag(w), by Lanczos iteration; N is never formed.
+    N = I - W m W, W = diag(w) = D^{-1/2}, by Lanczos iteration; N is never formed.
 
-    m >= 0 must have passed check_symmetric and w be (m 1)^{-1/2}, so N's
-    spectrum lies in [0, 2].  ARPACK runs on 2I - N,
+    m >= 0 must have passed check_symmetric and degree, its row sums D, be
+    positive, so N's spectrum lies in [0, 2].  ARPACK runs on 2I - N,
     x -> x + w * (m (w * x)), and takes its largest eigenvalues theta,
     returning 2 - theta.  The shift matters because ARPACK stops when a Ritz
     residual falls below a tolerance relative to the Ritz value itself: the
@@ -123,17 +121,18 @@ def lanczos_smallest(
     form, which is m.T for C-ordered m and m itself for F-ordered m; both
     give the same bytes, and a strided view is copied once, to Fortran order.
 
-    null_vector is the unit vector D^{1/2} 1 / ||D^{1/2} 1|| spanning N's
-    eigenvalue-0 eigenspace.  It is deflated from the operator (x -> ... -
-    2 u u^T x), ARPACK computes only the other c - 1 pairs (none when c = 1)
-    and (0, null_vector) is added to them.  The start vector is fixed, so
-    repeated calls are bit-identical.  ARPACK's failure propagates as
-    ArpackError.
+    The unit vector D^{1/2} 1 / ||D^{1/2} 1|| spans N's eigenvalue-0
+    eigenspace.  It is deflated from the operator (x -> ... - 2 u u^T x),
+    ARPACK computes only the other c - 1 pairs (none when c = 1) and
+    (0, u) is added to them.  The start vector is fixed, so repeated calls
+    are bit-identical.  ARPACK's failure propagates as ArpackError.
     """
-    u = np.asarray(null_vector, dtype=np.float64)
+    sqrt_degree = np.sqrt(degree)
+    u = sqrt_degree / np.linalg.norm(sqrt_degree)
     theta, v = np.zeros(1), u[:, None]
     if c > 1:
         n = m.shape[0]
+        w = 1.0 / sqrt_degree
         # f2py would copy a C-ordered array on every symv call
         f = m.T if m.flags.c_contiguous else np.asfortranarray(m)
 
@@ -153,25 +152,14 @@ def lanczos_smallest(
     return theta[order], _fix_signs(v[:, order])
 
 
-def smallest_eigenpairs(a: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The c algebraically smallest eigenpairs of a symmetric matrix, ascending.
+def overwriting_smallest(a: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The c algebraically smallest eigenpairs, ascending, of a C-ordered,
+    exactly symmetric a, which the solve uses as its workspace.
 
     LAPACK's subset solver (syevr, relatively robust representations)
-    computes only these c pairs from the dense matrix, not the other n - c.
-    a is not overwritten.
+    computes only these c pairs, not the other n - c.  a.T is a's
+    Fortran-ordered form, so LAPACK needs no copy of it.
     """
-    a = check_symmetric(a)
-    n = a.shape[0]
-    if not 1 <= c <= n:
-        raise ValidationError(f"need 1 <= c <= n, got c={c}, n={n}")
-    w, v = _eigh(a, c)
-    return w, _fix_signs(v)
-
-
-def overwriting_smallest(a: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """smallest_eigenpairs of a C-ordered, exactly symmetric a, which the
-    solve uses as its workspace: a.T is a's Fortran-ordered form, so LAPACK
-    needs no copy, and it gives smallest_eigenpairs' bytes."""
     w, v = _eigh(a.T, c, overwrite=True)
     return w, _fix_signs(v)
 

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import cdsk.driver
 import cdsk.embedding
 from cdsk.data_io import SampleMatrix, make_two_moons
 from cdsk.driver import run_baseline_spectral
-from cdsk.embedding import solve_embedding, uniform_embedding
+from cdsk.embedding import _dense_laplacian, solve_embedding
 from cdsk.errors import DegenerateDataError, ValidationError
 from cdsk.kernel import GramMatrix, KernelSpec, gram
 from cdsk.kmeans_metrics import kmeans
-from cdsk.similarity import disc_similarity
-from cdsk.spectral import smallest_eigenpairs
+from cdsk.similarity import DiscSimilarityGraph, disc_similarity
+from cdsk.spectral import overwriting_smallest
 from test_similarity import dense_n, laplacian_trace
 
 
@@ -86,7 +87,7 @@ def test_embedding_trace_optimality():
 def test_embedding_eigenvalues_in_range():
     rng = np.random.default_rng(4)
     g = _graph_from_points(rng.normal(size=(12, 3)), lam=1.5)
-    w, _ = smallest_eigenpairs(dense_n(g), 12)
+    w, _ = np.linalg.eigh(dense_n(g))
     assert w.min() >= -1e-8
     assert w.max() <= 2.0 + 1e-8
 
@@ -105,8 +106,8 @@ def test_embedding_uniform_alpha_matches_plain_spectral():
     deg = k.values.sum(axis=1)
     inv = 1.0 / np.sqrt(deg)
     norm_lap = np.eye(n) - (inv[:, None] * k.values) * inv[None, :]
-    _, u = smallest_eigenpairs(norm_lap, c)
-    y_plain = u * inv[:, None]
+    _, u = np.linalg.eigh(norm_lap)
+    y_plain = u[:, :c] * inv[:, None]
 
     q1 = np.linalg.qr(y)[0]
     q2 = np.linalg.qr(y_plain)[0]
@@ -171,44 +172,75 @@ def test_embedding_lanczos_general_alpha_matches_dense(
     assert abs(laplacian_trace(y, g) - np.sum(w[:c])) < 1e-10
 
 
-# --- uniform_embedding: the uniform graph's embedding straight from K -------
+# --- the baseline: solve_embedding on K's own graph (K, K1) ----------------
+
+
+def _kernel_graph(kmat):
+    k = kmat.values
+    return DiscSimilarityGraph(k, k.sum(axis=1))
+
+
+def _s0(n, lam):
+    """s_ij / k_ij of the uniform-weight graph disc_similarity(K, 1/n, lam)."""
+    return 2.0 * (2.0 / n - lam / n**2)
 
 
 def _no_graph(*args):
-    raise AssertionError("the K path built a similarity graph")
+    raise AssertionError("the baseline built a similarity graph")
+
+
+@pytest.fixture
+def baseline_embeddings(monkeypatch):
+    """The Y of every solve_embedding call run_baseline_spectral makes; the
+    baseline may not call disc_similarity."""
+    ys = []
+
+    def recording(graph, c):
+        ys.append(solve_embedding(graph, c))
+        return ys[-1]
+
+    monkeypatch.setattr(cdsk.driver, "solve_embedding", recording)
+    monkeypatch.setattr(cdsk.driver, "disc_similarity", _no_graph)
+    return ys
+
+
+def _baseline_moons(c):
+    # the data of moons_gram
+    return run_baseline_spectral(make_two_moons(900, 0.05, seed=0), c, bandwidth=0.1)
 
 
 @pytest.mark.parametrize("c", [2, 3])
 def test_uniform_embedding_matches_dense_graph_solve(
-    moons_gram, moons_graph, monkeypatch, eigsh_calls, c
+    moons_gram, moons_graph, baseline_embeddings, eigsh_calls, c
 ):
-    g = moons_graph
-    monkeypatch.setattr(cdsk.embedding, "disc_similarity", _no_graph)
-    y = uniform_embedding(moons_gram, c)
+    _baseline_moons(c)
+    (y,) = baseline_embeddings
     # one Lanczos solve, for the c - 1 pairs beside the deflated null vector
     assert eigsh_calls == [c - 1]
     assert np.allclose(y[:, 0], y[0, 0], rtol=1e-12, atol=0.0)
-    feas = y.T @ (g.degree[:, None] * y)
+    degree = moons_gram.values.sum(axis=1)
+    feas = y.T @ (degree[:, None] * y)
     assert np.max(np.abs(feas - np.eye(c))) < 1e-8
-    _, v = np.linalg.eigh(dense_n(g))
-    q = np.linalg.qr(np.sqrt(g.degree)[:, None] * y)[0]
+    # the uniform graph's N is K's
+    _, v = np.linalg.eigh(dense_n(moons_graph))
+    q = np.linalg.qr(np.sqrt(degree)[:, None] * y)[0]
     assert np.min(np.linalg.svd(q.T @ v[:, :c], compute_uv=False)) > 1.0 - 1e-8
 
 
 def test_uniform_embedding_c1_is_the_null_vector_without_arpack(
-    moons_gram, moons_graph, eigsh_calls
+    moons_gram, baseline_embeddings, eigsh_calls
 ):
-    g = moons_graph
-    y = uniform_embedding(moons_gram, 1)
+    _baseline_moons(1)
+    (y,) = baseline_embeddings
     assert eigsh_calls == []
     assert y.shape == (900, 1)
-    assert np.allclose(y[:, 0], 1.0 / np.linalg.norm(np.sqrt(g.degree)), rtol=1e-12, atol=0.0)
+    sqrt_degree = np.sqrt(moons_gram.values.sum(axis=1))
+    assert np.allclose(y[:, 0], 1.0 / np.linalg.norm(sqrt_degree), rtol=1e-12, atol=0.0)
 
 
 def test_uniform_embedding_arpack_failure_falls_back_to_dense(
-    moons_gram, moons_graph, monkeypatch
+    moons_gram, moons_graph, baseline_embeddings, monkeypatch
 ):
-    g = moons_graph
     calls = []
 
     def failing(*args, **kwargs):
@@ -216,29 +248,50 @@ def test_uniform_embedding_arpack_failure_falls_back_to_dense(
         raise scipy.sparse.linalg.ArpackError(-9999)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
-    y = uniform_embedding(moons_gram, 3)
+    _baseline_moons(3)
+    (y,) = baseline_embeddings
     assert len(calls) == 1
-    # the dense subset solve on the same N; only the degrees' rounding differs
-    y_dense = solve_embedding(g, 3)
+    # the dense subset solve on K's N, scaled by (K1)^{-1/2}
+    kernel_graph = _kernel_graph(moons_gram)
+    _, u = overwriting_smallest(_dense_laplacian(kernel_graph), 3)
+    assert y.tobytes() == (u / np.sqrt(kernel_graph.degree)[:, None]).tobytes()
+    # and the uniform graph's, whose N and D = s0 K1 differ from K's by rounding
+    y_dense = solve_embedding(moons_graph, 3)
     assert len(calls) == 2
-    assert np.max(np.abs(y - y_dense)) <= 1e-12 * np.max(np.abs(y_dense))
+    assert np.max(np.abs(y - np.sqrt(_s0(900, 0.1)) * y_dense)) <= 1e-10 * np.max(np.abs(y))
 
 
-def test_uniform_embedding_isolated_point_is_degenerate(moons_gram):
+def test_uniform_embedding_isolated_point_is_degenerate(moons_gram, monkeypatch):
     k = moons_gram.values.copy()
     k[7, :] = 0.0
     k[:, 7] = 0.0
+    monkeypatch.setattr(cdsk.driver, "_gram", lambda data, bandwidth: GramMatrix(k, 0.1))
     with pytest.raises(DegenerateDataError):
-        uniform_embedding(GramMatrix(values=k, bandwidth=0.1), 2)
+        _baseline_moons(2)
 
 
-def test_uniform_embedding_repeat_bit_identical(moons_gram):
-    y1 = uniform_embedding(moons_gram, 3)
+def test_uniform_embedding_repeat_bit_identical(baseline_embeddings):
+    labels1 = _baseline_moons(3).labels
     rng = np.random.default_rng(11)
     a = rng.normal(size=(60, 60))
     scipy.sparse.linalg.eigsh(a + a.T, k=4, which="LM", v0=rng.normal(size=60))
-    y2 = uniform_embedding(moons_gram, 3)
+    labels2 = _baseline_moons(3).labels
+    y1, y2 = baseline_embeddings
     assert y1.tobytes() == y2.tobytes()
+    assert np.array_equal(labels1, labels2)
+
+
+@pytest.mark.parametrize("n", [300, 900])
+@pytest.mark.parametrize("lam", [0.1, 1.5])
+def test_kernel_graph_embedding_is_the_uniform_graphs_scaled(n, lam):
+    # at alpha = 1/n, S = s0 K and D = s0 K1: both graphs share N, and
+    # Y = D^{-1/2} U scales by 1 / sqrt(s0); n = 300 solves densely, n = 900
+    # by Lanczos
+    kmat = gram(make_two_moons(n, 0.05, seed=0), KernelSpec(0.1))
+    y_kernel = solve_embedding(_kernel_graph(kmat), 3)
+    y_uniform = solve_embedding(disc_similarity(kmat, np.full(n, 1.0 / n), lam), 3)
+    err = np.max(np.abs(y_kernel - np.sqrt(_s0(n, lam)) * y_uniform))
+    assert err <= 1e-10 * np.max(np.abs(y_kernel)), err
 
 
 def test_baseline_spectral_labels_match_the_graph_path():

@@ -1,10 +1,11 @@
 """Peak traced memory of whole runs, in units of one n x n float64 array.
 
-Above the dense eigensolver limit the baseline keeps K alone: it embeds
-straight from K and builds no graph.  There run_cdsk holds K plus either its
+The baseline embeds K's own graph, (K, K1), and builds no similarity S: above
+the dense eigensolver limit it keeps K alone, and at or below it, or when
+ARPACK fails, K plus N.  Above the limit run_cdsk holds K plus either its
 graph's similarity S or the weight step's QP matrix, never both, because the
-alternation frees each graph before the weight step.  At or below the limit
-the dense solve adds N, built next to S in a buffer that the solve itself
+alternation frees each graph before the weight step; at or below it the dense
+solve adds N next to S.  N is built in a buffer that the solve itself
 overwrites.  Every n x n quantity is built in place, a block of rows at a
 time.  The classifier's score table needs no n x n array at all.  These
 bounds keep it that way.
@@ -14,6 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 # the library imports these on first use; imported here, their module objects
 # stay out of the traced peaks
@@ -57,15 +59,29 @@ def test_run_cdsk_peak_memory():
 
 @pytest.mark.parametrize("baseline", [False, True])
 def test_dense_embedding_peak_memory(baseline):
-    # at the dense limit: K, S and N, which the subset solve overwrites
-    # instead of copying (3.19 measured for either run); a copy of N reads 4.06
+    # at the dense limit: K, S and N for run_cdsk (3.19 measured), K and N for
+    # the baseline (2.19; 3.19 with S); the subset solve overwrites N instead
+    # of copying it, and a copy of N would read one more
     n = 800
     data = make_two_moons(n, 0.05, seed=0)
     if baseline:
         peak = _peak_arrays(lambda: run_baseline_spectral(data, 2), n)
+        assert peak <= 2.3, peak
     else:
         peak = _peak_arrays(lambda: run_cdsk(data, CdskConfig(c=2, max_iter=2)), n)
-    assert peak <= 3.3, peak
+        assert peak <= 3.3, peak
+
+
+def test_baseline_arpack_failure_peak_memory(monkeypatch):
+    # the dense fallback above the limit: K and N (2.15 measured); 3.15 with S
+    def failing(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackError(-9999)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+    n = 1000
+    data = make_two_moons(n, 0.1, seed=0)
+    peak = _peak_arrays(lambda: run_baseline_spectral(data, 2), n)
+    assert peak <= 2.3, peak
 
 
 def test_empirical_loss_peak_memory():

@@ -32,3 +32,17 @@ def test_run_ionosphere_missing_data_exits_1(tmp_path):
     proc = _run("--data", str(tmp_path / "absent.csv"))
     assert proc.returncode == 1
     assert "not found" in proc.stderr
+
+
+def test_run_ionosphere_malformed_data_exits_1(tmp_path):
+    # an empty file and a non-numeric feature cell: an error line, no traceback
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0.5,1.0,g\n0.5,oops,b\n")
+    for path in (empty, bad):
+        proc = _run("--data", str(path))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""

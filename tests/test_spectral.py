@@ -18,7 +18,6 @@ from cdsk.spectral import (
     lanczos_smallest,
     overwriting_smallest,
     psd_split,
-    smallest_eigenpairs,
 )
 from test_similarity import dense_n
 
@@ -64,14 +63,14 @@ def test_eigh_permutation_invariant_spectrum():
 
 
 def test_smallest_eigenpairs_diag():
-    w, v = smallest_eigenpairs(np.diag([0.0, 1.0, 2.0]), 1)
+    w, v = overwriting_smallest(np.diag([0.0, 1.0, 2.0]).copy(), 1)
     assert abs(w[0]) < 1e-12
     assert np.allclose(np.abs(v[:, 0]), [1.0, 0.0, 0.0])
 
 
 def test_smallest_eigenpairs_matches_full():
     a = _random_symmetric(4, 20)
-    w, v = smallest_eigenpairs(a, 4)
+    w, v = overwriting_smallest(a.copy(), 4)
     sys = eigh(a)
     assert np.allclose(w, sys.eigenvalues[:4], atol=1e-8)
     # compare invariant subspaces through principal angles
@@ -126,21 +125,11 @@ def _check_against_numpy(a, w, v, c):
 def test_smallest_eigenpairs_dense_matches_numpy(n, c, eigsh_calls):
     # the dense subset solve at every size, above the embedding's Lanczos limit too
     a = _random_symmetric(40 + n, n)
-    a_before = a.copy()
-    w, v = smallest_eigenpairs(a, c)
+    w, v = overwriting_smallest(a.copy(), c)
     assert eigsh_calls == []
-    assert a.tobytes() == a_before.tobytes()  # the input is not overwritten
     _check_against_numpy(a, w, v, c)
-    w2, v2 = smallest_eigenpairs(a, c)
+    w2, v2 = overwriting_smallest(a.copy(), c)
     assert w.tobytes() == w2.tobytes() and v.tobytes() == v2.tobytes()
-    # the solve that may overwrite its input gives the same bytes
-    w3, v3 = overwriting_smallest(a_before, c)
-    assert w.tobytes() == w3.tobytes() and v.tobytes() == v3.tobytes()
-
-
-def test_smallest_eigenpairs_size_error():
-    with pytest.raises(ValidationError):
-        smallest_eigenpairs(np.eye(3), 4)
 
 
 def test_psd_split_hand_2x2():
@@ -178,8 +167,8 @@ def test_psd_split_reconstruction_and_psdness(seed, n):
 def moons_graphs(weighted_moons):
     """Two-moons similarity graphs above the dense limit (n = 900), keyed by
     uniform: True for alpha = 1/n, False for weighted_moons' weights.  Each
-    maps to (graph, null vector D^{1/2} 1 / ||D^{1/2} 1||, D^{-1/2}, and the
-    dense reference spectrum of N)."""
+    maps to (graph, null vector D^{1/2} 1 / ||D^{1/2} 1|| and the dense
+    reference spectrum of N)."""
     data = make_two_moons(900, 0.05, seed=0)
     graphs = {
         True: disc_similarity(gram(data, KernelSpec(0.1)), np.full(data.n, 1.0 / data.n), 0.1),
@@ -189,15 +178,15 @@ def moons_graphs(weighted_moons):
     for uniform, g in graphs.items():
         sqrt_degree = np.sqrt(g.degree)
         w, v = np.linalg.eigh(dense_n(g))
-        out[uniform] = (g, sqrt_degree / np.linalg.norm(sqrt_degree), 1.0 / sqrt_degree, w, v)
+        out[uniform] = (g, sqrt_degree / np.linalg.norm(sqrt_degree), w, v)
     return out
 
 
 @pytest.mark.parametrize("uniform", [False, True])
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_smallest_eigenpairs_lanczos_matches_dense(moons_graphs, eigsh_calls, c, uniform):
-    g, null_vector, inv_sqrt, w_ref, v_ref = moons_graphs[uniform]
-    w, v = lanczos_smallest(g.s, c, null_vector, inv_sqrt)
+    g, _, w_ref, v_ref = moons_graphs[uniform]
+    w, v = lanczos_smallest(g.s, c, g.degree)
     # with the null vector deflated ARPACK is asked for c - 1 pairs, and for
     # none at all when c = 1
     assert eigsh_calls == ([] if c == 1 else [c - 1])
@@ -210,8 +199,8 @@ def test_smallest_eigenpairs_lanczos_matches_dense(moons_graphs, eigsh_calls, c,
 
 
 def test_smallest_eigenpairs_lanczos_c1_returns_null_vector(moons_graphs, eigsh_calls):
-    g, null_vector, inv_sqrt, _, _ = moons_graphs[True]
-    w, v = lanczos_smallest(g.s, 1, null_vector, inv_sqrt)
+    g, null_vector, _, _ = moons_graphs[True]
+    w, v = lanczos_smallest(g.s, 1, g.degree)
     assert eigsh_calls == []
     assert np.array_equal(w, [0.0])
     assert np.array_equal(v[:, 0], null_vector)
@@ -219,7 +208,7 @@ def test_smallest_eigenpairs_lanczos_c1_returns_null_vector(moons_graphs, eigsh_
 
 @pytest.mark.parametrize("uniform", [False, True])
 def test_smallest_eigenpairs_arpack_failure_falls_back(moons_graphs, monkeypatch, uniform):
-    g, _, _, _, _ = moons_graphs[uniform]
+    g, _, _, _ = moons_graphs[uniform]
     calls = []
 
     def failing(*args, **kwargs):
@@ -250,11 +239,11 @@ def _layout(a, layout):
 def test_smallest_eigenpairs_lanczos_repeat_bit_identical(moons_graphs, uniform):
     # ARPACK keeps state between calls; an unrelated solve in between must not
     # change the next answer
-    g, null_vector, inv_sqrt, _, _ = moons_graphs[uniform]
-    w1, v1 = lanczos_smallest(g.s, 3, null_vector, inv_sqrt)
+    g, _, _, _ = moons_graphs[uniform]
+    w1, v1 = lanczos_smallest(g.s, 3, g.degree)
     rng = np.random.default_rng(11)
     scipy.sparse.linalg.eigsh(_random_symmetric(12, 60), k=4, which="LM", v0=rng.normal(size=60))
-    w2, v2 = lanczos_smallest(g.s, 3, null_vector, inv_sqrt)
+    w2, v2 = lanczos_smallest(g.s, 3, g.degree)
     assert w1.tobytes() == w2.tobytes()
     assert v1.tobytes() == v2.tobytes()
 
@@ -264,9 +253,9 @@ def test_smallest_eigenpairs_lanczos_repeat_bit_identical(moons_graphs, uniform)
 def test_smallest_eigenpairs_lanczos_layout_bit_identical(moons_graphs, uniform, layout):
     # every layout reads the same triangle values in the same order, so it
     # must give the same bytes as the C-ordered input
-    g, null_vector, inv_sqrt, _, _ = moons_graphs[uniform]
-    w1, v1 = lanczos_smallest(g.s, 3, null_vector, inv_sqrt)
-    w2, v2 = lanczos_smallest(_layout(g.s, layout), 3, null_vector, inv_sqrt)
+    g, _, _, _ = moons_graphs[uniform]
+    w1, v1 = lanczos_smallest(g.s, 3, g.degree)
+    w2, v2 = lanczos_smallest(_layout(g.s, layout), 3, g.degree)
     assert w1.tobytes() == w2.tobytes()
     assert v1.tobytes() == v2.tobytes()
 
@@ -278,11 +267,10 @@ def test_smallest_eigenpairs_lanczos_copies_a_at_most_once(layout, bound, eigsh_
     n = 1000
     data = make_two_moons(n, 0.05, seed=0)
     graph = disc_similarity(gram(data, KernelSpec(0.1)), np.full(n, 1.0 / n), 0.1)
-    sqrt_degree = np.sqrt(graph.degree)
     a = _layout(graph.s, layout)
     tracemalloc.start()
     try:
-        lanczos_smallest(a, 2, sqrt_degree / np.linalg.norm(sqrt_degree), 1.0 / sqrt_degree)
+        lanczos_smallest(a, 2, graph.degree)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
