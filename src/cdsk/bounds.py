@@ -44,9 +44,24 @@ class BoundInputs:
             raise ValidationError("r must be > 0")
 
 
-def phi(x: float) -> float:
-    """Ramp loss: 1 for x <= 0, 1 - x on [0, 1], 0 for x >= 1."""
-    return float(min(1.0, max(0.0, 1.0 - x)))
+def phi(x):
+    """Ramp loss: 1 for x <= 0, 1 - x on [0, 1], 0 for x >= 1; elementwise on arrays."""
+    return np.clip(1.0 - np.asarray(x, dtype=np.float64), 0.0, 1.0)
+
+
+def class_row_sums(m: np.ndarray, w, labels) -> tuple[np.ndarray, np.ndarray]:
+    """(own, total): own_i = sum_{j: y_j = y_i} m_ij w_j, total_i = sum_j m_ij w_j.
+
+    Read from the n x c product m @ (w * E), E the classes' one-hot: O(n^2 c)
+    and no n x n temporary.  For symmetric m the blocked form sum_y w^(y)T m w^(y)
+    is w @ own, and sum_{i,j} (w_i + w_j) m_ij [y_i != y_j] is 2 sum(total - own).
+    """
+    classes, index = np.unique(labels, return_inverse=True)
+    rows = np.arange(index.size)
+    weighted = np.zeros((index.size, classes.size))
+    weighted[rows, index] = w
+    sums = m @ weighted
+    return sums[rows, index], sums.sum(axis=1)
 
 
 def empirical_loss(train: SampleMatrix, alpha, spec: KernelSpec, gamma: float) -> float:
@@ -61,7 +76,7 @@ def empirical_loss(train: SampleMatrix, alpha, spec: KernelSpec, gamma: float) -
     margins = table[own]
     table[own] = -np.inf
     margins -= table.max(axis=1)
-    return float(np.mean(np.clip(1.0 - margins / gamma, 0.0, 1.0)))
+    return float(np.mean(phi(margins / gamma)))
 
 
 def empirical_loss_upper_bound(
@@ -82,12 +97,10 @@ def empirical_loss_upper_bound(
     if float(s.min()) < 0.0 or float(s.max()) > 1.0 + 1e-12:
         raise ValidationError("similarity entries must lie in [0, 1]")
     alpha = check_simplex(alpha, n=train.n)
-    pair_sum = alpha[:, None] + alpha[None, :]
-    diff = train.labels[:, None] != train.labels[None, :]
-    total = 0.5 * float(np.sum(pair_sum * s))
-    cross = float(np.sum(pair_sum * s * diff))  # = sum_{i<j} 2 (a_i+a_j) s_ij [diff]
-    n = train.n
-    return 1.0 - total / (n * gamma) + cross / (n * gamma)
+    own, all_class = class_row_sums(s, alpha, train.labels)
+    total = float(all_class.sum())  # = sum_{i,j} ((a_i + a_j)/2) s_ij, s symmetric
+    cross = 2.0 * float(np.sum(all_class - own))  # = sum_{i<j} 2 (a_i+a_j) s_ij [diff]
+    return 1.0 - total / (train.n * gamma) + cross / (train.n * gamma)
 
 
 def omega_terms(split: PsdSplit, alpha, labels) -> tuple[float, float]:
@@ -96,12 +109,8 @@ def omega_terms(split: PsdSplit, alpha, labels) -> tuple[float, float]:
     alpha = check_simplex(alpha, n=split.s_plus.shape[0])
     if labels.shape != alpha.shape:
         raise ValidationError("labels must match alpha")
-    plus = minus = 0.0
-    for label in np.unique(labels):
-        mask = labels == label
-        part = alpha[mask]
-        plus += float(part @ split.s_plus[np.ix_(mask, mask)] @ part)
-        minus += float(part @ split.s_minus[np.ix_(mask, mask)] @ part)
+    plus = float(alpha @ class_row_sums(split.s_plus, alpha, labels)[0])
+    minus = float(alpha @ class_row_sums(split.s_minus, alpha, labels)[0])
     return plus, minus
 
 
@@ -148,11 +157,5 @@ def lemma_b1_check(s: np.ndarray, alpha, labels, c: int) -> tuple[float, float, 
     if float(w.min()) < -1e-8 * max(1.0, float(np.abs(w).max())):
         raise ValidationError("similarity must be positive semidefinite")
     lhs = float(alpha @ s @ alpha)
-    rhs = 0.0
-    for label in range(1, c + 1):
-        mask = labels == label
-        if np.any(mask):
-            part = alpha[mask]
-            rhs += float(part @ s[np.ix_(mask, mask)] @ part)
-    rhs *= c
+    rhs = c * float(alpha @ class_row_sums(s, alpha, labels)[0])
     return lhs, rhs, lhs <= rhs + 1e-10

@@ -4,7 +4,8 @@ Verbs: cluster, tune, baseline, decompose, bounds, ise, synth.  Reports are
 line-oriented ``key: value`` pairs on stdout (deterministic for fixed argv and
 input files); structured results go to JSON via --output.  cluster, tune and
 baseline print nothing until their runs succeed.  Exit codes: 0 ok, 1 expected
-failure, 2 finished but the weight subproblem missed its tolerance, 64 usage.
+failure, 2 (cluster only) finished but a weight step missed its tolerance, 64
+usage.  tune does not report whether its weight steps converged and exits 0.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import numpy as np
 
 from .bounds import (
     BoundInputs,
+    class_row_sums,
     empirical_loss,
     empirical_loss_upper_bound,
     generalization_bound,
-    omega_terms,
     rademacher_bound,
 )
 from .data_io import load_csv, make_blobs, make_two_moons, write_csv, write_result
@@ -187,20 +188,12 @@ def cmd_bounds(args) -> int:
     spec = KernelSpec(bandwidth)
     kmat = gram(data, spec)
     alpha = np.full(data.n, 1.0 / data.n)
-    split = psd_split(kmat.values)
-    omega_plus, omega_minus = omega_terms(split, alpha, data.labels)
-    r = float(
-        np.sqrt(max(split.s_plus.diagonal().max(), split.s_minus.diagonal().max()))
-    )
+    # K is PSD (Bochner) with unit diagonal, so its split is S+ = K, S- = 0 and
+    # r = sqrt(max diag) = 1: only the blocked form of K is left to compute
+    omega_plus = float(alpha @ class_row_sums(kmat.values, alpha, data.labels)[0])
     c = int(data.labels.max())
     inputs = BoundInputs(
-        n=data.n,
-        c=c,
-        gamma=args.gamma,
-        delta=args.delta,
-        b_plus=omega_plus,
-        b_minus=omega_minus,
-        r=r,
+        n=data.n, c=c, gamma=args.gamma, delta=args.delta, b_plus=omega_plus, b_minus=0.0, r=1.0
     )
     empirical = empirical_loss(data, alpha, spec, args.gamma)
     upper = empirical_loss_upper_bound(data, alpha, args.gamma, kmat.values)
@@ -213,7 +206,7 @@ def cmd_bounds(args) -> int:
     _emit("empirical_loss", _fmt(empirical))
     _emit("empirical_loss_upper_bound", _fmt(upper))
     _emit("omega_plus", _fmt(omega_plus))
-    _emit("omega_minus", _fmt(omega_minus))
+    _emit("omega_minus", _fmt(inputs.b_minus))
     _emit("generalization_bound", _fmt(generalization_bound(inputs, empirical)))
     _emit("rademacher_bound", _fmt(rademacher_bound(inputs, args.delta)))
     return 0
@@ -372,13 +365,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CdskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CdskError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
@@ -175,12 +175,12 @@ class ClusteringResult:
 
     labels: np.ndarray
     alpha: np.ndarray
-    objective_trace: list[float] = field(default_factory=list)
-    metrics: dict | None = None
-    lambda_used: float = 0.1
-    bandwidth_used: float = 1.0
-    seed: int = 0
-    qp_converged: bool = True
+    objective_trace: list[float]
+    metrics: dict | None
+    lambda_used: float
+    bandwidth_used: float
+    seed: int
+    qp_converged: bool
 
 
 _RESULT_KEYS = (

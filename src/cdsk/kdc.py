@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import class_row_sums
 from .errors import ValidationError
-from .kernel import KernelSpec, pairwise_kernel
+from .kernel import _ROW_BLOCK, KernelSpec, pairwise_kernel
 from .similarity import check_simplex
 
 
@@ -86,18 +87,21 @@ def empirical_ise_terms(model: KdeModel, lambda1: float) -> tuple[float, float, 
     if not np.isfinite(lambda1):
         raise ValidationError("lambda1 must be finite")
     a = model.alpha
-    kh = pairwise_kernel(model.points, model.points, model.h)
-    np.fill_diagonal(kh, 1.0)
+    # Kt's sums first, so Kt is freed before Kh is built
     kt = pairwise_kernel(model.points, model.points, np.sqrt(2.0) * model.h)
     np.fill_diagonal(kt, 1.0)
-    pair_sum = a[:, None] + a[None, :]
-    pair_prod = np.outer(a, a)
-    diff = model.labels[:, None] != model.labels[None, :]
-
-    hat_ise = 2.0 * float(np.sum(pair_sum * kh * diff)) - float(np.sum(pair_sum * kh))
-    k_alpha = float(a @ (kt @ a)) - 2.0 * float(np.sum(pair_prod * kt * diff))
-    s_ise = 4.0 * (pair_sum - lambda1 * pair_prod) * kh
-    return hat_ise, k_alpha, s_ise
+    own, all_class = class_row_sums(kt, a, model.labels)
+    k_alpha = float(a @ all_class) - 2.0 * float(a @ (all_class - own))
+    del kt
+    kh = pairwise_kernel(model.points, model.points, model.h)
+    np.fill_diagonal(kh, 1.0)
+    own, all_class = class_row_sums(kh, a, model.labels)
+    hat_ise = 4.0 * float(np.sum(all_class - own)) - 2.0 * float(np.sum(all_class))
+    # s_ise in kh's buffer, a row block at a time, op for op as the docstring's formula
+    for start in range(0, model.n, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        kh[rows] *= 4.0 * (a[rows, None] + a - lambda1 * (a[rows, None] * a))
+    return hat_ise, k_alpha, kh
 
 
 def decision_squared_integral(model: KdeModel) -> float:
@@ -106,10 +110,8 @@ def decision_squared_integral(model: KdeModel) -> float:
     Gaussian products integrate in closed form, giving
     tau1 (sum_y a^(y)T Kt a^(y) - 2 sum_{i<j, y_i != y_j} a_i a_j Kt_ij).
     """
-    a = model.alpha
     kt = pairwise_kernel(model.points, model.points, np.sqrt(2.0) * model.h)
-    sign = np.where(model.labels == 1, 1.0, -1.0)
-    signed = a * sign
+    signed = np.where(model.labels == 1, model.alpha, -model.alpha)
     return model.tau1 * float(signed @ (kt @ signed))
 
 

@@ -84,15 +84,22 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pairwise_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Kernel matrix between rows of a and rows of b."""
-    return _pairwise(a, b, 2.0 * bandwidth**2)
+    """Kernel matrix between rows of a and rows of b, both shifted by a's mean.
+
+    ||a||^2 + ||b||^2 - 2 a.b loses about eps ||x||^2, so uncentered data far
+    from the origin would lose digits.  For b is a the one centered array goes
+    in twice, so a @ a.T stays a syrk and the result exactly symmetric.
+    """
+    shift = a.mean(axis=0)
+    centered = a - shift
+    return _pairwise(centered, centered if b is a else b - shift, 2.0 * bandwidth**2)
 
 
 def gram(data: SampleMatrix, spec: KernelSpec) -> GramMatrix:
     """Exactly symmetric kernel gram matrix with unit diagonal.
 
     Built in place: the peak is the one n x n array plus a row block.  The
-    symmetry comes from pairwise_sq_dists, not a symmetrizing pass (see
+    symmetry comes from pairwise_kernel, not a symmetrizing pass (see
     test_gram_unit_diagonal_and_symmetry); the computed diagonal is not exactly 1.
     """
     values = pairwise_kernel(data.data, data.data, spec.bandwidth)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cdsk.bounds import (
     BoundInputs,
+    class_row_sums,
     empirical_loss,
     empirical_loss_upper_bound,
     generalization_bound,
@@ -38,6 +39,53 @@ def test_phi_piecewise():
     assert phi(0.25) == 0.75
     assert phi(-3.0) == 1.0
     assert phi(1.0) == 0.0
+    xs = np.array([2.0, 0.0, 0.25, -3.0, 1.0])
+    assert phi(xs).tolist() == [0.0, 1.0, 0.75, 1.0, 0.0]
+
+
+def omega_terms_reference(split, alpha, labels):
+    """Reference: the within-class quadratic forms from np.ix_ sub-blocks."""
+    plus = minus = 0.0
+    for label in np.unique(labels):
+        mask = labels == label
+        part = alpha[mask]
+        plus += float(part @ split.s_plus[np.ix_(mask, mask)] @ part)
+        minus += float(part @ split.s_minus[np.ix_(mask, mask)] @ part)
+    return plus, minus
+
+
+def upper_bound_reference(train, alpha, gamma, s):
+    """Reference: the surrogate bound from n x n pair-sum and label-mismatch masks."""
+    pair_sum = alpha[:, None] + alpha[None, :]
+    diff = train.labels[:, None] != train.labels[None, :]
+    total = 0.5 * float(np.sum(pair_sum * s))
+    cross = float(np.sum(pair_sum * s * diff))
+    return 1.0 - total / (train.n * gamma) + cross / (train.n * gamma)
+
+
+def blocked_form_reference(s, alpha, labels, c):
+    """Reference: c sum_y a^(y)T S a^(y) from np.ix_ sub-blocks."""
+    rhs = 0.0
+    for label in range(1, c + 1):
+        mask = labels == label
+        if np.any(mask):
+            part = alpha[mask]
+            rhs += float(part @ s[np.ix_(mask, mask)] @ part)
+    return c * rhs
+
+
+def test_class_row_sums_loop_oracle():
+    # label values need not be 1..c: classes are the distinct values
+    rng = np.random.default_rng(10)
+    m = rng.normal(size=(9, 9))
+    m = m + m.T
+    w = rng.uniform(size=9)
+    labels = np.array([7, 3, 3, 7, 5, 5, 3, 7, 7])
+    own, total = class_row_sums(m, w, labels)
+    for i in range(9):
+        same = labels == labels[i]
+        assert abs(own[i] - float(m[i, same] @ w[same])) < 1e-12
+        assert abs(total[i] - float(m[i] @ w)) < 1e-12
 
 
 def margin(x, y, train, alpha, spec):
@@ -150,6 +198,8 @@ def test_upper_bound_dominates_empirical_loss():
         lhs = empirical_loss(train, alpha, spec, gamma)
         rhs = empirical_loss_upper_bound(train, alpha, gamma, k)
         assert lhs <= rhs + 1e-10
+        want = upper_bound_reference(train, alpha, gamma, k)
+        assert abs(rhs - want) <= 1e-12 * abs(want)
 
 
 def test_omega_terms_one_hot():
@@ -182,6 +232,8 @@ def test_omega_terms_loop_oracle():
     alpha = _random_alpha(rng, 7)
     labels = rng.integers(1, 4, size=7)
     plus, minus = omega_terms(split, alpha, labels)
+    ref_p, ref_m = omega_terms_reference(split, alpha, labels)
+    assert abs(plus - ref_p) < 1e-12 and abs(minus - ref_m) < 1e-12
     want_p = want_m = 0.0
     for y in (1, 2, 3):
         for i in range(7):
@@ -274,3 +326,5 @@ def test_lemma_b1_property(seed, n, c):
     lhs, rhs, holds = lemma_b1_check(s, alpha, labels, c)
     assert holds
     assert rhs - lhs >= -1e-10
+    want = blocked_form_reference(s, alpha, labels, c)
+    assert abs(rhs - want) <= 1e-12 * max(1.0, abs(want))

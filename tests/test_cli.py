@@ -8,9 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cdsk.cli
+import cdsk.spectral
+from cdsk.bounds import (
+    BoundInputs,
+    empirical_loss,
+    generalization_bound,
+    omega_terms,
+    rademacher_bound,
+)
 from cdsk.cli import build_parser, main
 from cdsk.data_io import load_csv, make_blobs, read_result, write_csv
 from cdsk.driver import CdskConfig, run_cdsk
+from cdsk.kernel import KernelSpec, gram
+from cdsk.spectral import psd_split
 
 
 @pytest.fixture()
@@ -360,6 +371,60 @@ def test_bounds_command(capsys, blobs_csv):
     assert float(_value(out, "generalization_bound")) >= emp
     assert float(_value(out, "omega_plus")) >= 0.0
     assert float(_value(out, "rademacher_bound")) > 0.0
+
+
+def _bounds_reference(path, bandwidth, gamma, delta):
+    """Reference: the bound inputs from the full PSD split of the gram matrix."""
+    data = load_csv(path, label_column=2)
+    kmat = gram(data, KernelSpec(bandwidth)).values
+    alpha = np.full(data.n, 1.0 / data.n)
+    split = psd_split(kmat)
+    plus, minus = omega_terms(split, alpha, data.labels)
+    r = float(np.sqrt(max(split.s_plus.diagonal().max(), split.s_minus.diagonal().max())))
+    inputs = BoundInputs(
+        n=data.n, c=int(data.labels.max()), gamma=gamma, delta=delta,
+        b_plus=plus, b_minus=minus, r=r,
+    )
+    return {
+        "omega_plus": plus,
+        "omega_minus": minus,
+        "generalization_bound": generalization_bound(
+            inputs, empirical_loss(data, alpha, KernelSpec(bandwidth), gamma)
+        ),
+        "rademacher_bound": rademacher_bound(inputs, delta),
+    }
+
+
+def test_bounds_matches_psd_split_reference(capsys, tmp_path):
+    # K is PSD with unit diagonal: the split's S- is 0 and r is 1 up to rounding
+    samples = {
+        "two": make_blobs(25, [[0.0, 0.0], [12.0, 12.0]], 0.5, seed=0),
+        "three": make_blobs(40, [[0.0, 0.0], [4.0, 0.0], [2.0, 3.5]], 1.0, seed=3),
+    }
+    for name, sample in samples.items():
+        path = tmp_path / f"{name}.csv"
+        write_csv(sample, path)
+        rc, out, _ = _run(
+            capsys,
+            ["bounds", "--input", str(path), "--labels", "2", "--bandwidth", "0.9",
+             "--gamma", "1.5", "--delta", "0.05"],
+        )
+        assert rc == 0
+        assert _value(out, "omega_minus") == "0.0"
+        for key, want in _bounds_reference(path, 0.9, 1.5, 0.05).items():
+            got = float(_value(out, key))
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300), (name, key)
+
+
+def test_bounds_runs_no_psd_split(capsys, blobs_csv, monkeypatch):
+    def refuse(s):
+        raise AssertionError("bounds must not split the kernel")
+
+    monkeypatch.setattr(cdsk.cli, "psd_split", refuse)
+    monkeypatch.setattr(cdsk.spectral, "psd_split", refuse)
+    rc, out, err = _run(capsys, ["bounds", "--input", blobs_csv, "--labels", "2"])
+    assert rc == 0, err
+    assert _value(out, "omega_minus") == "0.0"
 
 
 def test_bounds_requires_labels(capsys, blobs_csv):

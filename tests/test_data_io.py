@@ -110,6 +110,16 @@ def _tiny_result(qp_converged=True):
     )
 
 
+def test_clustering_result_fields_have_no_defaults():
+    # a constructor that forgets a field fails instead of reading, say,
+    # qp_converged as True or lambda_used as 0.1
+    full = vars(_tiny_result())
+    for name in full:
+        partial = {key: value for key, value in full.items() if key != name}
+        with pytest.raises(TypeError, match=name):
+            ClusteringResult(**partial)
+
+
 def test_result_round_trip(tmp_path):
     p = tmp_path / "res.json"
     for qp_converged in (True, False):

@@ -120,6 +120,35 @@ def test_decide_matches_density_difference():
         assert label == int(np.argmax(row)) + 1
 
 
+def ise_terms_reference(model, lambda1):
+    """Reference: the ISE terms from n x n pair-sum, pair-product and
+    label-mismatch arrays."""
+    a = model.alpha
+    kh = pairwise_kernel(model.points, model.points, model.h)
+    np.fill_diagonal(kh, 1.0)
+    kt = pairwise_kernel(model.points, model.points, np.sqrt(2.0) * model.h)
+    np.fill_diagonal(kt, 1.0)
+    pair_sum = a[:, None] + a[None, :]
+    pair_prod = np.outer(a, a)
+    diff = model.labels[:, None] != model.labels[None, :]
+    hat_ise = 2.0 * float(np.sum(pair_sum * kh * diff)) - float(np.sum(pair_sum * kh))
+    k_alpha = float(a @ (kt @ a)) - 2.0 * float(np.sum(pair_prod * kt * diff))
+    s_ise = 4.0 * (pair_sum - lambda1 * pair_prod) * kh
+    return hat_ise, k_alpha, s_ise
+
+
+@pytest.mark.parametrize("n", [7, 300])
+def test_ise_terms_match_mask_reference(n):
+    # 300 rows span three row blocks of the in-place s_ise
+    rng = np.random.default_rng(8)
+    model = _model_1d(rng, n, h=0.4)
+    hat_ise, k_alpha, s_ise = empirical_ise_terms(model, 1.7)
+    want_hat, want_k, want_s = ise_terms_reference(model, 1.7)
+    assert abs(hat_ise - want_hat) <= 1e-12 * abs(want_hat)
+    assert abs(k_alpha - want_k) <= 1e-12 * abs(want_k)
+    assert s_ise.tobytes() == want_s.tobytes()
+
+
 def test_hat_ise_two_point_hand_case():
     for k12 in (0.2, 0.5, 0.9):
         h = float(np.sqrt(-0.5 / np.log(k12)))  # distance 1 gives K = k12

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdsk.data_io import SampleMatrix
+from cdsk.data_io import SampleMatrix, make_two_moons
 from cdsk.errors import DegenerateDataError, ValidationError
 from cdsk.kernel import KernelSpec, default_bandwidth, eval_kernel, gram, pairwise_sq_dists
 
@@ -54,6 +54,18 @@ def test_gram_unit_diagonal_and_symmetry():
                 assert g.min() > 0.0 and g.max() <= 1.0
 
 
+@pytest.mark.parametrize("shift", [1e3, 1e4])
+def test_gram_accurate_far_from_origin(shift):
+    # ||a||^2 + ||b||^2 - 2 a.b loses about eps ||x||^2: uncentered, this
+    # gram was 3.2e-8 (shift 1e3) and 4.0e-6 (1e4) off the direct differences
+    x = make_two_moons(200, 0.05, seed=0).data + shift
+    g = gram(SampleMatrix(x), KernelSpec(0.1)).values
+    diff = x[:, None, :] - x[None, :, :]
+    want = np.exp(-np.sum(diff * diff, axis=2) / (2.0 * 0.1**2))
+    assert np.max(np.abs(g - want)) <= 1e-12
+    assert np.array_equal(g, g.T)
+
+
 def _reference_sq_dists(a, b):
     """The allocating chain pairwise_sq_dists must reproduce bit for bit."""
     aa = np.sum(a * a, axis=1)
@@ -64,7 +76,9 @@ def _reference_sq_dists(a, b):
 
 
 def _reference_gram(points, bandwidth):
-    values = np.exp(-_reference_sq_dists(points, points) / (2.0 * bandwidth**2))
+    # gram centers the points on their column mean before the distances
+    centered = points - points.mean(axis=0)
+    values = np.exp(-_reference_sq_dists(centered, centered) / (2.0 * bandwidth**2))
     np.fill_diagonal(values, 1.0)
     return values
 

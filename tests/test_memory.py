@@ -7,8 +7,9 @@ graph's similarity S or the weight step's QP matrix, never both, because the
 alternation frees each graph before the weight step; at or below it the dense
 solve adds N next to S.  N is built in a buffer that the solve itself
 overwrites.  Every n x n quantity is built in place, a block of rows at a
-time.  The classifier's score table needs no n x n array at all.  These
-bounds keep it that way.
+time.  The classifier's score table needs no n x n array at all, and the
+bound and ISE reports read their class-blocked sums from n x c products.
+These bounds keep it that way.
 """
 
 import tracemalloc
@@ -23,7 +24,8 @@ import scipy.optimize  # noqa: F401
 import scipy.spatial.distance  # noqa: F401
 
 from cdsk.bounds import empirical_loss
-from cdsk.data_io import make_two_moons
+from cdsk.cli import main
+from cdsk.data_io import make_two_moons, write_csv
 from cdsk.driver import CdskConfig, run_baseline_spectral, run_cdsk
 from cdsk.kernel import KernelSpec
 
@@ -91,3 +93,23 @@ def test_empirical_loss_peak_memory():
     data = make_two_moons(n, 0.1, seed=0)
     peak = _peak_arrays(lambda: empirical_loss(data, np.full(n, 1.0 / n), KernelSpec(0.1), 1.0), n)
     assert peak <= 0.25, peak
+
+
+@pytest.mark.parametrize(
+    ("verb", "bound"),
+    # bounds: K plus the score table's blocks (1.20 measured); the PSD split
+    # of K read 5.13.  ise: Kt is freed before Kh, whose buffer becomes s_ise,
+    # and decision_squared_integral builds Kt again next to it (2.07
+    # measured); the pair-sum, pair-product and mask arrays read 6.13
+    [("bounds", 1.5), ("ise", 2.5)],
+)
+def test_report_peak_memory(verb, bound, tmp_path, capsys):
+    n = 2000
+    path = tmp_path / "moons.csv"
+    write_csv(make_two_moons(n, 0.05, seed=1), path)
+    argv = [verb, "--input", str(path), "--labels", "2", "--bandwidth", "0.2"]
+    codes = []
+    peak = _peak_arrays(lambda: codes.append(main(argv)), n)
+    capsys.readouterr()
+    assert codes == [0]
+    assert peak <= bound, peak
