@@ -13,12 +13,11 @@ from .data_io import (
 from .driver import CdskConfig, run_baseline_spectral, run_cdsk, tune_lambda
 from .kernel import GramMatrix, KernelSpec, default_bandwidth, eval_kernel, gram
 from .kmeans_metrics import Partition, accuracy, kmeans, nmi
-from .spectral import EigenSystem, PsdSplit, eigh, psd_split
+from .spectral import PsdSplit, psd_split
 
 __all__ = [
     "CdskConfig",
     "ClusteringResult",
-    "EigenSystem",
     "GramMatrix",
     "KernelSpec",
     "Partition",
@@ -26,7 +25,6 @@ __all__ = [
     "SampleMatrix",
     "accuracy",
     "default_bandwidth",
-    "eigh",
     "eval_kernel",
     "gram",
     "kmeans",

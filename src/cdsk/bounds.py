@@ -10,7 +10,7 @@ from .data_io import SampleMatrix
 from .errors import ValidationError
 from .kernel import KernelSpec
 from .similarity import check_simplex, class_scores
-from .spectral import PsdSplit, check_symmetric, eigh
+from .spectral import check_symmetric
 
 
 @dataclass(frozen=True)
@@ -103,17 +103,6 @@ def empirical_loss_upper_bound(
     return 1.0 - total / (train.n * gamma) + cross / (train.n * gamma)
 
 
-def omega_terms(split: PsdSplit, alpha, labels) -> tuple[float, float]:
-    """Within-class quadratic forms (omega_plus, omega_minus) of the PSD parts."""
-    labels = np.asarray(labels, dtype=np.int64)
-    alpha = check_simplex(alpha, n=split.s_plus.shape[0])
-    if labels.shape != alpha.shape:
-        raise ValidationError("labels must match alpha")
-    plus = float(alpha @ class_row_sums(split.s_plus, alpha, labels)[0])
-    minus = float(alpha @ class_row_sums(split.s_minus, alpha, labels)[0])
-    return plus, minus
-
-
 def generalization_bound(inputs: BoundInputs, empirical: float) -> float:
     """High-probability bound on the generalization error of the margin rule."""
     if empirical < 0:
@@ -138,24 +127,3 @@ def rademacher_bound(inputs: BoundInputs, delta: float) -> float:
         np.log(2.0 / delta) / (2.0 * n)
     )
     return float(lead + tail)
-
-
-def lemma_b1_check(s: np.ndarray, alpha, labels, c: int) -> tuple[float, float, bool]:
-    """Whole-sample vs class-blocked quadratic form for a PSD similarity.
-
-    Returns (lhs, rhs, holds) with lhs = a^T S a and
-    rhs = c sum_y a^(y)T S a^(y); PSD-ness of S gives lhs <= rhs.
-    """
-    s = check_symmetric(np.asarray(s, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
-    alpha = check_simplex(alpha, n=s.shape[0])
-    if labels.shape != alpha.shape:
-        raise ValidationError("labels must match alpha")
-    if c < 1 or int(labels.max(initial=1)) > c:
-        raise ValidationError("labels exceed the declared class count")
-    w = eigh(s).eigenvalues
-    if float(w.min()) < -1e-8 * max(1.0, float(np.abs(w).max())):
-        raise ValidationError("similarity must be positive semidefinite")
-    lhs = float(alpha @ s @ alpha)
-    rhs = c * float(alpha @ class_row_sums(s, alpha, labels)[0])
-    return lhs, rhs, lhs <= rhs + 1e-10

@@ -59,9 +59,7 @@ class SampleMatrix:
 
 def _relabel_to_contiguous(values: np.ndarray) -> np.ndarray:
     """Map integer label values onto {1..c} by sorted order of the vocabulary."""
-    uniq = np.unique(values)
-    lookup = {v: i + 1 for i, v in enumerate(uniq.tolist())}
-    return np.array([lookup[v] for v in values.tolist()], dtype=np.int64)
+    return (np.unique(values, return_inverse=True)[1] + 1).astype(np.int64)
 
 
 def load_csv(path, label_column: int | None = None, header: bool = False) -> SampleMatrix:

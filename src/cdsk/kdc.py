@@ -6,7 +6,9 @@ alpha_i K_h(x - x_i) with tau0 = (2 pi)^{-d/2} h^{-d}: tau0 times the
 kernel classifier's table similarity.class_scores, so the density rule is
 that classifier's argmax.  Products of two such kernels integrate against the
 wider kernel at bandwidth sqrt(2) h, whose normalizer is
-tau1 = (2 pi)^{-d/2} (sqrt(2) h)^{-d}.
+tau1 = (2 pi)^{-d/2} (sqrt(2) h)^{-d}.  So the integral of
+(p_hat(x, 1) - p_hat(x, 2))^2 over R^d is tau1 k_alpha, with k_alpha the
+sqrt(2) h kernel's sum that empirical_ise_terms returns.
 """
 
 from __future__ import annotations
@@ -104,23 +106,12 @@ def empirical_ise_terms(model: KdeModel, lambda1: float) -> tuple[float, float, 
     return hat_ise, k_alpha, kh
 
 
-def decision_squared_integral(model: KdeModel) -> float:
-    """Exact integral of (p_hat(x,1) - p_hat(x,2))^2 over R^d.
-
-    Gaussian products integrate in closed form, giving
-    tau1 (sum_y a^(y)T Kt a^(y) - 2 sum_{i<j, y_i != y_j} a_i a_j Kt_ij).
-    """
-    kt = pairwise_kernel(model.points, model.points, np.sqrt(2.0) * model.h)
-    signed = np.where(model.labels == 1, model.alpha, -model.alpha)
-    return model.tau1 * float(signed @ (kt @ signed))
-
-
 def ise_residual_slack(model: KdeModel, eps: float) -> float:
     """Additive slack 2 tau0 (1/(n-1) + eps) of the ISE surrogate."""
     if model.n < 2:
         raise ValidationError("residual slack needs n >= 2")
-    if not eps >= 0:
-        raise ValidationError(f"eps must be >= 0, got {eps}")
+    if not 0 <= eps < np.inf:
+        raise ValidationError(f"eps must be finite and >= 0, got {eps}")
     return 2.0 * model.tau0 * (1.0 / (model.n - 1) + eps)
 
 
@@ -129,14 +120,23 @@ def gaussian_convolution_check(a: float, b: float, h: float) -> tuple[float, flo
 
     The closed form is sqrt(pi) h exp(-(a - b)^2 / (4 h^2)); the numeric value
     comes from a composite trapezoid on [min - 10h, max + 10h] with 20001
-    nodes.
+    nodes.  a and b must be finite, and so must the square of that interval's
+    length, which bounds every squared offset below.
     """
     KernelSpec(h)
     a, b = float(a), float(b)
-    grid = np.linspace(min(a, b) - 10.0 * h, max(a, b) + 10.0 * h, 20001)
-    values = np.exp(-((grid - a) ** 2) / (2.0 * h * h)) * np.exp(
-        -((grid - b) ** 2) / (2.0 * h * h)
-    )
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValidationError(f"a and b must be finite, got {a} and {b}")
+    lo, hi = min(a, b) - 10.0 * h, max(a, b) + 10.0 * h
+    # Python float products overflow to inf, where ** raises OverflowError
+    if not np.isfinite((hi - lo) * (hi - lo)):
+        raise ValidationError(f"the quadrature interval [{lo}, {hi}] is too long to square")
+    grid = np.linspace(lo, hi, 20001)
+    # a quotient that overflows to inf has an exp that rounds to 0 anyway
+    with np.errstate(over="ignore"):
+        values = np.exp(-((grid - a) ** 2) / (2.0 * h * h)) * np.exp(
+            -((grid - b) ** 2) / (2.0 * h * h)
+        )
     numeric = float(np.sum(np.diff(grid) * (values[1:] + values[:-1]) / 2.0))
     closed = float(np.sqrt(np.pi) * h * np.exp(-((a - b) ** 2) / (4.0 * h * h)))
     return numeric, closed

@@ -1,4 +1,11 @@
-"""Symmetric eigensolves and the signed split of an indefinite similarity."""
+"""Symmetric-matrix checks and eigensolves.
+
+check_symmetric validates every similarity the library decomposes; the
+embedding's c smallest eigenpairs come from overwriting_smallest (a dense
+subset solve) or lanczos_smallest; psd_split is the signed split of an
+indefinite similarity.  Callers that need eigenvalues only use
+np.linalg.eigvalsh.
+"""
 
 from __future__ import annotations
 
@@ -67,37 +74,21 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(nonzero.any(axis=0) & (lead < 0), -vectors, vectors)
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Full symmetric eigendecomposition, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _eigh(
-    a: np.ndarray, count: int | None = None, overwrite: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(a: np.ndarray, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of an already validated matrix; failure is a NumericError.
 
     All of them by np.linalg.eigh, or with count the count smallest alone
-    by LAPACK's subset solver, which with overwrite may use a as workspace.
+    by LAPACK's subset solver, which uses a as its workspace.
     """
     try:
         if count is None:
             return np.linalg.eigh(a)
         return scipy.linalg.eigh(
             a, subset_by_index=[0, count - 1], driver="evr", check_finite=False,
-            overwrite_a=overwrite,
+            overwrite_a=True,
         )
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-
-
-def eigh(a: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a symmetric matrix with a fixed sign convention."""
-    w, v = _eigh(check_symmetric(a))
-    return EigenSystem(eigenvalues=w, eigenvectors=_fix_signs(v))
 
 
 def lanczos_applies(n: int, c: int) -> bool:
@@ -160,7 +151,7 @@ def overwriting_smallest(a: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]
     computes only these c pairs, not the other n - c.  a.T is a's
     Fortran-ordered form, so LAPACK needs no copy of it.
     """
-    w, v = _eigh(a.T, c, overwrite=True)
+    w, v = _eigh(a.T, c)
     return w, _fix_signs(v)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdsk.bounds import empirical_loss, empirical_loss_upper_bound, lemma_b1_check
+from cdsk.bounds import class_row_sums, empirical_loss, empirical_loss_upper_bound
 from cdsk.cli import main
 from cdsk.data_io import SampleMatrix, make_blobs, make_two_moons, write_csv
 from cdsk.driver import (
@@ -24,12 +24,7 @@ from cdsk.driver import (
     tune_lambda,
 )
 from cdsk.embedding import solve_embedding
-from cdsk.kdc import (
-    KdeModel,
-    decision_squared_integral,
-    empirical_ise_terms,
-    gaussian_convolution_check,
-)
+from cdsk.kdc import KdeModel, empirical_ise_terms, gaussian_convolution_check
 from cdsk.kernel import KernelSpec, gram
 from cdsk.similarity import disc_similarity
 from cdsk.spectral import psd_split
@@ -178,8 +173,9 @@ def test_07_blocked_quadratic_form_inequality_on_psd_similarity():
         alpha = rng.dirichlet(np.ones(n))
         c = int(rng.integers(2, 5))
         labels = rng.integers(1, c + 1, size=n)
-        lhs, rhs, holds = lemma_b1_check(s, alpha, labels, c)
-        assert holds, (t, lhs, rhs)
+        lhs = float(alpha @ s @ alpha)
+        rhs = c * float(alpha @ class_row_sums(s, alpha, labels)[0])
+        assert lhs <= rhs + 1e-10, (t, lhs, rhs)
         assert rhs - lhs >= -1e-10, (t, lhs, rhs)
 
 
@@ -202,7 +198,7 @@ def test_08_gaussian_convolution_and_ise_identities():
         alpha = rng.dirichlet(np.ones(n))
         h = float(rng.uniform(0.3, 0.7))
         model = KdeModel(points, alpha, labels, h)
-        closed = decision_squared_integral(model)
+        closed = model.tau1 * empirical_ise_terms(model, 1.0)[1]
         grid = np.linspace(points.min() - 12.0 * h, points.max() + 12.0 * h, 60001)
         sign = np.where(labels == 1, 1.0, -1.0)
         weights = alpha * sign

@@ -9,8 +9,6 @@ from cdsk.bounds import (
     empirical_loss,
     empirical_loss_upper_bound,
     generalization_bound,
-    lemma_b1_check,
-    omega_terms,
     phi,
     rademacher_bound,
 )
@@ -54,6 +52,14 @@ def omega_terms_reference(split, alpha, labels):
     return plus, minus
 
 
+def omega_terms(split, alpha, labels):
+    """(omega_plus, omega_minus) as cdsk bounds forms them: alpha @ own from class_row_sums."""
+    return tuple(
+        float(alpha @ class_row_sums(part, alpha, labels)[0])
+        for part in (split.s_plus, split.s_minus)
+    )
+
+
 def upper_bound_reference(train, alpha, gamma, s):
     """Reference: the surrogate bound from n x n pair-sum and label-mismatch masks."""
     pair_sum = alpha[:, None] + alpha[None, :]
@@ -72,6 +78,12 @@ def blocked_form_reference(s, alpha, labels, c):
             part = alpha[mask]
             rhs += float(part @ s[np.ix_(mask, mask)] @ part)
     return c * rhs
+
+
+def lemma_b1_sides(s, alpha, labels, c):
+    """(a^T S a, c sum_y a^(y)T S a^(y)), the blocked form from class_row_sums;
+    for PSD S the first is at most the second."""
+    return float(alpha @ s @ alpha), c * float(alpha @ class_row_sums(s, alpha, labels)[0])
 
 
 def test_class_row_sums_loop_oracle():
@@ -304,15 +316,12 @@ def test_lemma_b1_hand_and_rejection():
     s = b @ b.T
     alpha = _random_alpha(rng, 6)
     labels = np.array([1, 1, 2, 2, 2, 1])
-    lhs, rhs, holds = lemma_b1_check(s, alpha, labels, 2)
-    assert holds
-    assert abs(lhs - float(alpha @ s @ alpha)) < 1e-10
+    lhs, rhs = lemma_b1_sides(s, alpha, labels, 2)
     assert lhs <= rhs + 1e-10
-    indefinite = np.diag([1.0, -1.0])
-    with pytest.raises(ValidationError):
-        lemma_b1_check(indefinite, [0.5, 0.5], [1, 2], 2)
-    with pytest.raises(ValidationError):
-        lemma_b1_check(s, alpha, labels, 1)
+    assert abs(rhs - blocked_form_reference(s, alpha, labels, 2)) < 1e-12 * rhs
+    # an indefinite S breaks the inequality: here all of it lies across classes
+    lhs, rhs = lemma_b1_sides(np.array([[0.0, 1.0], [1.0, 0.0]]), np.full(2, 0.5), [1, 2], 2)
+    assert (lhs, rhs) == (0.5, 0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,8 +332,7 @@ def test_lemma_b1_property(seed, n, c):
     s = b @ b.T
     alpha = _random_alpha(rng, n)
     labels = rng.integers(1, c + 1, size=n)
-    lhs, rhs, holds = lemma_b1_check(s, alpha, labels, c)
-    assert holds
+    lhs, rhs = lemma_b1_sides(s, alpha, labels, c)
     assert rhs - lhs >= -1e-10
     want = blocked_form_reference(s, alpha, labels, c)
     assert abs(rhs - want) <= 1e-12 * max(1.0, abs(want))

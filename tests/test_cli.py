@@ -9,19 +9,22 @@ import numpy as np
 import pytest
 
 import cdsk.cli
+import cdsk.kdc
 import cdsk.spectral
 from cdsk.bounds import (
     BoundInputs,
     empirical_loss,
     generalization_bound,
-    omega_terms,
     rademacher_bound,
 )
 from cdsk.cli import build_parser, main
-from cdsk.data_io import load_csv, make_blobs, read_result, write_csv
+from cdsk.data_io import load_csv, make_blobs, make_two_moons, read_result, write_csv
 from cdsk.driver import CdskConfig, run_cdsk
+from cdsk.kdc import KdeModel
 from cdsk.kernel import KernelSpec, gram
 from cdsk.spectral import psd_split
+from test_bounds import omega_terms_reference
+from test_kdc import decision_squared_integral
 
 
 @pytest.fixture()
@@ -299,19 +302,46 @@ def test_cli_import_skips_scipy_integrate():
     assert proc.stdout.strip() == "[]"
 
 
-def test_ise_convolution_check_rejects_underflowing_bandwidth():
-    # a separate process, so an uncaught exception would show as a traceback
+def _run_process(argv):
+    """cdsk in a separate process, so an uncaught exception shows as a traceback."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cdsk.cli", "ise", "--check-convolution", "--h", "1e-300"],
+    return subprocess.run(
+        [sys.executable, "-m", "cdsk.cli"] + argv,
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_ise_convolution_check_rejects_underflowing_bandwidth():
+    proc = _run_process(["ise", "--check-convolution", "--h", "1e-300"])
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flags",
+    # non-finite points; a quadrature interval whose squared length overflows a double
+    [["--a", "nan"], ["--a", "inf"], ["--b=-inf"], ["--a", "1e200", "--b", "0"],
+     ["--a", "1e154", "--b=-1e154"], ["--a", "0", "--b", "0", "--h", "9e153"]],
+    ids=["a-nan", "a-inf", "b-neg-inf", "a-1e200", "span-2e154", "h-9e153"],
+)
+def test_ise_convolution_check_rejects_unusable_points(flags):
+    proc = _run_process(["ise", "--check-convolution"] + flags)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+def test_ise_convolution_check_overflowing_quotient_is_zero():
+    # (a - b)^2 / (2 h^2) overflows to inf, and exp(-inf) = 0 is the rounded value
+    proc = _run_process(["ise", "--check-convolution", "--a", "1e150", "--h", "1e-150"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[1:] == ["numeric: 0.0", "closed: 0.0", "rel_err: 0.0"]
 
 
 def test_ise_dataset_mode_rejects_unusable_inputs(capsys, blobs_csv):
@@ -320,6 +350,7 @@ def test_ise_dataset_mode_rejects_unusable_inputs(capsys, blobs_csv):
         (["--bandwidth", "inf"], "bandwidth"),
         (["--bandwidth", "1e-160"], "bandwidth"),
         (["--bandwidth", "1.0", "--eps", "nan"], "eps"),
+        (["--bandwidth", "1.0", "--eps", "inf"], "eps"),
     ):
         rc, out, err = _run(capsys, base + extra)
         assert rc == 1
@@ -360,6 +391,43 @@ def test_ise_dataset_mode(capsys, blobs_csv):
     assert float(_value(out, "decision_squared_integral")) > 0.0
 
 
+def test_ise_builds_each_kernel_once(capsys, blobs_csv, monkeypatch):
+    # Kt for k_alpha, Kh for hat_ise and s_ise; the decision integral is tau1 k_alpha
+    calls = []
+    real = cdsk.kdc.pairwise_kernel
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(cdsk.kdc, "pairwise_kernel", counting)
+    rc, _, err = _run(
+        capsys, ["ise", "--input", blobs_csv, "--labels", "2", "--bandwidth", "1.0"]
+    )
+    assert rc == 0, err
+    assert calls == [np.sqrt(2.0), 1.0]
+
+
+def test_ise_decision_integral_matches_closed_form(capsys, tmp_path):
+    samples = {
+        "moons": (make_two_moons(400, 0.05, seed=0), ["--bandwidth", "0.2"]),
+        "blobs_d5": (make_blobs(60, [[0.0] * 5, [2.0] * 5], 1.0, seed=4), []),
+    }
+    for name, (sample, flags) in samples.items():
+        path = tmp_path / f"{name}.csv"
+        write_csv(sample, path)
+        argv = ["ise", "--input", str(path), "--labels", str(sample.d)] + flags
+        rc, out, err = _run(capsys, argv)
+        assert rc == 0, err
+        data = load_csv(path, label_column=sample.d)
+        model = KdeModel(
+            data.data, np.full(data.n, 1.0 / data.n), data.labels, float(_value(out, "bandwidth"))
+        )
+        want = decision_squared_integral(model)
+        got = float(_value(out, "decision_squared_integral"))
+        assert abs(got - want) <= 1e-12 * want, (name, got, want)
+
+
 def test_bounds_command(capsys, blobs_csv):
     rc, out, _ = _run(
         capsys, ["bounds", "--input", blobs_csv, "--labels", "2", "--gamma", "1.0"]
@@ -379,7 +447,7 @@ def _bounds_reference(path, bandwidth, gamma, delta):
     kmat = gram(data, KernelSpec(bandwidth)).values
     alpha = np.full(data.n, 1.0 / data.n)
     split = psd_split(kmat)
-    plus, minus = omega_terms(split, alpha, data.labels)
+    plus, minus = omega_terms_reference(split, alpha, data.labels)
     r = float(np.sqrt(max(split.s_plus.diagonal().max(), split.s_minus.diagonal().max())))
     inputs = BoundInputs(
         n=data.n, c=int(data.labels.max()), gamma=gamma, delta=delta,

@@ -23,6 +23,11 @@ def test_load_csv_with_label_column(tmp_path):
     assert sm.n == 3 and sm.d == 2
     assert sm.labels.tolist() == [1, 1, 2]
     assert np.allclose(sm.data, [[0, 0], [1, 0], [5, 5]])
+    # label values keep their sorted order, gaps and negative values included
+    p.write_text("0,7\n1,-2\n2,7\n3,3\n")
+    sm = load_csv(p, label_column=1)
+    assert sm.labels.dtype == np.int64
+    assert sm.labels.tolist() == [3, 1, 3, 2]
 
 
 def test_load_csv_without_labels(tmp_path):

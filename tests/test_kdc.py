@@ -4,13 +4,7 @@ from scipy.integrate import trapezoid
 
 from cdsk.data_io import SampleMatrix
 from cdsk.errors import ValidationError
-from cdsk.kdc import (
-    KdeModel,
-    decision_squared_integral,
-    empirical_ise_terms,
-    gaussian_convolution_check,
-    ise_residual_slack,
-)
+from cdsk.kdc import KdeModel, empirical_ise_terms, gaussian_convolution_check, ise_residual_slack
 from cdsk.kernel import GramMatrix, KernelSpec, pairwise_kernel
 from cdsk.similarity import class_scores, disc_similarity
 
@@ -35,6 +29,17 @@ def decide(queries, model):
     """Reference: class 1 iff p_hat(x, 1) - p_hat(x, 2) >= 0, per query row."""
     density = class_kde(queries, model)
     return np.where(density[:, 0] - density[:, 1] >= 0.0, 1, 2)
+
+
+def decision_squared_integral(model):
+    """Reference: the exact integral of (p_hat(x, 1) - p_hat(x, 2))^2 over R^d.
+
+    Gaussian products integrate in closed form, giving tau1 s^T Kt s with s
+    the weights signed by class and Kt the kernel at bandwidth sqrt(2) h.
+    """
+    kt = pairwise_kernel(model.points, model.points, np.sqrt(2.0) * model.h)
+    signed = np.where(model.labels == 1, model.alpha, -model.alpha)
+    return model.tau1 * float(signed @ (kt @ signed))
 
 
 def test_kde_single_point_peak():
@@ -206,6 +211,9 @@ def test_decision_squared_integral_vs_quadrature():
     for n in (2, 5, 10):
         model = _model_1d(rng, n, h=0.6)
         closed = decision_squared_integral(model)
+        # what cdsk ise prints under decision_squared_integral
+        tau1_k_alpha = model.tau1 * empirical_ise_terms(model, 1.0)[1]
+        assert abs(tau1_k_alpha - closed) <= 1e-12 * closed
         grid = np.linspace(model.points.min() - 10 * model.h, model.points.max() + 10 * model.h, 60001)
         # the densities on every grid point at once, each row as for its point alone
         p_hat = class_kde(grid[:, None], model)

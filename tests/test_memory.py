@@ -98,10 +98,10 @@ def test_empirical_loss_peak_memory():
 @pytest.mark.parametrize(
     ("verb", "bound"),
     # bounds: K plus the score table's blocks (1.20 measured); the PSD split
-    # of K read 5.13.  ise: Kt is freed before Kh, whose buffer becomes s_ise,
-    # and decision_squared_integral builds Kt again next to it (2.07
-    # measured); the pair-sum, pair-product and mask arrays read 6.13
-    [("bounds", 1.5), ("ise", 2.5)],
+    # of K read 5.13.  ise: Kt is freed before Kh, whose buffer becomes s_ise
+    # (1.14 measured); building Kt again next to s_ise read 2.07, and the
+    # pair-sum, pair-product and mask arrays 6.13
+    [("bounds", 1.5), ("ise", 1.5)],
 )
 def test_report_peak_memory(verb, bound, tmp_path, capsys):
     n = 2000

@@ -14,7 +14,6 @@ from cdsk.similarity import disc_similarity
 from cdsk.spectral import (
     _fix_signs,
     check_symmetric,
-    eigh,
     lanczos_smallest,
     overwriting_smallest,
     psd_split,
@@ -28,38 +27,20 @@ def _random_symmetric(seed, n):
     return 0.5 * (a + a.T)
 
 
-def test_eigh_identity():
-    sys = eigh(np.eye(3))
-    assert np.allclose(sys.eigenvalues, 1.0)
-
-
-def test_eigh_hand_2x2():
-    sys = eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(sys.eigenvalues, [-1.0, 1.0])
+def test_overwriting_smallest_hand_2x2():
+    w, v = overwriting_smallest(np.array([[0.0, 1.0], [1.0, 0.0]]), 2)
+    assert np.allclose(w, [-1.0, 1.0])
     s = 1.0 / np.sqrt(2.0)
     # sign convention: first nonzero component of each eigenvector positive
-    assert np.allclose(np.abs(sys.eigenvectors), s)
-    assert sys.eigenvectors[0, 0] > 0 and sys.eigenvectors[0, 1] > 0
+    assert np.allclose(np.abs(v), s)
+    assert v[0, 0] > 0 and v[0, 1] > 0
 
 
-def test_eigh_reconstruction():
-    a = _random_symmetric(1, 8)
-    sys = eigh(a)
-    recon = (sys.eigenvectors * sys.eigenvalues) @ sys.eigenvectors.T
-    assert np.linalg.norm(recon - a) < 1e-8
-    assert np.linalg.norm(sys.eigenvectors.T @ sys.eigenvectors - np.eye(8)) < 1e-8
-
-
-def test_eigh_rejects_asymmetric():
-    with pytest.raises(ValidationError):
-        eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_eigh_permutation_invariant_spectrum():
-    a = _random_symmetric(2, 6)
-    perm = np.random.default_rng(3).permutation(6)
-    b = a[np.ix_(perm, perm)]
-    assert np.allclose(eigh(a).eigenvalues, eigh(b).eigenvalues, atol=1e-9)
+def test_psd_split_rejects_asymmetric():
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for check in (psd_split, check_symmetric):
+        with pytest.raises(ValidationError, match="not symmetric"):
+            check(a)
 
 
 def test_smallest_eigenpairs_diag():
@@ -71,11 +52,11 @@ def test_smallest_eigenpairs_diag():
 def test_smallest_eigenpairs_matches_full():
     a = _random_symmetric(4, 20)
     w, v = overwriting_smallest(a.copy(), 4)
-    sys = eigh(a)
-    assert np.allclose(w, sys.eigenvalues[:4], atol=1e-8)
+    w_ref, v_ref = np.linalg.eigh(a)
+    assert np.allclose(w, w_ref[:4], atol=1e-8)
     # compare invariant subspaces through principal angles
     q1 = np.linalg.qr(v)[0]
-    q2 = np.linalg.qr(sys.eigenvectors[:, :4])[0]
+    q2 = np.linalg.qr(v_ref[:, :4])[0]
     sv = np.linalg.svd(q1.T @ q2, compute_uv=False)
     assert np.min(sv) > 1.0 - 1e-8
 
