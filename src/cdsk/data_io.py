@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 _LABEL_INT_TOL = 1e-9
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,14 @@ def load_csv(path, label_column: int | None = None, header: bool = False) -> Sam
                         f"label column {label_column} out of range for {len(values)} columns"
                     )
                 lab = values.pop(label_column)
-                if abs(lab - round(lab)) > _LABEL_INT_TOL:
+                # math.isfinite first: round() raises on nan and inf
+                if not (math.isfinite(lab) and abs(lab - round(lab)) <= _LABEL_INT_TOL):
                     raise ValidationError(
                         f"{path}: line {lineno}: label {lab!r} is not an integer"
+                    )
+                if not _INT64_MIN <= round(lab) <= _INT64_MAX:
+                    raise ValidationError(
+                        f"{path}: line {lineno}: label {lab!r} is outside the 64-bit integer range"
                     )
                 raw_labels.append(round(lab))
             rows.append(values)

@@ -10,7 +10,8 @@ from scipy.linalg.lapack import dposv
 from .data_io import ClusteringResult, SampleMatrix
 from .embedding import solve_embedding
 from .errors import ConfigError, DegenerateDataError, ValidationError
-from .kernel import GramMatrix, KernelSpec, default_bandwidth, gram, pairwise_sq_dists
+from .kernel import GramMatrix, KernelSpec, gram, heuristic_gram, pairwise_sq_dists
+from .kernel import default_bandwidth  # noqa: F401  benchmark/layers.py hooks this name here
 from .kmeans_metrics import Partition, accuracy, kmeans, nmi
 from .similarity import DiscSimilarityGraph, check_degrees, check_simplex, disc_similarity
 
@@ -275,8 +276,9 @@ def _metrics_against(labels: np.ndarray, truth: np.ndarray | None) -> dict | Non
 
 
 def _gram(data: SampleMatrix, bandwidth: float | None) -> GramMatrix:
-    """Gram matrix at the given bandwidth, or at the heuristic one if None."""
-    return gram(data, KernelSpec(default_bandwidth(data) if bandwidth is None else bandwidth))
+    """Gram matrix at the given bandwidth, or if None at the heuristic one,
+    read from the squared distances the gram is then built from."""
+    return heuristic_gram(data) if bandwidth is None else gram(data, KernelSpec(bandwidth))
 
 
 def _alternate(kmat: GramMatrix, config: CdskConfig):

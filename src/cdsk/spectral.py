@@ -26,37 +26,45 @@ _DENSE_LIMIT = 800
 _SYMMETRY_TILE = 256
 
 
-def _exactly_symmetric(a: np.ndarray) -> bool:
-    """np.array_equal(a, a.T), compared tile against mirrored tile.
+def _symmetric_extremes(a: np.ndarray) -> tuple[float, float] | None:
+    """(min, max) of a if a equals a.T exactly, else None, in one tiled pass.
 
-    Reading a.T whole strides across memory; tiles of _SYMMETRY_TILE rows
-    stay in cache, which makes the scan about four times faster at n = 4000.
+    Each upper tile is compared with its mirrored tile and only then gives
+    its min and max: a NaN anywhere breaks the equality (NaN != NaN), and an
+    infinity below the diagonal has its mirror above it.  Tiles of
+    _SYMMETRY_TILE rows stay in cache, where reading a.T whole would stride
+    across memory.
     """
     n = a.shape[0]
+    lows, highs = [], []
     for i in range(0, n, _SYMMETRY_TILE):
         for j in range(i, n, _SYMMETRY_TILE):
             upper = a[i : i + _SYMMETRY_TILE, j : j + _SYMMETRY_TILE]
             if not np.array_equal(upper, a[j : j + _SYMMETRY_TILE, i : i + _SYMMETRY_TILE].T):
-                return False
-    return True
+                return None
+            lows.append(upper.min())
+            highs.append(upper.max())
+    return float(min(lows, default=0.0)), float(max(highs, default=0.0))
 
 
 def check_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Validate a finite square matrix symmetric to tol * max(1, max|a_ij|).
 
     Exactly symmetric input (what gram and disc_similarity produce) is
-    accepted after one elementwise comparison; only otherwise is the
-    tolerance scan over a - a^T run.
+    accepted after one tiled pass that also finds its extremes; only
+    otherwise are a's min and max read whole and the tolerance scan over
+    a - a^T run.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    extremes = _symmetric_extremes(a)
     # min/max propagate NaN and expose +-inf without an n x n temporary; the
     # explicit test matters because max(1.0, nan) is 1.0 and nan > x is False
-    lo, hi = (float(a.min()), float(a.max())) if a.size else (0.0, 0.0)
+    lo, hi = extremes if extremes is not None else (float(a.min()), float(a.max()))
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValidationError("matrix contains non-finite entries")
-    if _exactly_symmetric(a):
+    if extremes is not None:
         return a
     scale = max(1.0, -lo, hi)
     if float(np.max(np.abs(a - a.T))) > tol * scale:

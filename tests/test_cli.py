@@ -289,7 +289,7 @@ def test_ise_convolution_check(capsys):
 
 def test_cli_import_skips_scipy_integrate():
     # a fresh process: the test session itself may have imported them; the
-    # assignment and distance modules load on first use
+    # assignment module loads on first use
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -334,6 +334,19 @@ def test_ise_convolution_check_rejects_unusable_points(flags):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("label", ["inf", "-inf", "nan", "1e30"])
+def test_non_integer_label_cell_is_an_error(label, tmp_path):
+    # round(inf) and the int64 conversion of 1e30 raised OverflowError
+    path = tmp_path / "labels.csv"
+    path.write_text(f"0.1,0.2,1\n0.3,0.4,{label}\n0.5,0.6,2\n")
+    proc = _run_process(["bounds", "--input", str(path), "--labels", "2"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert f"{path}: line 2: label" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_ise_convolution_check_overflowing_quotient_is_zero():

@@ -1,11 +1,27 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
-from cdsk.data_io import SampleMatrix, make_two_moons
+from cdsk.data_io import SampleMatrix, make_blobs, make_two_moons
+from cdsk.driver import _gram
 from cdsk.errors import DegenerateDataError, ValidationError
-from cdsk.kernel import KernelSpec, default_bandwidth, eval_kernel, gram, pairwise_sq_dists
+from cdsk.kernel import (
+    KernelSpec,
+    default_bandwidth,
+    eval_kernel,
+    gram,
+    heuristic_gram,
+    pairwise_kernel,
+    pairwise_sq_dists,
+)
 
 rng = np.random.default_rng(0)
 
@@ -83,15 +99,84 @@ def _reference_gram(points, bandwidth):
     return values
 
 
+def _reference_kernel(points, bandwidth):
+    centered = points - points.mean(axis=0)
+    return np.exp(-_reference_sq_dists(centered, centered) / (2.0 * bandwidth**2))
+
+
+# the one-triangle build works in 128-row blocks and mirror tiles: one row,
+# one block, one block and one row, two blocks and one row, then several
+BLOCK_EDGES = (1, 2, 127, 128, 129, 257, 301, 513, 1000)
+
+
 def test_gram_bit_identical_to_allocating_chain():
-    # n spans two, three and four 256-row blocks of the in-place build
-    for n in (301, 513, 1000):
+    for n in BLOCK_EDGES:
         for d in (2, 34):
             x = rng.normal(size=(n, 2 * d))
             for points in (x[:, ::2].copy(), x[:, ::2]):
-                sample = SampleMatrix(points)
-                g = gram(sample, KernelSpec(1.3)).values
-                assert g.tobytes() == _reference_gram(sample.data, 1.3).tobytes(), (n, d)
+                # one point is not a SampleMatrix, but the kernel build runs on it
+                got = pairwise_kernel(points, points, 1.3)
+                assert got.tobytes() == _reference_kernel(points, 1.3).tobytes(), (n, d)
+                if n >= 2:
+                    sample = SampleMatrix(points)
+                    g = gram(sample, KernelSpec(1.3)).values
+                    assert g.tobytes() == _reference_gram(sample.data, 1.3).tobytes(), (n, d)
+
+
+def test_one_triangle_build_reads_no_unwritten_memory():
+    # syrk leaves the product's lower triangle as np.empty gave it; a freed
+    # buffer of huge values is likely handed back there, and the chain must
+    # not run on it (1e308 * 2 would warn of an overflow)
+    for n in (200, 600):
+        y = rng.normal(size=(n, 3))
+        for _ in range(3):
+            junk = np.full((n, n), 1e308)
+            del junk
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sq = pairwise_sq_dists(y, y)
+                g = gram(SampleMatrix(y), KernelSpec(1.0)).values
+            assert sq.tobytes() == _reference_sq_dists(y, y).tobytes()
+            assert g.tobytes() == _reference_gram(y, 1.0).tobytes()
+
+
+def test_self_sq_dists_bit_identical_to_allocating_chain():
+    # one triangle for a C-ordered y, numpy's general product for a strided one
+    for n in BLOCK_EDGES:
+        for d in (2, 3):
+            x = rng.normal(size=(n, 2 * d))
+            for y in (x[:, ::2].copy(), x[:, ::2]):
+                got = pairwise_sq_dists(y, y)
+                assert got.tobytes() == _reference_sq_dists(y, y).tobytes(), (n, d)
+                if y.flags.c_contiguous:
+                    assert np.array_equal(got, got.T)
+
+
+def _heuristic_instances():
+    centers = np.random.default_rng(5).normal(scale=4.0, size=(3, 34))
+    return {
+        "moons-400": make_two_moons(400, 0.05, seed=1),
+        "moons-100": make_two_moons(100, 0.05, seed=2),
+        "blobs-300-d34": make_blobs(100, centers, 1.0, seed=3),
+        "moons-400-shifted": SampleMatrix(make_two_moons(400, 0.05, seed=1).data + 1e4),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_heuristic_instances()))
+def test_heuristic_gram_equals_two_step_gram(name):
+    data = _heuristic_instances()[name]
+    h = default_bandwidth(data)
+    want = gram(data, KernelSpec(h))
+    for got in (heuristic_gram(data), _gram(data, None)):
+        assert got.bandwidth == h
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_heuristic_instances()))
+def test_default_bandwidth_matches_pdist_variance(name):
+    data = _heuristic_instances()[name]
+    want = float(np.var(pdist(data.data)))
+    assert abs(default_bandwidth(data) / want - 1.0) <= 1e-12
 
 
 def test_pairwise_sq_dists_bit_identical_for_distinct_sets():
@@ -110,6 +195,28 @@ def test_gram_psd():
     assert w.min() >= -1e-8
 
 
+def test_heuristic_run_leaves_scipy_spatial_unloaded():
+    # a fresh process: this test module itself imports scipy.spatial.  The
+    # points carry no labels, since the accuracy metric's scipy.optimize
+    # imports scipy.spatial in turn
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from cdsk.data_io import SampleMatrix, make_two_moons\n"
+        "from cdsk.driver import CdskConfig, run_cdsk\n"
+        "data = SampleMatrix(make_two_moons(200, 0.05, seed=0).data)\n"
+        "result = run_cdsk(data, CdskConfig(c=2))\n"
+        "print(result.bandwidth_used > 0, 'scipy.spatial' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
+
+
 def test_default_bandwidth_hand_instance():
     # pairwise distances of {0,1,3} are {1,3,2}: mean 2, population variance 2/3
     sm = SampleMatrix(np.array([[0.0], [1.0], [3.0]]))
@@ -117,10 +224,20 @@ def test_default_bandwidth_hand_instance():
 
 
 def test_default_bandwidth_equal_distances_degenerate():
-    # equilateral triangle: all three pairwise distances equal, variance 0
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-    with pytest.raises(DegenerateDataError):
-        default_bandwidth(SampleMatrix(pts))
+    for points in (
+        # equilateral triangle: all three pairwise distances equal, variance 0
+        [[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]],
+        # two points: one distance
+        [[0.3, -1.2], [2.5, 0.7]],
+        # identical rows, whose mean is not exactly the row (3 * 0.1 rounds
+        # up), within one row block and across two
+        [[0.1, 0.1, 0.7]] * 3,
+        [[1e4 + 0.1, -3.3]] * 200,
+    ):
+        data = SampleMatrix(np.array(points))
+        for heuristic in (default_bandwidth, heuristic_gram):
+            with pytest.raises(DegenerateDataError):
+                heuristic(data)
 
 
 def test_default_bandwidth_translation_invariant():

@@ -21,11 +21,10 @@ import scipy.sparse.linalg
 # the library imports these on first use; imported here, their module objects
 # stay out of the traced peaks
 import scipy.optimize  # noqa: F401
-import scipy.spatial.distance  # noqa: F401
 
 from cdsk.bounds import empirical_loss
 from cdsk.cli import main
-from cdsk.data_io import make_two_moons, write_csv
+from cdsk.data_io import make_blobs, make_two_moons, write_csv
 from cdsk.driver import CdskConfig, run_baseline_spectral, run_cdsk
 from cdsk.kernel import KernelSpec
 
@@ -45,6 +44,17 @@ def test_baseline_spectral_peak_memory():
     n = 1000
     data = make_two_moons(n, 0.1, seed=0)
     peak = _peak_arrays(lambda: run_baseline_spectral(data, 2), n)
+    assert peak <= 1.3, peak
+
+
+def test_heuristic_baseline_peak_memory():
+    # the heuristic bandwidth is read from the squared distances that then
+    # become K, so it adds row-block temporaries only (1.18 measured); a
+    # distance array kept next to K would read about 2.2
+    n = 1000
+    centers = np.random.default_rng(6).normal(scale=4.0, size=(4, 34))
+    data = make_blobs(n // 4, centers, 1.0, seed=6)
+    peak = _peak_arrays(lambda: run_baseline_spectral(data, 4), n)
     assert peak <= 1.3, peak
 
 

@@ -282,3 +282,17 @@ def test_check_symmetric_contract(n):
     below[1, n - 1] += 0.5 * tol * scale
     assert not np.array_equal(below, below.T)
     assert check_symmetric(below, tol=tol) is below
+
+
+@pytest.mark.parametrize("n", [300, 600])
+def test_check_symmetric_rejects_one_sided_non_finite(n):
+    # 300 rows span two 256-row tiles, 600 three: the entry sits in the first
+    # tile, in a later diagonal tile and in an off-diagonal one
+    a = _random_symmetric(n, n)
+    assert check_symmetric(a) is a
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((n - 1, 0), (0, n - 1), (5, 2), (2, 5), (n - 1, n - 1), (0, 0), (n - 2, 270)):
+            b = a.copy()
+            b[i, j] = bad
+            with pytest.raises(ValidationError, match="non-finite"):
+                check_symmetric(b)
