@@ -74,7 +74,7 @@ def _int_at_least(low: int):
 
 def _add_input_flags(p: argparse.ArgumentParser, labels_help: str) -> None:
     p.add_argument("--input", required=True, help="CSV file, one sample per row")
-    p.add_argument("--labels", type=int, default=None, metavar="COL", help=labels_help)
+    p.add_argument("--labels", type=_int_at_least(0), metavar="COL", help=labels_help)
     p.add_argument("--header", action="store_true", help="skip the first line")
 
 
@@ -178,9 +178,8 @@ def cmd_bounds(args) -> int:
     data = _load(args)
     if data.labels is None:
         raise CdskError("bounds need ground-truth labels; pass --labels COL")
-    bandwidth = args.bandwidth if args.bandwidth is not None else default_bandwidth(data)
-    spec = KernelSpec(bandwidth)
-    kmat = gram(data, spec)
+    kmat = gram(data, None if args.bandwidth is None else KernelSpec(args.bandwidth))
+    spec = KernelSpec(kmat.bandwidth)
     alpha = np.full(data.n, 1.0 / data.n)
     # K is PSD (Bochner) with unit diagonal, so its split is S+ = K, S- = 0 and
     # r = sqrt(max diag) = 1: only the blocked form of K is left to compute
@@ -194,7 +193,7 @@ def cmd_bounds(args) -> int:
     _emit("command", "bounds")
     _emit("n", data.n)
     _emit("classes", c)
-    _emit("bandwidth", _fmt(bandwidth))
+    _emit("bandwidth", _fmt(spec.bandwidth))
     _emit("gamma", _fmt(args.gamma))
     _emit("delta", _fmt(args.delta))
     _emit("empirical_loss", _fmt(empirical))
@@ -330,7 +329,7 @@ def build_parser() -> _Parser:
     p.add_argument("--b", type=float)
     p.add_argument("--h", type=float)
     p.add_argument("--input")
-    p.add_argument("--labels", type=int)
+    p.add_argument("--labels", type=_int_at_least(0))
     p.add_argument("--header", action="store_true")
     p.add_argument("--bandwidth", type=float)
     p.add_argument("--lambda1", type=float)

@@ -135,13 +135,16 @@ def write_csv(sample: SampleMatrix, path) -> None:
 
 def make_blobs(n_per_cluster: int, centers, sigma: float, seed: int = 0) -> SampleMatrix:
     """Isotropic Gaussian blobs; labels are 1-based center indices."""
-    centers = np.asarray(centers, dtype=np.float64)
+    try:
+        centers = np.asarray(centers, dtype=np.float64)
+    except ValueError:  # ragged rows, or entries that are not numbers
+        raise ValidationError("centers must be numeric rows of equal length") from None
     if centers.ndim != 2 or centers.shape[0] < 2:
         raise ValidationError("need at least 2 centers, one per row")
     if n_per_cluster < 1:
         raise ValidationError("n_per_cluster must be >= 1")
-    if not sigma > 0:
-        raise ValidationError("sigma must be > 0")
+    if not 0 < sigma < np.inf:
+        raise ValidationError(f"sigma must be finite and > 0, got {sigma}")
     rng = np.random.default_rng(seed)
     chunks = []
     labels = []
@@ -159,8 +162,8 @@ def make_two_moons(n: int, noise: float, seed: int = 0) -> SampleMatrix:
     """
     if n < 4 or n % 2 != 0:
         raise ValidationError("n must be an even number >= 4")
-    if noise < 0:
-        raise ValidationError("noise must be >= 0")
+    if not 0 <= noise < np.inf:
+        raise ValidationError(f"noise must be finite and >= 0, got {noise}")
     half = n // 2
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, np.pi, half)

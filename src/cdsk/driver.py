@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dposv
 from .data_io import ClusteringResult, SampleMatrix
 from .embedding import solve_embedding
 from .errors import ConfigError, DegenerateDataError, ValidationError
-from .kernel import GramMatrix, KernelSpec, gram, heuristic_gram, pairwise_sq_dists
+from .kernel import GramMatrix, KernelSpec, gram, pairwise_sq_dists
 from .kernel import default_bandwidth  # noqa: F401  benchmark/layers.py hooks this name here
 from .kmeans_metrics import Partition, accuracy, kmeans, nmi
 from .similarity import DiscSimilarityGraph, check_degrees, check_simplex, disc_similarity
@@ -69,7 +69,7 @@ def assemble_alpha_qp(
     if y.ndim != 2 or y.shape[0] != k.shape[0]:
         raise ValidationError(f"embedding shape {y.shape} does not match gram matrix")
     # m, then a, in one buffer; k and y's distances are exactly symmetric, so a is
-    m = pairwise_sq_dists(y, y)
+    m = pairwise_sq_dists(y)
     m *= k
     b = 2.0 * m.sum(axis=1) - row_sums
     a = np.subtract(k, m, out=m)
@@ -276,9 +276,8 @@ def _metrics_against(labels: np.ndarray, truth: np.ndarray | None) -> dict | Non
 
 
 def _gram(data: SampleMatrix, bandwidth: float | None) -> GramMatrix:
-    """Gram matrix at the given bandwidth, or if None at the heuristic one,
-    read from the squared distances the gram is then built from."""
-    return heuristic_gram(data) if bandwidth is None else gram(data, KernelSpec(bandwidth))
+    """Gram matrix at the given bandwidth, or if None at the heuristic one."""
+    return gram(data, None if bandwidth is None else KernelSpec(bandwidth))
 
 
 def _alternate(kmat: GramMatrix, config: CdskConfig):

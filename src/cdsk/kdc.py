@@ -90,12 +90,12 @@ def empirical_ise_terms(model: KdeModel, lambda1: float) -> tuple[float, float, 
         raise ValidationError("lambda1 must be finite")
     a = model.alpha
     # Kt's sums first, so Kt is freed before Kh is built
-    kt = pairwise_kernel(model.points, model.points, np.sqrt(2.0) * model.h)
+    kt = pairwise_kernel(model.points, np.sqrt(2.0) * model.h)
     np.fill_diagonal(kt, 1.0)
     own, all_class = class_row_sums(kt, a, model.labels)
     k_alpha = float(a @ all_class) - 2.0 * float(a @ (all_class - own))
     del kt
-    kh = pairwise_kernel(model.points, model.points, model.h)
+    kh = pairwise_kernel(model.points, model.h)
     np.fill_diagonal(kh, 1.0)
     own, all_class = class_row_sums(kh, a, model.labels)
     hat_ise = 4.0 * float(np.sum(all_class - own)) - 2.0 * float(np.sum(all_class))

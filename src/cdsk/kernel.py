@@ -53,123 +53,86 @@ def eval_kernel(x, t, spec: KernelSpec) -> float:
     return float(np.exp(-np.dot(diff, diff) / (2.0 * spec.bandwidth**2)))
 
 
-def _row_blocks(n: int, upper: bool):
-    """(rows, cols) of each _ROW_BLOCK-row block of an n-row build: the whole
-    rows, or with upper only the block's upper trapezoid, from its diagonal on."""
-    for start in range(0, n, _ROW_BLOCK):
-        yield slice(start, start + _ROW_BLOCK), slice(start if upper else 0, None)
+def _squared_distances(a: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of a, on and above the diagonal
+    blocks; _finish mirrors the rest.
 
-
-def _mirror(out: np.ndarray, rows: slice) -> None:
-    """Copy a row block's upper trapezoid into the lower triangle of out.
-
-    The diagonal square goes through one cached lower mask, the rest as
-    _ROW_BLOCK x _ROW_BLOCK transposed tiles, read while the block is in cache.
+    ||a_i||^2 + ||a_j||^2 - 2 a_i.a_j, clamped at 0, built in place in the
+    upper triangle of BLAS syrk's a a^T (the bytes of numpy's a @ a.T, which
+    runs the same syrk and then mirrors it), one row block's diagonal square
+    and the rest of its upper trapezoid at a time.
     """
-    n = out.shape[0]
-    start, end = rows.start, min(rows.stop, n)
-    square = out[start:end, start:end]
-    np.copyto(square, square.T, where=_LOWER[: end - start, : end - start])
-    for tile in range(end, n, _ROW_BLOCK):
-        out[tile : tile + _ROW_BLOCK, start:end] = out[start:end, tile : tile + _ROW_BLOCK].T
-
-
-def _squared_distances(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Squared distances between rows of a and rows of b, and whether only
-    the upper triangle holds them.
-
-    ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j, clamped at 0, built in place in the
-    product a b^T one row block at a time.  For b is a, C-contiguous and more
-    than one block, the product is the upper triangle of BLAS syrk (the bytes
-    of numpy's a @ a.T, which runs the same syrk and then mirrors it) and the
-    chain runs on each block's upper trapezoid only; _finish mirrors it.  A
-    single block has no rows below its trapezoid to skip, and there numpy's
-    own mirror costs less than the tile copies.
-    """
+    n = a.shape[0]
     aa = np.sum(a * a, axis=1)
-    upper = b is a and a.flags.c_contiguous and a.shape[0] > _ROW_BLOCK
-    if upper:
-        # an empty c, not the zeroed one dsyrk would allocate: at beta = 0 syrk
-        # reads none of c and writes its lower triangle, which is out's upper
-        c = np.empty((a.shape[0], a.shape[0]), order="F")
-        bb, out = aa, dsyrk(1.0, a.T, c=c, trans=1, lower=1, overwrite_c=1).T
-    else:
-        bb, out = np.sum(b * b, axis=1), a @ b.T
-    for rows, cols in _row_blocks(out.shape[0], upper):
-        block = out[rows, cols]
-        if upper:
-            # below the diagonal of its first square the block is unwritten memory
-            m = block.shape[0]
-            np.copyto(block[:, :m], 0.0, where=_LOWER[:m, :m])
+    # an empty c, not the zeroed one dsyrk would allocate: at beta = 0 syrk
+    # reads none of c and writes its lower triangle, which is out's upper
+    c = np.empty((n, n), order="F")
+    out = dsyrk(1.0, a.T, c=c, trans=1, lower=1, overwrite_c=1).T
+    for start in range(0, n, _ROW_BLOCK):
+        block = out[start : start + _ROW_BLOCK, start:]
+        # below the diagonal of its square the block is unwritten memory: the
+        # mirrored product goes there, and the chain's result equals its mirror
+        m = block.shape[0]
+        square = block[:, :m]
+        np.copyto(square, square.T, where=_LOWER[:m, :m])
         block *= 2.0
-        np.subtract(aa[rows, None] + bb[None, cols], block, out=block)
+        np.subtract(aa[start : start + m, None] + aa[start:], block, out=block)
         np.maximum(block, 0.0, out=block)
-    return out, upper
-
-
-def _finish(out: np.ndarray, upper: bool, denominator: float | None) -> np.ndarray:
-    """With a denominator, the kernel exp(-sq / denominator) in place of the
-    squared distances; with upper, then the mirror of each block.
-
-    One row block at a time, each mirrored right after its kernel values.
-    Every entry takes the same operations whole-array passes would give it,
-    so the bytes do not depend on the blocking.
-    """
-    for rows, cols in _row_blocks(out.shape[0], upper):
-        if denominator is not None:
-            block = out[rows, cols]
-            # sq / -denominator is -(sq / denominator) exactly: one pass, not two
-            np.divide(block, -denominator, out=block)
-            np.exp(block, out=block)
-        if upper:
-            _mirror(out, rows)
     return out
 
 
-def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between rows of a and rows of b.
+def _finish(out: np.ndarray, denominator: float | None) -> np.ndarray:
+    """With a denominator, the kernel exp(-sq / denominator) in place of the
+    squared distances; then the mirror of each block's part right of its square.
 
-    Exactly symmetric for b = a C-contiguous, which computes one triangle and
-    mirrors it; a strided view takes numpy's general product path.
+    One row block at a time, each mirrored right after its kernel values, in
+    _ROW_BLOCK x _ROW_BLOCK transposed tiles read while the block is in cache.
+    Every entry takes the same operations whole-array passes would give it,
+    so the bytes do not depend on the blocking.
     """
-    return _finish(*_squared_distances(a, b), None)
+    n = out.shape[0]
+    for start in range(0, n, _ROW_BLOCK):
+        end = min(start + _ROW_BLOCK, n)
+        if denominator is not None:
+            block = out[start:end, start:]
+            # sq / -denominator is -(sq / denominator) exactly: one pass, not two
+            np.divide(block, -denominator, out=block)
+            np.exp(block, out=block)
+        for tile in range(end, n, _ROW_BLOCK):
+            out[tile : tile + _ROW_BLOCK, start:end] = out[start:end, tile : tile + _ROW_BLOCK].T
+    return out
 
 
-def pairwise_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Kernel matrix between rows of a and rows of b, both shifted by a's mean.
+def pairwise_sq_dists(a: np.ndarray) -> np.ndarray:
+    """Exactly symmetric squared Euclidean distances between the rows of a."""
+    return _finish(_squared_distances(a), None)
 
-    ||a||^2 + ||b||^2 - 2 a.b loses about eps ||x||^2, so uncentered data far
-    from the origin would lose digits.  For b is a the one centered array goes
-    in twice, so the result is built on one triangle and exactly symmetric.
+
+def pairwise_kernel(points: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Exactly symmetric kernel matrix between the rows of points.
+
+    ||a||^2 + ||b||^2 - 2 a.b loses about eps ||x||^2, so the points are
+    shifted by their mean first: data far from the origin keeps its digits.
     """
-    shift = a.mean(axis=0)
-    centered = a - shift
-    sq, upper = _squared_distances(centered, centered if b is a else b - shift)
-    return _finish(sq, upper, 2.0 * bandwidth**2)
+    return _finish(_squared_distances(points - points.mean(axis=0)), 2.0 * bandwidth**2)
 
 
-def _centered_sq_dists(data: SampleMatrix) -> tuple[np.ndarray, bool]:
-    """_squared_distances of the points centered on their mean, as
-    pairwise_kernel centers them."""
-    centered = data.data - data.data.mean(axis=0)
-    return _squared_distances(centered, centered)
-
-
-def _gram_from(sq: np.ndarray, upper: bool, spec: KernelSpec) -> GramMatrix:
-    values = _finish(sq, upper, 2.0 * spec.bandwidth**2)
-    np.fill_diagonal(values, 1.0)
-    return GramMatrix(values=values, bandwidth=spec.bandwidth)
-
-
-def gram(data: SampleMatrix, spec: KernelSpec) -> GramMatrix:
+def gram(data: SampleMatrix, spec: KernelSpec | None = None) -> GramMatrix:
     """Exactly symmetric kernel gram matrix with unit diagonal.
 
-    Built in place on its upper triangle and mirrored: the peak is the one
-    n x n array plus a row block.  The symmetry comes from the mirror, not a
-    symmetrizing pass (see test_gram_unit_diagonal_and_symmetry); the
-    computed diagonal is not exactly 1.
+    pairwise_kernel of the points, built in place on its upper triangle and
+    mirrored: the peak is the one n x n array plus a row block.  The symmetry
+    comes from the mirror, not a symmetrizing pass (see
+    test_gram_unit_diagonal_and_symmetry); the computed diagonal is not
+    exactly 1.  With no spec the bandwidth is default_bandwidth's, read from
+    the squared distances before the kernel chain finishes in their buffer.
     """
-    return _gram_from(*_centered_sq_dists(data), spec)
+    sq = _squared_distances(data.data - data.data.mean(axis=0))
+    if spec is None:
+        spec = KernelSpec(_distance_variance(sq))
+    values = _finish(sq, 2.0 * spec.bandwidth**2)
+    np.fill_diagonal(values, 1.0)
+    return GramMatrix(values=values, bandwidth=spec.bandwidth)
 
 
 def _distance_variance(sq: np.ndarray) -> float:
@@ -210,13 +173,5 @@ def default_bandwidth(data: SampleMatrix) -> float:
     distances coincide (identical rows included): the heuristic then carries
     no scale information.
     """
-    return _distance_variance(_centered_sq_dists(data)[0])
+    return _distance_variance(_squared_distances(data.data - data.data.mean(axis=0)))
 
-
-def heuristic_gram(data: SampleMatrix) -> GramMatrix:
-    """gram(data, KernelSpec(default_bandwidth(data))), byte for byte, from
-    one build of the squared distances: the bandwidth is read from them
-    before the kernel chain finishes in the same buffer.
-    """
-    sq, upper = _centered_sq_dists(data)
-    return _gram_from(sq, upper, KernelSpec(_distance_variance(sq)))

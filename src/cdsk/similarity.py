@@ -21,8 +21,8 @@ _SIMPLEX_TOL = 1e-10
 _DEGREE_REL_FLOOR = 1e-12
 
 
-def check_simplex(alpha, n: int | None = None, tol: float = _SIMPLEX_TOL) -> np.ndarray:
-    """Validate that alpha lies on the probability simplex; returns float64 copy."""
+def check_simplex(alpha, n: int | None = None) -> np.ndarray:
+    """Validate alpha on the probability simplex to _SIMPLEX_TOL; returns a float64 copy."""
     alpha = np.array(alpha, dtype=np.float64)
     if alpha.ndim != 1:
         raise ValidationError(f"alpha must be a vector, got shape {alpha.shape}")
@@ -30,10 +30,10 @@ def check_simplex(alpha, n: int | None = None, tol: float = _SIMPLEX_TOL) -> np.
         raise ValidationError(f"alpha has length {alpha.shape[0]}, expected {n}")
     if not np.all(np.isfinite(alpha)):
         raise ValidationError("alpha contains non-finite entries")
-    if np.min(alpha) < -tol:
+    if np.min(alpha) < -_SIMPLEX_TOL:
         raise ValidationError(f"alpha has a negative entry: {np.min(alpha)}")
     total = float(np.sum(alpha))
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > _SIMPLEX_TOL:
         raise ValidationError(f"alpha sums to {total}, expected 1")
     return alpha
 

@@ -22,6 +22,8 @@ from .errors import NumericError, ValidationError
 _ZERO_EIG_REL = 1e-10
 # Dense embedding solves up to this size; above it a Lanczos solve is tried first.
 _DENSE_LIMIT = 800
+# Asymmetry tolerated by check_symmetric, relative to max(1, max|a_ij|).
+_SYMMETRY_TOL = 1e-10
 # Edge of the square tiles the exact symmetry test compares.
 _SYMMETRY_TILE = 256
 
@@ -47,8 +49,8 @@ def _symmetric_extremes(a: np.ndarray) -> tuple[float, float] | None:
     return float(min(lows, default=0.0)), float(max(highs, default=0.0))
 
 
-def check_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Validate a finite square matrix symmetric to tol * max(1, max|a_ij|).
+def check_symmetric(a: np.ndarray) -> np.ndarray:
+    """Validate a finite square matrix symmetric to _SYMMETRY_TOL * max(1, max|a_ij|).
 
     Exactly symmetric input (what gram and disc_similarity produce) is
     accepted after one tiled pass that also finds its extremes; only
@@ -67,7 +69,7 @@ def check_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if extremes is not None:
         return a
     scale = max(1.0, -lo, hi)
-    if float(np.max(np.abs(a - a.T))) > tol * scale:
+    if float(np.max(np.abs(a - a.T))) > _SYMMETRY_TOL * scale:
         raise ValidationError("matrix is not symmetric")
     return a
 

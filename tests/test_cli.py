@@ -10,6 +10,7 @@ import pytest
 
 import cdsk.cli
 import cdsk.kdc
+import cdsk.kernel
 import cdsk.spectral
 from cdsk.bounds import (
     BoundInputs,
@@ -21,7 +22,7 @@ from cdsk.cli import build_parser, main
 from cdsk.data_io import load_csv, make_blobs, make_two_moons, read_result, write_csv
 from cdsk.driver import CdskConfig, run_cdsk
 from cdsk.kdc import KdeModel
-from cdsk.kernel import KernelSpec, gram
+from cdsk.kernel import KernelSpec, default_bandwidth, gram
 from cdsk.spectral import psd_split
 from test_bounds import omega_terms_reference
 from test_kdc import decision_squared_integral
@@ -410,7 +411,7 @@ def test_ise_builds_each_kernel_once(capsys, blobs_csv, monkeypatch):
     real = cdsk.kdc.pairwise_kernel
 
     def counting(*args):
-        calls.append(args[2])
+        calls.append(args[1])
         return real(*args)
 
     monkeypatch.setattr(cdsk.kdc, "pairwise_kernel", counting)
@@ -508,6 +509,41 @@ def test_bounds_runs_no_psd_split(capsys, blobs_csv, monkeypatch):
     assert _value(out, "omega_minus") == "0.0"
 
 
+def test_bounds_builds_the_distances_once(capsys, tmp_path, monkeypatch):
+    # without --bandwidth the heuristic is read from the gram's own distances
+    path = tmp_path / "moons.csv"
+    write_csv(make_two_moons(200, 0.05, seed=0), path)
+    calls = []
+    real = cdsk.kernel.dsyrk
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cdsk.kernel, "dsyrk", counting)
+    rc, out, err = _run(capsys, ["bounds", "--input", str(path), "--labels", "2"])
+    assert rc == 0, err
+    assert len(calls) == 1
+    data = load_csv(path, label_column=2)
+    assert float(_value(out, "bandwidth")) == default_bandwidth(data)
+
+
+def test_negative_label_column_is_usage_error(capsys, blobs_csv):
+    for verb in (["cluster", "--clusters", "2"], ["tune", "--clusters", "2"],
+                 ["baseline", "--clusters", "2"], ["bounds"], ["ise"]):
+        with pytest.raises(SystemExit) as exc:
+            main(verb + ["--input", blobs_csv, "--labels", "-1"])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert "--labels" in captured.err
+        assert captured.out == ""
+    # a column past the file's width is a data error, not a usage error
+    rc, out, err = _run(capsys, ["bounds", "--input", blobs_csv, "--labels", "3"])
+    assert rc == 1
+    assert out == ""
+    assert "out of range" in err
+
+
 def test_bounds_requires_labels(capsys, blobs_csv):
     rc, _, err = _run(capsys, ["bounds", "--input", blobs_csv])
     assert rc == 1
@@ -541,6 +577,25 @@ def test_synth_moons_roundtrip(capsys, tmp_path):
     )
     assert rc2 in (0, 2)
     assert "accuracy" in out2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["moons", "--noise", "nan"], "noise must be finite"),
+        (["moons", "--noise", "inf"], "noise must be finite"),
+        (["blobs", "--sigma", "nan"], "sigma must be finite"),
+        (["blobs", "--sigma", "inf"], "sigma must be finite"),
+        (["blobs", "--centers", "0,0;1"], "centers must be numeric rows of equal length"),
+    ],
+)
+def test_synth_rejects_unusable_parameters(capsys, tmp_path, argv, message):
+    out = tmp_path / "s.csv"
+    rc, stdout, err = _run(capsys, ["synth"] + argv + ["--out", str(out)])
+    assert rc == 1
+    assert stdout == ""
+    assert f"error: {message}" in err
+    assert not out.exists()
 
 
 def test_synth_rejects_flags_of_the_other_kind(capsys, tmp_path):

@@ -86,6 +86,20 @@ def test_make_blobs_rejects_single_center():
         make_blobs(5, [(0, 0), (1, 1)], 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_generators_reject_non_finite_spread(bad):
+    # nan passes both nan < 0 and nan > 0, so each test must ask for finiteness
+    with pytest.raises(ValidationError, match="noise must be finite"):
+        make_two_moons(10, bad)
+    with pytest.raises(ValidationError, match="sigma must be finite"):
+        make_blobs(5, [(0, 0), (1, 1)], bad)
+
+
+def test_make_blobs_rejects_ragged_centers():
+    with pytest.raises(ValidationError, match="equal length"):
+        make_blobs(5, [(0, 0), (1,)], 0.5)
+
+
 def test_moons_noise_free_on_unit_circles():
     sm = make_two_moons(200, 0.0, seed=0)
     outer = sm.data[sm.labels == 1] - np.array([0.0, 0.0])

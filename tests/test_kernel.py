@@ -18,7 +18,6 @@ from cdsk.kernel import (
     default_bandwidth,
     eval_kernel,
     gram,
-    heuristic_gram,
     pairwise_kernel,
     pairwise_sq_dists,
 )
@@ -115,7 +114,7 @@ def test_gram_bit_identical_to_allocating_chain():
             x = rng.normal(size=(n, 2 * d))
             for points in (x[:, ::2].copy(), x[:, ::2]):
                 # one point is not a SampleMatrix, but the kernel build runs on it
-                got = pairwise_kernel(points, points, 1.3)
+                got = pairwise_kernel(points, 1.3)
                 assert got.tobytes() == _reference_kernel(points, 1.3).tobytes(), (n, d)
                 if n >= 2:
                     sample = SampleMatrix(points)
@@ -134,22 +133,24 @@ def test_one_triangle_build_reads_no_unwritten_memory():
             del junk
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                sq = pairwise_sq_dists(y, y)
+                sq = pairwise_sq_dists(y)
                 g = gram(SampleMatrix(y), KernelSpec(1.0)).values
             assert sq.tobytes() == _reference_sq_dists(y, y).tobytes()
             assert g.tobytes() == _reference_gram(y, 1.0).tobytes()
 
 
 def test_self_sq_dists_bit_identical_to_allocating_chain():
-    # one triangle for a C-ordered y, numpy's general product for a strided one
+    # a strided view gives its contiguous copy's bytes; numpy's own product
+    # on the view takes a non-BLAS path, up to 3.6e-15 away at n = 127 and 301
     for n in BLOCK_EDGES:
         for d in (2, 3):
             x = rng.normal(size=(n, 2 * d))
-            for y in (x[:, ::2].copy(), x[:, ::2]):
-                got = pairwise_sq_dists(y, y)
-                assert got.tobytes() == _reference_sq_dists(y, y).tobytes(), (n, d)
-                if y.flags.c_contiguous:
-                    assert np.array_equal(got, got.T)
+            contiguous = x[:, ::2].copy()
+            want = _reference_sq_dists(contiguous, contiguous)
+            for y in (contiguous, x[:, ::2]):
+                got = pairwise_sq_dists(y)
+                assert got.tobytes() == want.tobytes(), (n, d)
+                assert np.array_equal(got, got.T)
 
 
 def _heuristic_instances():
@@ -167,7 +168,7 @@ def test_heuristic_gram_equals_two_step_gram(name):
     data = _heuristic_instances()[name]
     h = default_bandwidth(data)
     want = gram(data, KernelSpec(h))
-    for got in (heuristic_gram(data), _gram(data, None)):
+    for got in (gram(data), _gram(data, None)):
         assert got.bandwidth == h
         assert got.values.tobytes() == want.values.tobytes()
 
@@ -177,15 +178,6 @@ def test_default_bandwidth_matches_pdist_variance(name):
     data = _heuristic_instances()[name]
     want = float(np.var(pdist(data.data)))
     assert abs(default_bandwidth(data) / want - 1.0) <= 1e-12
-
-
-def test_pairwise_sq_dists_bit_identical_for_distinct_sets():
-    a = rng.normal(size=(300, 6))
-    b = rng.normal(size=(517, 6))
-    for left, right in ((a, b), (b, a), (a[:, ::2], b[:, ::2])):
-        got = pairwise_sq_dists(left, right)
-        assert got.shape == (left.shape[0], right.shape[0])
-        assert got.tobytes() == _reference_sq_dists(left, right).tobytes()
 
 
 def test_gram_psd():
@@ -235,7 +227,7 @@ def test_default_bandwidth_equal_distances_degenerate():
         [[1e4 + 0.1, -3.3]] * 200,
     ):
         data = SampleMatrix(np.array(points))
-        for heuristic in (default_bandwidth, heuristic_gram):
+        for heuristic in (default_bandwidth, gram):
             with pytest.raises(DegenerateDataError):
                 heuristic(data)
 

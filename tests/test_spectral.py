@@ -12,6 +12,7 @@ from cdsk.errors import ValidationError
 from cdsk.kernel import KernelSpec, gram
 from cdsk.similarity import disc_similarity
 from cdsk.spectral import (
+    _SYMMETRY_TOL,
     _fix_signs,
     check_symmetric,
     lanczos_smallest,
@@ -273,15 +274,15 @@ def test_check_symmetric_contract(n):
         b[0, 1] = b[1, 0] = bad
         with pytest.raises(ValidationError, match="non-finite"):
             check_symmetric(b)
-    tol = 1e-10
+    tol = _SYMMETRY_TOL
     above = a.copy()
     above[1, n - 1] += 2.0 * tol * scale
     with pytest.raises(ValidationError, match="not symmetric"):
-        check_symmetric(above, tol=tol)
+        check_symmetric(above)
     below = a.copy()
     below[1, n - 1] += 0.5 * tol * scale
     assert not np.array_equal(below, below.T)
-    assert check_symmetric(below, tol=tol) is below
+    assert check_symmetric(below) is below
 
 
 @pytest.mark.parametrize("n", [300, 600])
