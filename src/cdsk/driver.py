@@ -11,7 +11,6 @@ from .data_io import ClusteringResult, SampleMatrix
 from .embedding import solve_embedding
 from .errors import ConfigError, DegenerateDataError, ValidationError
 from .kernel import GramMatrix, KernelSpec, gram, pairwise_sq_dists
-from .kernel import default_bandwidth  # noqa: F401  benchmark/layers.py hooks this name here
 from .kmeans_metrics import Partition, accuracy, kmeans, nmi
 from .similarity import DiscSimilarityGraph, check_degrees, check_simplex, disc_similarity
 
@@ -123,7 +122,7 @@ def solve_alpha_coupled(
     kvals = kernel.values
     d1 = kvals.sum(axis=1)
     quad, lin = assemble_alpha_qp(y, kernel, lam, d1)
-    n = start.size
+    n = kvals.shape[0]
     alpha = check_simplex(start, n=n)
     y = np.asarray(y, dtype=np.float64)
     c = y.shape[1]

@@ -8,7 +8,9 @@ that classifier's argmax.  Products of two such kernels integrate against the
 wider kernel at bandwidth sqrt(2) h, whose normalizer is
 tau1 = (2 pi)^{-d/2} (sqrt(2) h)^{-d}.  So the integral of
 (p_hat(x, 1) - p_hat(x, 2))^2 over R^d is tau1 k_alpha, with k_alpha the
-sqrt(2) h kernel's sum that empirical_ise_terms returns.
+sqrt(2) h kernel's sum that empirical_ise_terms returns.  That function
+builds only the sqrt(2) h kernel: exp(-r^2 / (4 h^2))^2 = exp(-r^2 / (2 h^2)),
+so squaring it in place gives the h kernel, to rounding.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import class_row_sums
+from .data_io import SampleMatrix
 from .errors import ValidationError
-from .kernel import _ROW_BLOCK, KernelSpec, pairwise_kernel
+from .kernel import _ROW_BLOCK, KernelSpec, gram
 from .similarity import check_simplex
 
 
 @dataclass(frozen=True)
 class KdeModel:
-    """Weighted two-class sample with a kernel bandwidth."""
+    """Weighted two-class sample of n >= 2 points with a kernel bandwidth."""
 
     points: np.ndarray
     alpha: np.ndarray
@@ -33,11 +36,7 @@ class KdeModel:
     h: float
 
     def __post_init__(self):
-        points = np.ascontiguousarray(self.points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[0] < 1:
-            raise ValidationError("points must be a 2-D array with n >= 1 rows")
-        if not np.all(np.isfinite(points)):
-            raise ValidationError("points contain non-finite entries")
+        points = SampleMatrix(self.points).data
         alpha = check_simplex(self.alpha, n=points.shape[0])
         labels = np.asarray(self.labels, dtype=np.int64)
         if labels.shape != (points.shape[0],):
@@ -45,6 +44,10 @@ class KdeModel:
         if not np.all((labels == 1) | (labels == 2)):
             raise ValidationError("labels must take values in {1, 2}")
         KernelSpec(self.h)
+        # the one kernel built is at sqrt(2) h, whose denominator is about 4 h^2
+        wide = float(np.sqrt(2.0) * self.h)
+        if not 2.0 * wide * wide < np.inf:
+            raise ValidationError(f"bandwidth {self.h} overflows the sqrt(2) h kernel's 4 h^2")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "labels", labels)
@@ -89,27 +92,22 @@ def empirical_ise_terms(model: KdeModel, lambda1: float) -> tuple[float, float, 
     if not np.isfinite(lambda1):
         raise ValidationError("lambda1 must be finite")
     a = model.alpha
-    # Kt's sums first, so Kt is freed before Kh is built
-    kt = pairwise_kernel(model.points, np.sqrt(2.0) * model.h)
-    np.fill_diagonal(kt, 1.0)
-    own, all_class = class_row_sums(kt, a, model.labels)
+    # Kt's sums first, then Kh = Kt^2 elementwise in Kt's buffer
+    k = gram(SampleMatrix(model.points), KernelSpec(np.sqrt(2.0) * model.h)).values
+    own, all_class = class_row_sums(k, a, model.labels)
     k_alpha = float(a @ all_class) - 2.0 * float(a @ (all_class - own))
-    del kt
-    kh = pairwise_kernel(model.points, model.h)
-    np.fill_diagonal(kh, 1.0)
-    own, all_class = class_row_sums(kh, a, model.labels)
+    np.square(k, out=k)
+    own, all_class = class_row_sums(k, a, model.labels)
     hat_ise = 4.0 * float(np.sum(all_class - own)) - 2.0 * float(np.sum(all_class))
-    # s_ise in kh's buffer, a row block at a time, op for op as the docstring's formula
+    # s_ise in Kh's buffer, a row block at a time, op for op as the docstring's formula
     for start in range(0, model.n, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        kh[rows] *= 4.0 * (a[rows, None] + a - lambda1 * (a[rows, None] * a))
-    return hat_ise, k_alpha, kh
+        k[rows] *= 4.0 * (a[rows, None] + a - lambda1 * (a[rows, None] * a))
+    return hat_ise, k_alpha, k
 
 
 def ise_residual_slack(model: KdeModel, eps: float) -> float:
     """Additive slack 2 tau0 (1/(n-1) + eps) of the ISE surrogate."""
-    if model.n < 2:
-        raise ValidationError("residual slack needs n >= 2")
     if not 0 <= eps < np.inf:
         raise ValidationError(f"eps must be finite and >= 0, got {eps}")
     return 2.0 * model.tau0 * (1.0 / (model.n - 1) + eps)

@@ -108,20 +108,13 @@ def pairwise_sq_dists(a: np.ndarray) -> np.ndarray:
     return _finish(_squared_distances(a), None)
 
 
-def pairwise_kernel(points: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Exactly symmetric kernel matrix between the rows of points.
-
-    ||a||^2 + ||b||^2 - 2 a.b loses about eps ||x||^2, so the points are
-    shifted by their mean first: data far from the origin keeps its digits.
-    """
-    return _finish(_squared_distances(points - points.mean(axis=0)), 2.0 * bandwidth**2)
-
-
 def gram(data: SampleMatrix, spec: KernelSpec | None = None) -> GramMatrix:
     """Exactly symmetric kernel gram matrix with unit diagonal.
 
-    pairwise_kernel of the points, built in place on its upper triangle and
-    mirrored: the peak is the one n x n array plus a row block.  The symmetry
+    ||a||^2 + ||b||^2 - 2 a.b loses about eps ||x||^2, so the points are
+    shifted by their mean first: data far from the origin keeps its digits.
+    The kernel is built in place on its upper triangle and mirrored: the
+    peak is the one n x n array plus a row block.  The symmetry
     comes from the mirror, not a symmetrizing pass (see
     test_gram_unit_diagonal_and_symmetry); the computed diagonal is not
     exactly 1.  With no spec the bandwidth is default_bandwidth's, read from

@@ -406,20 +406,29 @@ def test_ise_dataset_mode(capsys, blobs_csv):
 
 
 def test_ise_builds_each_kernel_once(capsys, blobs_csv, monkeypatch):
-    # Kt for k_alpha, Kh for hat_ise and s_ise; the decision integral is tau1 k_alpha
-    calls = []
-    real = cdsk.kdc.pairwise_kernel
+    # one kernel, Kt for k_alpha, squared into Kh for hat_ise and s_ise; the
+    # decision integral is tau1 k_alpha.  The heuristic makes the one more
+    # distance build.
+    builds, bandwidths = [], []
+    real_dsyrk, real_gram = cdsk.kernel.dsyrk, cdsk.kdc.gram
 
-    def counting(*args):
-        calls.append(args[1])
-        return real(*args)
+    def counting_dsyrk(*args, **kwargs):
+        builds.append(1)
+        return real_dsyrk(*args, **kwargs)
 
-    monkeypatch.setattr(cdsk.kdc, "pairwise_kernel", counting)
-    rc, _, err = _run(
-        capsys, ["ise", "--input", blobs_csv, "--labels", "2", "--bandwidth", "1.0"]
-    )
-    assert rc == 0, err
-    assert calls == [np.sqrt(2.0), 1.0]
+    def recording_gram(data, spec=None):
+        bandwidths.append(spec.bandwidth)
+        return real_gram(data, spec)
+
+    monkeypatch.setattr(cdsk.kernel, "dsyrk", counting_dsyrk)
+    monkeypatch.setattr(cdsk.kdc, "gram", recording_gram)
+    for flags, want_builds in ((["--bandwidth", "1.0"], 1), ([], 2)):
+        builds.clear()
+        bandwidths.clear()
+        rc, out, err = _run(capsys, ["ise", "--input", blobs_csv, "--labels", "2"] + flags)
+        assert rc == 0, err
+        assert len(builds) == want_builds
+        assert bandwidths == [np.sqrt(2.0) * float(_value(out, "bandwidth"))]
 
 
 def test_ise_decision_integral_matches_closed_form(capsys, tmp_path):

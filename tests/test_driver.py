@@ -219,6 +219,15 @@ def test_solve_alpha_coupled_rejects_far_start():
         solve_alpha_coupled(1e6 * y, k, lam, start=alpha)
 
 
+def test_solve_alpha_coupled_checks_start_length():
+    # the start's length is checked against the gram's size, not taken from it
+    data = _blobs(n_per=20)
+    k = gram(data, KernelSpec(2.0))
+    y = solve_embedding(disc_similarity(k, np.full(40, 1.0 / 40), 0.3), 2)
+    with pytest.raises(ValidationError, match="alpha has length 39, expected 40"):
+        solve_alpha_coupled(y, k, 0.3, start=np.full(39, 1.0 / 39))
+
+
 def test_embedding_entropy_values():
     crisp = np.array([[10.0, 0.0], [0.0, 10.0]])
     assert embedding_entropy(crisp) < 0.01

@@ -5,7 +5,7 @@ from scipy.integrate import trapezoid
 from cdsk.data_io import SampleMatrix
 from cdsk.errors import ValidationError
 from cdsk.kdc import KdeModel, empirical_ise_terms, gaussian_convolution_check, ise_residual_slack
-from cdsk.kernel import GramMatrix, KernelSpec, pairwise_kernel
+from cdsk.kernel import KernelSpec, gram
 from cdsk.similarity import class_scores, disc_similarity
 
 
@@ -16,6 +16,11 @@ def _model_1d(rng, n, h=0.7):
     labels = rng.integers(1, 3, size=n)
     labels[0], labels[1] = 1, 2
     return KdeModel(points=pts, alpha=alpha, labels=labels, h=h)
+
+
+def _kernel(points, h):
+    """The unit-diagonal kernel matrix of the points at bandwidth h."""
+    return gram(SampleMatrix(points), KernelSpec(h)).values
 
 
 def class_kde(queries, model):
@@ -37,7 +42,7 @@ def decision_squared_integral(model):
     Gaussian products integrate in closed form, giving tau1 s^T Kt s with s
     the weights signed by class and Kt the kernel at bandwidth sqrt(2) h.
     """
-    kt = pairwise_kernel(model.points, np.sqrt(2.0) * model.h)
+    kt = _kernel(model.points, np.sqrt(2.0) * model.h)
     signed = np.where(model.labels == 1, model.alpha, -model.alpha)
     return model.tau1 * float(signed @ (kt @ signed))
 
@@ -69,6 +74,12 @@ def test_kde_model_validation():
     # a usable kernel bandwidth whose normalizer h^(-d) overflows in d = 2
     with pytest.raises(ValidationError, match="bandwidth"):
         KdeModel(points=np.zeros((2, 2)), alpha=[0.5, 0.5], labels=[1, 2], h=1e-160)
+    # 2 h^2 is finite, but the sqrt(2) h kernel's 4 h^2 overflows
+    with pytest.raises(ValidationError, match="bandwidth"):
+        KdeModel(points=np.zeros((2, 1)), alpha=[0.5, 0.5], labels=[1, 2], h=8e153)
+    # the kernel is built on a sample, which needs two points
+    with pytest.raises(ValidationError, match="2 samples"):
+        KdeModel(points=np.zeros((1, 1)), alpha=[1.0], labels=[1], h=1.0)
 
 
 def test_class_kde_additivity_and_single_class():
@@ -125,14 +136,11 @@ def test_decide_matches_density_difference():
         assert label == int(np.argmax(row)) + 1
 
 
-def ise_terms_reference(model, lambda1):
+def ise_terms_reference(model, lambda1, kh):
     """Reference: the ISE terms from n x n pair-sum, pair-product and
-    label-mismatch arrays."""
+    label-mismatch arrays, with kh the kernel at bandwidth h."""
     a = model.alpha
-    kh = pairwise_kernel(model.points, model.h)
-    np.fill_diagonal(kh, 1.0)
-    kt = pairwise_kernel(model.points, np.sqrt(2.0) * model.h)
-    np.fill_diagonal(kt, 1.0)
+    kt = _kernel(model.points, np.sqrt(2.0) * model.h)
     pair_sum = a[:, None] + a[None, :]
     pair_prod = np.outer(a, a)
     diff = model.labels[:, None] != model.labels[None, :]
@@ -142,16 +150,31 @@ def ise_terms_reference(model, lambda1):
     return hat_ise, k_alpha, s_ise
 
 
-@pytest.mark.parametrize("n", [7, 300])
-def test_ise_terms_match_mask_reference(n):
-    # 300 rows span three row blocks of the in-place s_ise
+@pytest.mark.parametrize(
+    ("n", "h"), [(7, 0.4), (300, 0.4), (300, 0.01)], ids=["7", "300", "300-underflow"]
+)
+def test_ise_terms_match_mask_reference(n, h):
+    # 300 rows span three row blocks of the in-place s_ise; at h = 0.01 the
+    # far pairs' kernel values underflow
     rng = np.random.default_rng(8)
-    model = _model_1d(rng, n, h=0.4)
+    model = _model_1d(rng, n, h=h)
     hat_ise, k_alpha, s_ise = empirical_ise_terms(model, 1.7)
-    want_hat, want_k, want_s = ise_terms_reference(model, 1.7)
+    # the h kernel as empirical_ise_terms gets it: the sqrt(2) h kernel squared
+    squared = np.square(_kernel(model.points, np.sqrt(2.0) * h))
+    want_hat, want_k, want_s = ise_terms_reference(model, 1.7, squared)
     assert abs(hat_ise - want_hat) <= 1e-12 * abs(want_hat)
     assert abs(k_alpha - want_k) <= 1e-12 * abs(want_k)
     assert s_ise.tobytes() == want_s.tobytes()
+    # the square equals the h kernel evaluated directly, to rounding, and
+    # both flush the same far pairs to zero
+    direct = _kernel(model.points, h)
+    assert np.max(np.abs(squared - direct)) <= 1e-13
+    flushed = (squared == 0.0) | (direct == 0.0)
+    assert np.any(flushed) == (h < 0.1)
+    assert np.max(np.abs(squared - direct)[flushed], initial=0.0) <= 1e-300
+    direct_hat, _, direct_s = ise_terms_reference(model, 1.7, direct)
+    assert abs(hat_ise - direct_hat) <= 1e-13 * abs(direct_hat)
+    assert np.max(np.abs(s_ise - direct_s)) <= 1e-13 * np.max(np.abs(direct_s))
 
 
 def test_hat_ise_two_point_hand_case():
@@ -173,8 +196,7 @@ def test_hat_ise_same_class_no_cross_term():
     alpha = np.full(5, 0.2)
     model = KdeModel(points=pts, alpha=alpha, labels=np.ones(5, dtype=int), h=1.0)
     hat_ise, _, _ = empirical_ise_terms(model, 1.0)
-    kh = pairwise_kernel(pts, 1.0)
-    np.fill_diagonal(kh, 1.0)
+    kh = _kernel(pts, 1.0)
     want = -float(np.sum((alpha[:, None] + alpha[None, :]) * kh))
     assert abs(hat_ise - want) < 1e-10
 
@@ -183,8 +205,7 @@ def test_k_alpha_hand_expansion():
     rng = np.random.default_rng(4)
     model = _model_1d(rng, 6)
     _, k_alpha, _ = empirical_ise_terms(model, 0.5)
-    kt = pairwise_kernel(model.points, np.sqrt(2.0) * model.h)
-    np.fill_diagonal(kt, 1.0)
+    kt = _kernel(model.points, np.sqrt(2.0) * model.h)
     a = model.alpha
     want = float(a @ kt @ a)
     for i in range(6):
@@ -199,10 +220,8 @@ def test_s_ise_is_twice_disc_similarity():
     model = _model_1d(rng, 8)
     lam = 1.3
     _, _, s_ise = empirical_ise_terms(model, lam)
-    kh = pairwise_kernel(model.points, model.h)
-    kh = 0.5 * (kh + kh.T)
-    np.fill_diagonal(kh, 1.0)
-    graph = disc_similarity(GramMatrix(values=kh, bandwidth=model.h), model.alpha, lam)
+    kh = gram(SampleMatrix(model.points), KernelSpec(model.h))
+    graph = disc_similarity(kh, model.alpha, lam)
     assert np.max(np.abs(s_ise - 2.0 * graph.s)) < 1e-12
 
 
@@ -235,9 +254,6 @@ def test_ise_residual_slack_formula():
         ise_residual_slack(model, -0.1)
     with pytest.raises(ValidationError):
         ise_residual_slack(model, np.nan)
-    single = KdeModel(points=np.array([[0.0]]), alpha=np.array([1.0]), labels=np.array([1]), h=1.0)
-    with pytest.raises(ValidationError):
-        ise_residual_slack(single, 0.0)
 
 
 def test_gaussian_convolution_zero_separation():

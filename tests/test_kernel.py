@@ -18,7 +18,6 @@ from cdsk.kernel import (
     default_bandwidth,
     eval_kernel,
     gram,
-    pairwise_kernel,
     pairwise_sq_dists,
 )
 
@@ -98,28 +97,19 @@ def _reference_gram(points, bandwidth):
     return values
 
 
-def _reference_kernel(points, bandwidth):
-    centered = points - points.mean(axis=0)
-    return np.exp(-_reference_sq_dists(centered, centered) / (2.0 * bandwidth**2))
-
-
 # the one-triangle build works in 128-row blocks and mirror tiles: one row,
 # one block, one block and one row, two blocks and one row, then several
 BLOCK_EDGES = (1, 2, 127, 128, 129, 257, 301, 513, 1000)
 
 
 def test_gram_bit_identical_to_allocating_chain():
-    for n in BLOCK_EDGES:
+    for n in BLOCK_EDGES[1:]:  # a sample has at least two points
         for d in (2, 34):
             x = rng.normal(size=(n, 2 * d))
             for points in (x[:, ::2].copy(), x[:, ::2]):
-                # one point is not a SampleMatrix, but the kernel build runs on it
-                got = pairwise_kernel(points, 1.3)
-                assert got.tobytes() == _reference_kernel(points, 1.3).tobytes(), (n, d)
-                if n >= 2:
-                    sample = SampleMatrix(points)
-                    g = gram(sample, KernelSpec(1.3)).values
-                    assert g.tobytes() == _reference_gram(sample.data, 1.3).tobytes(), (n, d)
+                sample = SampleMatrix(points)
+                g = gram(sample, KernelSpec(1.3)).values
+                assert g.tobytes() == _reference_gram(sample.data, 1.3).tobytes(), (n, d)
 
 
 def test_one_triangle_build_reads_no_unwritten_memory():
