@@ -23,6 +23,8 @@ _BOUND_EPS = 1e-14
 _PIVOT_TOL = 1e-4
 # the alternation stops once the recorded objective moves by at most this, relative
 _STOP_TOL = 1e-8
+# the weight step's KKT tolerance and its cap on inner iterations
+_QP_TOL, _MAX_INNER = 1e-6, 80
 
 
 def _gram_solve(
@@ -81,8 +83,6 @@ def solve_alpha_coupled(
     kernel: GramMatrix,
     lam: float,
     start: np.ndarray,
-    tol: float = 1e-6,
-    max_inner: int = 80,
 ) -> QpSolution:
     """Minimize q = assemble_alpha_qp(y, ...) while keeping y normalized.
 
@@ -117,7 +117,7 @@ def solve_alpha_coupled(
     matrix-vector products (A d for the curvature, A a, and K a before and
     after the Newton step) plus the c(c+1)/2 rows of (W a) K in the Jacobian.
     The returned point is always feasible and never worse than the start;
-    converged means the KKT residual met max(tol, 1e-5).
+    converged means the KKT residual met max(_QP_TOL, 1e-5).
     """
     kvals = kernel.values
     d1 = kvals.sum(axis=1)
@@ -183,7 +183,7 @@ def solve_alpha_coupled(
     iterations = 0
     # with as many normalization equalities as weights the feasible set is
     # (generically) isolated points, so the start is already the answer
-    limit = 0 if targets.size >= n else max_inner
+    limit = 0 if targets.size >= n else _MAX_INNER
 
     while True:
         grad = 2.0 * a_alpha + lin
@@ -194,7 +194,7 @@ def solve_alpha_coupled(
         pull = -float(np.minimum.reduce(zeta, where=~free, initial=0.0))
         worst = max(float(np.maximum.reduce(np.abs(zeta), where=free, initial=0.0)), pull)
         residual_norm = worst / (1.0 + float(np.abs(grad).max()))
-        if residual_norm <= tol or iterations >= limit:
+        if residual_norm <= _QP_TOL or iterations >= limit:
             break
         iterations += 1
         work = free | (zeta < 0.0)  # zero weights that ask for mass join the face
@@ -229,7 +229,7 @@ def solve_alpha_coupled(
         objective=q_final,
         kkt_residual=residual_norm,
         iterations=iterations,
-        converged=residual_norm <= max(tol, 1e-5),
+        converged=residual_norm <= max(_QP_TOL, 1e-5),
         objective_trace=[q_start, q_final] if moved else [q_start],
     )
 
@@ -279,16 +279,26 @@ def _gram(data: SampleMatrix, bandwidth: float | None) -> GramMatrix:
     return gram(data, None if bandwidth is None else KernelSpec(bandwidth))
 
 
-def _alternate(kmat: GramMatrix, config: CdskConfig):
-    """run_cdsk's loop: (alpha, last Y, trace, qp_converged)."""
+def _kernel_embedding(kmat: GramMatrix, c: int) -> np.ndarray:
+    """The embedding of K's own graph, (K, K1): the uniform-weights one, up to scale."""
+    k = kmat.values
+    return solve_embedding(DiscSimilarityGraph(k, check_degrees(k.sum(axis=1))), c)
+
+
+def _alternate(kmat: GramMatrix, y0: np.ndarray, config: CdskConfig):
+    """run_cdsk's loop from y0 = _kernel_embedding(kmat, c): (alpha, last Y,
+    trace, qp_converged).  At uniform weights S = s0 K, s0 = 2 (2/n - lam/n^2),
+    so the first Y is y0 / sqrt(s0), which makes Y^T D Y = I for D = s0 K 1.
+    """
     n = kmat.values.shape[0]
     alpha = np.full(n, 1.0 / n)
-    graph = disc_similarity(kmat, alpha, config.lam)
+    y = y0 / np.sqrt(2.0 * (2.0 / n - config.lam / n**2))
     trace: list[float] = []
     qp_converged = True
-    for _ in range(config.max_iter):
-        y = solve_embedding(graph, config.c)
-        graph = None  # free S before the weight step and next graph allocate
+    for it in range(config.max_iter):
+        if it:
+            y = solve_embedding(graph, config.c)
+            graph = None  # free S before the weight step and next graph allocate
         sol = solve_alpha_coupled(y, kmat, config.lam, start=alpha)
         qp_converged = qp_converged and sol.converged
         try:
@@ -310,13 +320,13 @@ def run_cdsk(data: SampleMatrix, config: CdskConfig) -> ClusteringResult:
 
     The weights start uniform, alpha = 1/n, where the discriminative
     similarity is a constant multiple of the kernel, so the first embedding
-    is the plain spectral one.  A kernel that leaves some point with zero
-    degree at that start raises DegenerateDataError.
+    is the baseline's, of K's own graph, rescaled; no S is built for it.  A
+    point with zero degree in K's own graph raises DegenerateDataError.
 
-    Per iteration: build the discriminative similarity graph from the current
-    weights, embed against its normalized Laplacian, re-fit the weights on the
-    simplex while preserving the embedding normalization (warm-started at the
-    previous weights, which are exactly feasible), and record the joint
+    Per iteration: embed the current weights' similarity graph against its
+    normalized Laplacian (the first time, the baseline's), re-fit the weights
+    on the simplex while preserving the embedding normalization (warm-started
+    at the previous weights, which are exactly feasible), and record the joint
     objective tr(Y^T L Y) - alpha^T K 1 + lam alpha^T K alpha.  Stops early
     once the recorded objective stalls in relative terms.  The trace is
     nonincreasing: the weight step only accepts descent at fixed Y, and the
@@ -326,7 +336,7 @@ def run_cdsk(data: SampleMatrix, config: CdskConfig) -> ClusteringResult:
     if data.n < config.c:
         raise ValidationError(f"n={data.n} is smaller than c={config.c}")
     kmat = _gram(data, config.bandwidth)
-    alpha, y, trace, qp_converged = _alternate(kmat, config)
+    alpha, y, trace, qp_converged = _alternate(kmat, _kernel_embedding(kmat, config.c), config)
     part = kmeans(y, config.c, seed=config.seed)
     return ClusteringResult(
         labels=part.labels,
@@ -356,9 +366,10 @@ def tune_lambda(
     """Pick lambda by minimum embedding entropy on a validation subsample.
 
     The subsample holds 10% of the data, floored at max(2c, 10) points, drawn
-    with config.seed.  On its one gram matrix each grid point runs run_cdsk's
-    alternation and scores the embedding of the final weights' graph; no
-    k-means runs.  Ties keep the smaller lambda.
+    with config.seed.  On its one gram matrix the uniform-weights embedding
+    is solved once for the whole grid; each grid point runs run_cdsk's
+    alternation from it and scores the embedding of the final weights'
+    graph; no k-means runs.  Ties keep the smaller lambda.
     """
     grid = [float(v) for v in grid]
     if not grid:
@@ -372,9 +383,10 @@ def tune_lambda(
     rng = np.random.default_rng(config.seed)
     idx = np.sort(rng.choice(data.n, size=size, replace=False))
     kmat = _gram(SampleMatrix(data.data[idx]), config.bandwidth)
+    y0 = _kernel_embedding(kmat, config.c)
     entropies: list[float] = []
     for lam_config in configs:
-        alpha, _, _, _ = _alternate(kmat, lam_config)
+        alpha, _, _, _ = _alternate(kmat, y0, lam_config)
         graph = disc_similarity(kmat, alpha, lam_config.lam)
         entropies.append(embedding_entropy(solve_embedding(graph, config.c)))
     best = min(range(len(grid)), key=lambda i: (entropies[i], grid[i]))
@@ -388,20 +400,19 @@ def run_baseline_spectral(
 
     The uniform-weights special case: there the similarity is a constant
     multiple of K, which leaves the normalized Laplacian unchanged, so
-    solve_embedding runs on K's own graph, (K, K1), and builds no S.  Up to
-    n = 800 (and for c >= n // 4) that adds N next to K; above it, no n x n
-    array besides K.  No lambda enters: the result's lambda_used 0.1 is a
-    placeholder.  Unlike run_cdsk it accepts c = 1.  bandwidth None picks
-    the heuristic, seed drives k-means, whose 10 restarts are fixed.
+    solve_embedding runs on K's own graph, (K, K1), and builds no S; run_cdsk
+    and tune_lambda start from the same embedding.  Up to n = 800 (and for
+    c >= n // 4) that adds N next to K; above it, no n x n array besides K.
+    No lambda enters: the result's lambda_used 0.1 is a placeholder.  Unlike
+    run_cdsk it accepts c = 1.  bandwidth None picks the heuristic, seed
+    drives k-means, whose 10 restarts are fixed.
     """
     if c < 1:
         raise ConfigError(f"cluster count must be >= 1, got {c}")
     if data.n < c:
         raise ValidationError(f"n={data.n} is smaller than c={c}")
     kmat = _gram(data, bandwidth)
-    k = kmat.values
-    y = solve_embedding(DiscSimilarityGraph(k, check_degrees(k.sum(axis=1))), c)
-    part = kmeans(y, c, seed=seed)
+    part = kmeans(_kernel_embedding(kmat, c), c, seed=seed)
     return ClusteringResult(
         labels=part.labels,
         alpha=np.full(data.n, 1.0 / data.n),

@@ -19,6 +19,7 @@ from cdsk.embedding import solve_embedding
 from cdsk.errors import ConfigError, DegenerateDataError, ValidationError
 from cdsk.kernel import GramMatrix, KernelSpec, default_bandwidth, gram
 from cdsk.similarity import disc_similarity
+from cdsk.spectral import lanczos_applies
 from test_acceptance import _descent_dataset
 from test_similarity import joint_objective, qp_objective
 
@@ -307,12 +308,16 @@ def test_tune_lambda_domain_errors(monkeypatch):
 
 
 def test_alternate_keeps_last_iterate_when_a_graph_degenerates(monkeypatch):
-    # _alternate frees each graph before the weight step; when the next graph
-    # is degenerate it must still return the last valid iterate: its weights,
-    # the embedding of its graph and the trace so far
+    # _alternate builds one graph per weight step and frees each before the
+    # next step; when a graph is degenerate it must still return the last
+    # valid iterate: its weights, the embedding of its graph and the trace so
+    # far.  Before the first weight step that iterate is the uniform start,
+    # whose embedding is y0 rescaled to the uniform weights' degrees
     data = make_two_moons(80, 0.1, seed=0)
     kmat = gram(data, KernelSpec(default_bandwidth(data)))
     config = CdskConfig(c=2, max_iter=6)
+    y0 = cdsk.driver._kernel_embedding(kmat, config.c)
+    n = data.n
     real = cdsk.driver.disc_similarity
     weights = []
 
@@ -321,9 +326,10 @@ def test_alternate_keeps_last_iterate_when_a_graph_degenerates(monkeypatch):
         return real(kmat, alpha, lam)
 
     monkeypatch.setattr(cdsk.driver, "disc_similarity", spy)
-    _, _, full_trace, _ = cdsk.driver._alternate(kmat, config)
-    assert len(full_trace) == 6
-    for fail_at in (2, 4, 7):
+    _, _, full_trace, _ = cdsk.driver._alternate(kmat, y0, config)
+    assert len(full_trace) == len(weights) == 6
+    uniform_y = y0 / np.sqrt(2.0 * (2.0 / n - config.lam / n**2))
+    for fail_at in range(1, 7):
         calls = []
 
         def failing(kmat, alpha, lam):
@@ -333,12 +339,15 @@ def test_alternate_keeps_last_iterate_when_a_graph_degenerates(monkeypatch):
             return real(kmat, alpha, lam)
 
         monkeypatch.setattr(cdsk.driver, "disc_similarity", failing)
-        alpha, y, trace, _ = cdsk.driver._alternate(kmat, config)
-        kept = weights[fail_at - 2]
-        want = real(kmat, kept, config.lam)
+        alpha, y, trace, _ = cdsk.driver._alternate(kmat, y0, config)
+        if fail_at == 1:
+            kept, want_y = np.full(n, 1.0 / n), uniform_y
+        else:
+            kept = weights[fail_at - 2]
+            want_y = solve_embedding(real(kmat, kept, config.lam), config.c)
         assert alpha.tobytes() == kept.tobytes()
-        assert y.tobytes() == solve_embedding(want, config.c).tobytes()
-        assert trace == full_trace[: fail_at - 2]
+        assert y.tobytes() == want_y.tobytes()
+        assert trace == full_trace[: fail_at - 1]
 
 
 def test_tune_lambda_scores_the_kept_iterate_when_a_graph_degenerates(monkeypatch):
@@ -352,21 +361,86 @@ def test_tune_lambda_scores_the_kept_iterate_when_a_graph_degenerates(monkeypatc
     def failing(kmat, alpha, lam):
         if lam == 0.3:
             at_lam.append((kmat, np.array(alpha, copy=True)))
-            if len(at_lam) == 3:
+            if len(at_lam) == 2:
                 raise DegenerateDataError("drained")
         return real(kmat, alpha, lam)
 
     monkeypatch.setattr(cdsk.driver, "disc_similarity", failing)
     _, entropies = tune_lambda(data, config, grid=(0.1, 0.3))
-    # uniform graph, one after the first weight step, the degenerate one,
-    # then the tuner's graph of the weights _alternate kept
-    assert len(at_lam) == 4
-    kmat, kept = at_lam[1]
-    assert at_lam[3][1].tobytes() == kept.tobytes()
+    # the graph after the first weight step, the degenerate one, then the
+    # tuner's graph of the weights _alternate kept
+    assert len(at_lam) == 3
+    kmat, kept = at_lam[0]
+    assert not np.all(kept == kept[0])  # a weight step's result, not the start
+    assert at_lam[2][1].tobytes() == kept.tobytes()
     want = embedding_entropy(solve_embedding(real(kmat, kept, 0.3), config.c))
     assert entropies[1] == want
     monkeypatch.undo()
     assert tune_lambda(data, config, grid=(0.1,))[1] == entropies[:1]
+
+
+def test_no_graph_is_built_at_uniform_weights(monkeypatch):
+    # at uniform weights S = s0 K, whose embedding is K's own rescaled: no
+    # entry point builds that S, and the tuner embeds K's own graph once per
+    # call, whatever the grid's length
+    grams, uniform, own = [], [], []
+    real_gram = cdsk.driver.gram
+    real_graph = cdsk.driver.disc_similarity
+    real_embedding = cdsk.driver.solve_embedding
+
+    def gram_spy(*args):
+        grams.append(real_gram(*args))
+        return grams[-1]
+
+    def graph_spy(kmat, alpha, lam):
+        uniform.append(bool(np.all(alpha == alpha[0])))
+        return real_graph(kmat, alpha, lam)
+
+    def embedding_spy(graph, c):
+        own.append(any(graph.s is g.values for g in grams))
+        return real_embedding(graph, c)
+
+    monkeypatch.setattr(cdsk.driver, "gram", gram_spy)
+    monkeypatch.setattr(cdsk.driver, "disc_similarity", graph_spy)
+    monkeypatch.setattr(cdsk.driver, "solve_embedding", embedding_spy)
+    data = make_two_moons(200, 0.1, seed=0)
+    runs = [lambda: run_cdsk(data, CdskConfig(c=2, bandwidth=0.3, max_iter=4))]
+    runs += [
+        lambda grid=grid: tune_lambda(data, CdskConfig(c=2, bandwidth=0.3), grid=grid)
+        for grid in ((0.2,), (0.05, 0.5, 1.0, 2.0))
+    ]
+    for run in runs:
+        for log in (grams, uniform, own):
+            log.clear()
+        run()
+        assert len(grams) == 1
+        assert uniform and not any(uniform)
+        assert own.count(True) == 1 and own[0]
+
+
+class _FirstWeightStep(Exception):
+    pass
+
+
+def test_run_cdsk_first_embedding_is_the_uniform_graphs(monkeypatch):
+    # the first weight step's Y is K's own embedding divided by sqrt(s0),
+    # s0 = 2 (2/n - lam/n^2): the embedding of S = s0 K itself, whether the
+    # eigensolve is dense (n <= 800) or by Lanczos iteration (n > 800)
+    def first_step(y, kernel, lam, start):
+        raise _FirstWeightStep(y)
+
+    monkeypatch.setattr(cdsk.driver, "solve_alpha_coupled", first_step)
+    for data in (make_two_moons(300, 0.1, seed=1), make_two_moons(900, 0.1, seed=2)):
+        kmat = gram(data, KernelSpec(0.2))
+        uniform = np.full(data.n, 1.0 / data.n)
+        for c in (2, 3):
+            assert lanczos_applies(data.n, c) == (data.n > 800)
+            for lam in (0.1, 1.0, 2.0):
+                with pytest.raises(_FirstWeightStep) as caught:
+                    run_cdsk(data, CdskConfig(c=c, lam=lam, bandwidth=0.2))
+                got = caught.value.args[0]
+                want = solve_embedding(disc_similarity(kmat, uniform, lam), c)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (data.n, c, lam)
 
 
 def test_baseline_spectral_separates_blobs():
@@ -447,7 +521,8 @@ def test_solve_alpha_coupled_products_per_iteration(monkeypatch):
     used = []
     for max_inner in (0, 80):
         counts.update(K=0, A=0)
-        sol = solve_alpha_coupled(y, kernel, 0.1, start=alpha, max_inner=max_inner)
+        monkeypatch.setattr(cdsk.driver, "_MAX_INNER", max_inner)
+        sol = solve_alpha_coupled(y, kernel, 0.1, start=alpha)
         used.append((sol.iterations, counts["K"], counts["A"]))
     (_, k_setup, a_setup), (iterations, k_total, a_total) = used
     assert iterations >= 20
@@ -455,10 +530,11 @@ def test_solve_alpha_coupled_products_per_iteration(monkeypatch):
     assert k_total - k_setup <= (c * (c + 1) // 2 + 2) * iterations
 
 
-def test_solve_alpha_coupled_respects_max_inner():
+def test_solve_alpha_coupled_respects_max_inner(monkeypatch):
     qp, y, k, alpha = _three_blobs_step()
     for max_inner in (0, 1, 5):
-        sol = solve_alpha_coupled(y, k, 0.1, start=alpha, max_inner=max_inner)
+        monkeypatch.setattr(cdsk.driver, "_MAX_INNER", max_inner)
+        sol = solve_alpha_coupled(y, k, 0.1, start=alpha)
         assert sol.iterations <= max_inner
         assert sol.objective <= qp_objective(qp, alpha)
 
@@ -510,7 +586,7 @@ def test_projection_matches_least_squares(monkeypatch):
             assert np.abs(got - want).max() <= 1e-9 * np.abs(grad).max()
 
 
-def test_solve_alpha_coupled_converged_means_kkt_within_tolerance():
+def test_solve_alpha_coupled_converged_means_kkt_within_tolerance(monkeypatch):
     # qp_converged, and exit code 2 with it, rest on kkt_residual: it must be
     # what a least-squares projection measures at the returned weights, to
     # 1e-8 relative above a rounding floor of 1e-11 (a millionth of the 1e-5
@@ -520,7 +596,8 @@ def test_solve_alpha_coupled_converged_means_kkt_within_tolerance():
         data, c, lam, bw = _descent_dataset(i)
         qp, y, k, alpha = _first_weight_step(data, c, lam, bw or default_bandwidth(data))
         for tol in (1e-6, 1e-3):
-            sol = solve_alpha_coupled(y, k, lam, start=alpha, tol=tol)
+            monkeypatch.setattr(cdsk.driver, "_QP_TOL", tol)
+            sol = solve_alpha_coupled(y, k, lam, start=alpha)
             jac, grad = _jacobian_and_gradient(qp, y, k, lam, sol.alpha)
             free = sol.alpha > 1e-14
             zeta = _lstsq_projection(grad, jac, free)
