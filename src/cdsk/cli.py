@@ -116,8 +116,7 @@ def cmd_cluster(args) -> int:
     _emit("bandwidth_used", _fmt(result.bandwidth_used))
     _emit("lambda_used", _fmt(result.lambda_used))
     _emit("iterations", len(result.objective_trace))
-    if result.objective_trace:
-        _emit("objective_final", _fmt(result.objective_trace[-1]))
+    _emit("objective_final", _fmt(result.objective_trace[-1]))
     _emit("qp_converged", "true" if result.qp_converged else "false")
     _print_metrics(result.metrics)
     if args.output is not None:

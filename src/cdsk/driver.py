@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -234,6 +235,17 @@ def solve_alpha_coupled(
     )
 
 
+def _integer(name: str, value, least: int) -> int:
+    """value as an int of at least `least`, or ConfigError naming the field."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class CdskConfig:
     """Inputs of one clustering run.
@@ -251,8 +263,8 @@ class CdskConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c < 2:
-            raise ConfigError(f"clustering needs c >= 2, got {self.c}")
+        for name, least in (("c", 2), ("max_iter", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if not np.isfinite(self.lam) or not 0.0 < self.lam <= 2.0:
             raise ConfigError(f"lambda must satisfy 0 < lambda <= 2, got {self.lam}")
         if self.bandwidth is not None:
@@ -260,10 +272,6 @@ class CdskConfig:
                 KernelSpec(self.bandwidth)
             except ValidationError as exc:
                 raise ConfigError(str(exc)) from None
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
 
 
 def _metrics_against(labels: np.ndarray, truth: np.ndarray | None) -> dict | None:
@@ -286,32 +294,29 @@ def _kernel_embedding(kmat: GramMatrix, c: int) -> np.ndarray:
 
 
 def _alternate(kmat: GramMatrix, y0: np.ndarray, config: CdskConfig):
-    """run_cdsk's loop from y0 = _kernel_embedding(kmat, c): (alpha, last Y,
-    trace, qp_converged).  At uniform weights S = s0 K, s0 = 2 (2/n - lam/n^2),
-    so the first Y is y0 / sqrt(s0), which makes Y^T D Y = I for D = s0 K 1.
+    """run_cdsk's loop from y0 = _kernel_embedding(kmat, c): (alpha, Y, trace,
+    qp_converged), trace[-1] the joint objective of the last weights alpha at
+    the embedding Y they were fit to.  At uniform weights S = s0 K, s0 = 2 (2/n
+    - lam/n^2), so the first Y is y0 / sqrt(s0): Y^T D Y = I for D = s0 K 1.
     """
     n = kmat.values.shape[0]
     alpha = np.full(n, 1.0 / n)
     y = y0 / np.sqrt(2.0 * (2.0 / n - config.lam / n**2))
     trace: list[float] = []
     qp_converged = True
-    for it in range(config.max_iter):
-        if it:
-            y = solve_embedding(graph, config.c)
-            graph = None  # free S before the weight step and next graph allocate
+    for step in range(1, config.max_iter + 1):
         sol = solve_alpha_coupled(y, kmat, config.lam, start=alpha)
         qp_converged = qp_converged and sol.converged
-        try:
-            graph = disc_similarity(kmat, sol.alpha, config.lam)
-        except DegenerateDataError:
-            # a drained neighborhood leaves no normalized Laplacian: keep the last iterate
-            break
         alpha = sol.alpha
         trace.append(sol.objective)  # the joint objective at (y, alpha)
-        if len(trace) >= 2:
-            prev = trace[-2]
-            if abs(trace[-1] - prev) <= _STOP_TOL * max(1.0, abs(prev)):
-                break
+        if step == config.max_iter:
+            break
+        if step > 1 and abs(trace[-1] - trace[-2]) <= _STOP_TOL * max(1.0, abs(trace[-2])):
+            break
+        try:  # the graph lives only through the embedding the next step takes
+            y = solve_embedding(disc_similarity(kmat, alpha, config.lam), config.c)
+        except DegenerateDataError:
+            break  # a drained neighborhood leaves no normalized Laplacian
     return alpha, y, trace, qp_converged
 
 
@@ -323,15 +328,15 @@ def run_cdsk(data: SampleMatrix, config: CdskConfig) -> ClusteringResult:
     is the baseline's, of K's own graph, rescaled; no S is built for it.  A
     point with zero degree in K's own graph raises DegenerateDataError.
 
-    Per iteration: embed the current weights' similarity graph against its
-    normalized Laplacian (the first time, the baseline's), re-fit the weights
-    on the simplex while preserving the embedding normalization (warm-started
-    at the previous weights, which are exactly feasible), and record the joint
-    objective tr(Y^T L Y) - alpha^T K 1 + lam alpha^T K alpha.  Stops early
-    once the recorded objective stalls in relative terms.  The trace is
-    nonincreasing: the weight step only accepts descent at fixed Y, and the
-    embedding step cannot raise the trace term because the previous embedding
-    remains (to solver precision) feasible for the updated degree matrix.
+    Per iteration: re-fit the weights on the simplex keeping the current
+    embedding normalized (warm-started at the previous, exactly feasible,
+    weights), record the joint objective tr(Y^T L Y) - alpha^T K 1 +
+    lam alpha^T K alpha there, then stop (max_iter, a relative stall or a
+    degenerate graph) or embed the new weights' graph.  k-means clusters the
+    last embedding; the trace ends at the returned weights' objective on it
+    and is nonincreasing: the weight step only accepts descent at fixed Y, and
+    the embedding step cannot raise the trace term because the previous
+    embedding stays (to solver precision) feasible for the new degrees.
     """
     if data.n < config.c:
         raise ValidationError(f"n={data.n} is smaller than c={config.c}")
@@ -368,8 +373,8 @@ def tune_lambda(
     The subsample holds 10% of the data, floored at max(2c, 10) points, drawn
     with config.seed.  On its one gram matrix the uniform-weights embedding
     is solved once for the whole grid; each grid point runs run_cdsk's
-    alternation from it and scores the embedding of the final weights'
-    graph; no k-means runs.  Ties keep the smaller lambda.
+    alternation from it and scores the last embedding, the one run_cdsk
+    clusters; no k-means runs.  Ties keep the smaller lambda.
     """
     grid = [float(v) for v in grid]
     if not grid:
@@ -384,11 +389,7 @@ def tune_lambda(
     idx = np.sort(rng.choice(data.n, size=size, replace=False))
     kmat = _gram(SampleMatrix(data.data[idx]), config.bandwidth)
     y0 = _kernel_embedding(kmat, config.c)
-    entropies: list[float] = []
-    for lam_config in configs:
-        alpha, _, _, _ = _alternate(kmat, y0, lam_config)
-        graph = disc_similarity(kmat, alpha, lam_config.lam)
-        entropies.append(embedding_entropy(solve_embedding(graph, config.c)))
+    entropies = [embedding_entropy(_alternate(kmat, y0, cfg)[1]) for cfg in configs]
     best = min(range(len(grid)), key=lambda i: (entropies[i], grid[i]))
     return grid[best], entropies
 
@@ -407,8 +408,7 @@ def run_baseline_spectral(
     run_cdsk it accepts c = 1.  bandwidth None picks the heuristic, seed
     drives k-means, whose 10 restarts are fixed.
     """
-    if c < 1:
-        raise ConfigError(f"cluster count must be >= 1, got {c}")
+    c, seed = _integer("c", c, 1), _integer("seed", seed, 0)
     if data.n < c:
         raise ValidationError(f"n={data.n} is smaller than c={c}")
     kmat = _gram(data, bandwidth)

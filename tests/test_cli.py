@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cdsk.cli
+import cdsk.driver
 import cdsk.kdc
 import cdsk.kernel
 import cdsk.spectral
@@ -21,6 +22,7 @@ from cdsk.bounds import (
 from cdsk.cli import build_parser, main
 from cdsk.data_io import load_csv, make_blobs, make_two_moons, read_result, write_csv
 from cdsk.driver import CdskConfig, run_cdsk
+from cdsk.errors import DegenerateDataError
 from cdsk.kdc import KdeModel
 from cdsk.kernel import KernelSpec, default_bandwidth, gram
 from cdsk.spectral import psd_split
@@ -62,6 +64,21 @@ def test_cluster_blobs(capsys, blobs_csv, tmp_path):
     result = read_result(out_doc)
     assert sorted(set(result.labels.tolist())) == [1, 2]
     assert abs(result.alpha.sum() - 1.0) < 1e-9
+
+
+def test_cluster_reports_the_objective_when_the_first_graph_degenerates(
+    capsys, blobs_csv, monkeypatch
+):
+    # a degenerate graph stops the run at the weight step just recorded, so
+    # even the first graph's failure leaves one trace entry to report
+    def degenerate(*args):
+        raise DegenerateDataError("drained")
+
+    monkeypatch.setattr(cdsk.driver, "disc_similarity", degenerate)
+    rc, out, _ = _run(capsys, ["cluster", "--input", blobs_csv, "--clusters", "2"])
+    assert rc == 0
+    assert _value(out, "iterations") == "1"
+    float(_value(out, "objective_final"))
 
 
 def test_readme_commands_parse():

@@ -30,6 +30,9 @@ def _blobs(n_per=30, gap=12.0, seed=0):
 
 def test_config_validation():
     CdskConfig(c=2)
+    config = CdskConfig(c=np.int64(3), max_iter=np.int64(4), seed=np.int64(5))
+    assert (config.c, config.max_iter, config.seed) == (3, 4, 5)
+    assert all(type(v) is int for v in (config.c, config.max_iter, config.seed))
     for kwargs in (
         dict(c=0),
         dict(c=1),
@@ -44,6 +47,19 @@ def test_config_validation():
     ):
         with pytest.raises(ConfigError):
             CdskConfig(**kwargs)
+    # a non-integral count or seed is a ConfigError naming the field, in the
+    # config and in the baseline alike
+    data = _blobs(n_per=5)
+    for name, make in (
+        ("c", lambda: CdskConfig(c=2.0)),
+        ("max_iter", lambda: CdskConfig(c=2, max_iter=2.5)),
+        ("seed", lambda: CdskConfig(c=2, seed=1.5)),
+        ("c", lambda: run_baseline_spectral(data, 2.0)),
+        ("seed", lambda: run_baseline_spectral(data, 2, seed=1.5)),
+    ):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            make()
+    assert run_baseline_spectral(data, np.int64(2)).labels.shape == (10,)
 
 
 def test_default_lambda_grid():
@@ -264,8 +280,9 @@ def test_tune_lambda_deterministic():
 
 def test_tune_lambda_matches_per_grid_point_runs():
     # reference: a full run_cdsk per grid point, with a seed derived from
-    # (seed, grid index), then the final weights' graph rebuilt from a fresh
-    # gram and embedded; one shared kernel and no k-means must give the same
+    # (seed, grid index), then its alternation rerun on a fresh gram from a
+    # fresh K embedding and its last embedding, the one run_cdsk clusters,
+    # scored; one shared kernel and no k-means must give the same
     def per_point(data, config, grid):
         size = max(int(np.ceil(0.1 * data.n)), 2 * config.c, 10)
         idx = np.sort(np.random.default_rng(config.seed).choice(data.n, size=size, replace=False))
@@ -275,8 +292,10 @@ def test_tune_lambda_matches_per_grid_point_runs():
             seed = int(np.random.SeedSequence((config.seed, i)).generate_state(1)[0])
             result = run_cdsk(subset, replace(config, lam=lam, seed=seed))
             kmat = gram(subset, KernelSpec(result.bandwidth_used))
-            graph = disc_similarity(kmat, result.alpha, lam)
-            entropies.append(embedding_entropy(solve_embedding(graph, config.c)))
+            y0 = cdsk.driver._kernel_embedding(kmat, config.c)
+            alpha, y, _, _ = cdsk.driver._alternate(kmat, y0, replace(config, lam=lam))
+            assert alpha.tobytes() == result.alpha.tobytes()
+            entropies.append(embedding_entropy(y))
         best = min(range(len(grid)), key=lambda i: (entropies[i], grid[i]))
         return grid[best], entropies
 
@@ -308,11 +327,11 @@ def test_tune_lambda_domain_errors(monkeypatch):
 
 
 def test_alternate_keeps_last_iterate_when_a_graph_degenerates(monkeypatch):
-    # _alternate builds one graph per weight step and frees each before the
-    # next step; when a graph is degenerate it must still return the last
-    # valid iterate: its weights, the embedding of its graph and the trace so
-    # far.  Before the first weight step that iterate is the uniform start,
-    # whose embedding is y0 rescaled to the uniform weights' degrees
+    # _alternate builds a graph only for the weights whose embedding the next
+    # weight step takes; when that graph is degenerate it stops at those
+    # weights, the embedding they were fit to and the trace through their
+    # objective.  After the first weight step that embedding is the uniform
+    # start's, y0 rescaled to the uniform weights' degrees
     data = make_two_moons(80, 0.1, seed=0)
     kmat = gram(data, KernelSpec(default_bandwidth(data)))
     config = CdskConfig(c=2, max_iter=6)
@@ -327,9 +346,9 @@ def test_alternate_keeps_last_iterate_when_a_graph_degenerates(monkeypatch):
 
     monkeypatch.setattr(cdsk.driver, "disc_similarity", spy)
     _, _, full_trace, _ = cdsk.driver._alternate(kmat, y0, config)
-    assert len(full_trace) == len(weights) == 6
+    assert len(full_trace) == 6 and len(weights) == 5
     uniform_y = y0 / np.sqrt(2.0 * (2.0 / n - config.lam / n**2))
-    for fail_at in range(1, 7):
+    for fail_at in range(1, 6):
         calls = []
 
         def failing(kmat, alpha, lam):
@@ -341,18 +360,18 @@ def test_alternate_keeps_last_iterate_when_a_graph_degenerates(monkeypatch):
         monkeypatch.setattr(cdsk.driver, "disc_similarity", failing)
         alpha, y, trace, _ = cdsk.driver._alternate(kmat, y0, config)
         if fail_at == 1:
-            kept, want_y = np.full(n, 1.0 / n), uniform_y
+            want_y = uniform_y
         else:
-            kept = weights[fail_at - 2]
-            want_y = solve_embedding(real(kmat, kept, config.lam), config.c)
-        assert alpha.tobytes() == kept.tobytes()
+            want_y = solve_embedding(real(kmat, weights[fail_at - 2], config.lam), config.c)
+        assert alpha.tobytes() == weights[fail_at - 1].tobytes()
         assert y.tobytes() == want_y.tobytes()
-        assert trace == full_trace[: fail_at - 1]
+        assert trace == full_trace[:fail_at]
 
 
 def test_tune_lambda_scores_the_kept_iterate_when_a_graph_degenerates(monkeypatch):
     # at lam 0.3 the graph after the second weight step is degenerate; the
-    # tuner must score the embedding of the kept weights' graph
+    # tuner must score the embedding that step was fit to, the first step's
+    # weights' graph's, and build no graph of its own
     data = make_two_moons(200, 0.1, seed=0)
     config = CdskConfig(c=2, bandwidth=0.3, max_iter=6)
     real = cdsk.driver.disc_similarity
@@ -367,16 +386,89 @@ def test_tune_lambda_scores_the_kept_iterate_when_a_graph_degenerates(monkeypatc
 
     monkeypatch.setattr(cdsk.driver, "disc_similarity", failing)
     _, entropies = tune_lambda(data, config, grid=(0.1, 0.3))
-    # the graph after the first weight step, the degenerate one, then the
-    # tuner's graph of the weights _alternate kept
-    assert len(at_lam) == 3
-    kmat, kept = at_lam[0]
-    assert not np.all(kept == kept[0])  # a weight step's result, not the start
-    assert at_lam[2][1].tobytes() == kept.tobytes()
-    want = embedding_entropy(solve_embedding(real(kmat, kept, 0.3), config.c))
+    # the graph after the first weight step, then the degenerate one
+    assert len(at_lam) == 2
+    kmat, first = at_lam[0]
+    assert not np.all(first == first[0])  # a weight step's result, not the start
+    want = embedding_entropy(solve_embedding(real(kmat, first, 0.3), config.c))
     assert entropies[1] == want
     monkeypatch.undo()
     assert tune_lambda(data, config, grid=(0.1,))[1] == entropies[:1]
+
+
+def test_every_graph_built_is_embedded(monkeypatch):
+    # a weights' graph is built only for the embedding the next weight step
+    # takes: each one goes straight to solve_embedding, whose only other input
+    # is K's own graph, once per call, and the last weight step of each
+    # alternation gets no graph, whether it stops by max_iter or by tolerance
+    real = {
+        name: getattr(cdsk.driver, name)
+        for name in ("disc_similarity", "solve_embedding", "solve_alpha_coupled", "_alternate")
+    }
+    log = []
+
+    def spy(name):
+        def wrapper(*args, **kwargs):
+            out = real[name](*args, **kwargs)
+            log.append((name, args, out))
+            return out
+
+        return wrapper
+
+    for name in real:
+        monkeypatch.setattr(cdsk.driver, name, spy(name))
+
+    def counted(fn, *args, **kwargs):
+        log.clear()
+        out = fn(*args, **kwargs)
+        count = {name: sum(entry[0] == name for entry in log) for name in real}
+        assert count["disc_similarity"] >= 1
+        assert count["disc_similarity"] == count["solve_embedding"] - 1
+        assert count["disc_similarity"] == count["solve_alpha_coupled"] - count["_alternate"]
+        built = [out for name, _, out in log if name == "disc_similarity"]
+        embedded = [args[0] for name, args, _ in log if name == "solve_embedding"]
+        assert all(g is e for g, e in zip(built, embedded[1:]))
+        return out
+
+    data = make_two_moons(200, 0.1, seed=0)
+    config = CdskConfig(c=2, bandwidth=0.3)
+    assert len(counted(run_cdsk, data, replace(config, max_iter=3)).objective_trace) == 3
+    assert 2 <= len(counted(run_cdsk, data, config).objective_trace) < config.max_iter
+    for grid in ((0.2,), (0.05, 0.5, 1.0, 2.0)):
+        counted(tune_lambda, data, config, grid=grid)
+
+
+def test_alternate_returns_the_recorded_iterate(monkeypatch):
+    # whichever way the loop stops, its (alpha, Y) is the pair whose joint
+    # objective ends the trace: by tolerance, by max_iter, or by a degenerate
+    # graph after the first or the third weight step
+    data = make_two_moons(200, 0.1, seed=0)
+    kmat = gram(data, KernelSpec(0.3))
+    y0 = cdsk.driver._kernel_embedding(kmat, 2)
+    real = cdsk.driver.disc_similarity
+    for config, fail_at, steps in (
+        (CdskConfig(c=2, bandwidth=0.3), None, None),
+        (CdskConfig(c=2, bandwidth=0.3, max_iter=3), None, 3),
+        (CdskConfig(c=2, bandwidth=0.3, max_iter=6), 1, 1),
+        (CdskConfig(c=2, bandwidth=0.3, max_iter=6), 3, 3),
+    ):
+        calls = []
+
+        def failing(kmat, alpha, lam):
+            calls.append(None)
+            if len(calls) == fail_at:
+                raise DegenerateDataError("drained")
+            return real(kmat, alpha, lam)
+
+        monkeypatch.setattr(cdsk.driver, "disc_similarity", failing)
+        alpha, y, trace, _ = cdsk.driver._alternate(kmat, y0, config)
+        if steps is None:
+            assert 2 <= len(trace) < config.max_iter
+        else:
+            assert len(trace) == steps
+        a, b = assemble_alpha_qp(y, kmat, config.lam, kmat.values.sum(axis=1))
+        want = alpha @ a @ alpha + b @ alpha
+        assert abs(trace[-1] - want) <= 1e-10 * abs(want)
 
 
 def test_no_graph_is_built_at_uniform_weights(monkeypatch):

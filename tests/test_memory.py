@@ -3,9 +3,9 @@
 The baseline embeds K's own graph, (K, K1), and builds no similarity S: above
 the dense eigensolver limit it keeps K alone, and at or below it, or when
 ARPACK fails, K plus N.  Above the limit run_cdsk holds K plus either its
-graph's similarity S or the weight step's QP matrix, never both, because the
-alternation frees each graph before the weight step; at or below it the dense
-solve adds N next to S.  N is built in a buffer that the solve itself
+graph's similarity S or the weight step's QP matrix, never both, because
+each graph lives only through its embedding; at or below it the dense solve
+adds N next to S.  N is built in a buffer that the solve itself
 overwrites.  Every n x n quantity is built in place, a block of rows at a
 time.  The classifier's score table needs no n x n array at all, and the
 bound and ISE reports read their class-blocked sums from n x c products.
@@ -60,7 +60,8 @@ def test_heuristic_baseline_peak_memory():
 
 def test_run_cdsk_peak_memory():
     # K plus either the QP matrix or the graph's S, never both (2.18
-    # measured); holding the old graph through the weight step reads 3.17
+    # measured), as each graph lives only through its embedding; holding a
+    # graph through the weight step reads 3.17
     n = 900
     data = make_two_moons(n, 0.05, seed=0)
     result = []
