@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, replace
 
@@ -13,7 +14,7 @@ from .embedding import solve_embedding
 from .errors import ConfigError, DegenerateDataError, ValidationError
 from .kernel import GramMatrix, KernelSpec, gram, pairwise_sq_dists
 from .kmeans_metrics import Partition, accuracy, kmeans, nmi
-from .similarity import DiscSimilarityGraph, check_degrees, check_simplex, disc_similarity
+from .similarity import check_simplex, disc_similarity
 
 DEFAULT_LAMBDA_GRID = tuple(round(0.05 * k, 2) for k in range(1, 11))
 _VALIDATION_FRACTION = 0.1
@@ -26,6 +27,9 @@ _PIVOT_TOL = 1e-4
 _STOP_TOL = 1e-8
 # the weight step's KKT tolerance and its cap on inner iterations
 _QP_TOL, _MAX_INNER = 1e-6, 80
+# a weight step reports converged up to this KKT residual, looser than _QP_TOL:
+# a step the inner cap or a stalled line search stops just short still counts
+_QP_CONVERGED_TOL = 1e-5
 
 
 def _gram_solve(
@@ -118,7 +122,7 @@ def solve_alpha_coupled(
     matrix-vector products (A d for the curvature, A a, and K a before and
     after the Newton step) plus the c(c+1)/2 rows of (W a) K in the Jacobian.
     The returned point is always feasible and never worse than the start;
-    converged means the KKT residual met max(_QP_TOL, 1e-5).
+    converged means the KKT residual met _QP_CONVERGED_TOL.
     """
     kvals = kernel.values
     d1 = kvals.sum(axis=1)
@@ -230,7 +234,7 @@ def solve_alpha_coupled(
         objective=q_final,
         kkt_residual=residual_norm,
         iterations=iterations,
-        converged=residual_norm <= max(_QP_TOL, 1e-5),
+        converged=residual_norm <= _QP_CONVERGED_TOL,
         objective_trace=[q_start, q_final] if moved else [q_start],
     )
 
@@ -265,6 +269,8 @@ class CdskConfig:
     def __post_init__(self):
         for name, least in (("c", 2), ("max_iter", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
+        if not isinstance(self.lam, numbers.Real):
+            raise ConfigError(f"lam must be a real number, got {self.lam!r}")
         if not np.isfinite(self.lam) or not 0.0 < self.lam <= 2.0:
             raise ConfigError(f"lambda must satisfy 0 < lambda <= 2, got {self.lam}")
         if self.bandwidth is not None:
@@ -287,17 +293,13 @@ def _gram(data: SampleMatrix, bandwidth: float | None) -> GramMatrix:
     return gram(data, None if bandwidth is None else KernelSpec(bandwidth))
 
 
-def _kernel_embedding(kmat: GramMatrix, c: int) -> np.ndarray:
-    """The embedding of K's own graph, (K, K1): the uniform-weights one, up to scale."""
-    k = kmat.values
-    return solve_embedding(DiscSimilarityGraph(k, check_degrees(k.sum(axis=1))), c)
-
-
 def _alternate(kmat: GramMatrix, y0: np.ndarray, config: CdskConfig):
-    """run_cdsk's loop from y0 = _kernel_embedding(kmat, c): (alpha, Y, trace,
+    """run_cdsk's loop from y0 = solve_embedding(K, c): (alpha, Y, trace,
     qp_converged), trace[-1] the joint objective of the last weights alpha at
     the embedding Y they were fit to.  At uniform weights S = s0 K, s0 = 2 (2/n
     - lam/n^2), so the first Y is y0 / sqrt(s0): Y^T D Y = I for D = s0 K 1.
+    Each later Y embeds the new weights' S = disc_similarity(K, alpha, lam); a
+    degenerate S stops the loop at the weights just recorded.
     """
     n = kmat.values.shape[0]
     alpha = np.full(n, 1.0 / n)
@@ -325,8 +327,8 @@ def run_cdsk(data: SampleMatrix, config: CdskConfig) -> ClusteringResult:
 
     The weights start uniform, alpha = 1/n, where the discriminative
     similarity is a constant multiple of the kernel, so the first embedding
-    is the baseline's, of K's own graph, rescaled; no S is built for it.  A
-    point with zero degree in K's own graph raises DegenerateDataError.
+    is the baseline's, solve_embedding of K itself, rescaled; no S is built
+    for it.  A point with zero degree in K raises DegenerateDataError.
 
     Per iteration: re-fit the weights on the simplex keeping the current
     embedding normalized (warm-started at the previous, exactly feasible,
@@ -341,7 +343,8 @@ def run_cdsk(data: SampleMatrix, config: CdskConfig) -> ClusteringResult:
     if data.n < config.c:
         raise ValidationError(f"n={data.n} is smaller than c={config.c}")
     kmat = _gram(data, config.bandwidth)
-    alpha, y, trace, qp_converged = _alternate(kmat, _kernel_embedding(kmat, config.c), config)
+    y0 = solve_embedding(kmat.values, config.c)
+    alpha, y, trace, qp_converged = _alternate(kmat, y0, config)
     part = kmeans(y, config.c, seed=config.seed)
     return ClusteringResult(
         labels=part.labels,
@@ -388,7 +391,7 @@ def tune_lambda(
     rng = np.random.default_rng(config.seed)
     idx = np.sort(rng.choice(data.n, size=size, replace=False))
     kmat = _gram(SampleMatrix(data.data[idx]), config.bandwidth)
-    y0 = _kernel_embedding(kmat, config.c)
+    y0 = solve_embedding(kmat.values, config.c)
     entropies = [embedding_entropy(_alternate(kmat, y0, cfg)[1]) for cfg in configs]
     best = min(range(len(grid)), key=lambda i: (entropies[i], grid[i]))
     return grid[best], entropies
@@ -401,9 +404,10 @@ def run_baseline_spectral(
 
     The uniform-weights special case: there the similarity is a constant
     multiple of K, which leaves the normalized Laplacian unchanged, so
-    solve_embedding runs on K's own graph, (K, K1), and builds no S; run_cdsk
-    and tune_lambda start from the same embedding.  Up to n = 800 (and for
-    c >= n // 4) that adds N next to K; above it, no n x n array besides K.
+    solve_embedding runs on K itself, with degrees K 1, and no S is built;
+    run_cdsk and tune_lambda start from the same embedding.  Up to n = 800
+    (and for c >= n // 4) that adds N next to K; above it, no n x n array
+    besides K.
     No lambda enters: the result's lambda_used 0.1 is a placeholder.  Unlike
     run_cdsk it accepts c = 1.  bandwidth None picks the heuristic, seed
     drives k-means, whose 10 restarts are fixed.
@@ -412,7 +416,7 @@ def run_baseline_spectral(
     if data.n < c:
         raise ValidationError(f"n={data.n} is smaller than c={c}")
     kmat = _gram(data, bandwidth)
-    part = kmeans(_kernel_embedding(kmat, c), c, seed=seed)
+    part = kmeans(solve_embedding(kmat.values, c), c, seed=seed)
     return ClusteringResult(
         labels=part.labels,
         alpha=np.full(data.n, 1.0 / data.n),

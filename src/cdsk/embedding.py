@@ -5,20 +5,33 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse.linalg
 
-from .errors import NumericError, ValidationError
+from .errors import DegenerateDataError, NumericError, ValidationError
 from .kernel import _ROW_BLOCK
-from .similarity import DiscSimilarityGraph
 from .spectral import check_symmetric, lanczos_applies, lanczos_smallest, overwriting_smallest
 
+# A graph row whose degree falls below this fraction of the largest degree is
+# effectively disconnected and breaks the normalized Laplacian.
+_DEGREE_REL_FLOOR = 1e-12
 
-def _dense_laplacian(graph: DiscSimilarityGraph) -> np.ndarray:
-    """N = I - D^{-1/2} S D^{-1/2} in a new n x n buffer.
+
+def _check_degrees(degree: np.ndarray) -> np.ndarray:
+    """Raise DegenerateDataError if a graph row's degree is (near-)zero, at or
+    below _DEGREE_REL_FLOOR times the largest degree; returns degree."""
+    floor = _DEGREE_REL_FLOOR * max(float(degree.max()), 0.0)
+    if float(degree.min()) <= floor:
+        raise DegenerateDataError(
+            "a graph row has (near-)zero degree; similarity graph is disconnected"
+        )
+    return degree
+
+
+def _dense_laplacian(s: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """N = I - D^{-1/2} S D^{-1/2} in a new n x n buffer, D = diag(degree).
 
     (diag(degree) - s) * outer(inv_sqrt, inv_sqrt), the outer product taken a
     block of rows at a time; 0 - s, not -s, keeps the sign of zeros.  An
     exactly symmetric S gives an exactly symmetric N.
     """
-    s, degree = graph.s, graph.degree
     lap = np.subtract(0.0, s)
     np.fill_diagonal(lap, degree - np.diagonal(s))
     inv_sqrt = 1.0 / np.sqrt(degree)
@@ -28,24 +41,26 @@ def _dense_laplacian(graph: DiscSimilarityGraph) -> np.ndarray:
     return lap
 
 
-def solve_embedding(graph: DiscSimilarityGraph, c: int) -> np.ndarray:
+def solve_embedding(s: np.ndarray, c: int) -> np.ndarray:
     """Trace-minimizing embedding under the degree constraint Y^T D Y = I.
 
+    S is any symmetric nonnegative similarity, D = diag(S 1) its degrees; a
+    (near-)zero degree raises DegenerateDataError before any eigensolve.
     Takes the c smallest eigenvectors U of the normalized Laplacian
     N = I - D^{-1/2} S D^{-1/2} and returns the (n, c) array Y = D^{-1/2} U,
     one row per sample.  With positive degrees, N has the null vector
     D^{1/2} 1 in closed form, so where lanczos_applies the Lanczos
     iteration, run on S itself, deflates it and computes only the other
     c - 1 vectors.  Elsewhere, and if ARPACK fails, LAPACK's subset solve
-    runs on N, built from the graph in a buffer that the solve overwrites.
-    The baseline's graph is K's own, (K, K1): at uniform weights S = s0 K,
-    whose N is the same (Ng, Jordan & Weiss 2001).
+    runs on N, built from S in a buffer that the solve overwrites.  The
+    baseline embeds K itself: at uniform weights S = s0 K, whose N is the
+    same (Ng, Jordan & Weiss 2001).
     """
-    degree = graph.degree
-    n = degree.shape[0]
+    s = check_symmetric(s)
+    n = s.shape[0]
     if not 1 <= c <= n:
         raise ValidationError(f"need 1 <= c <= n, got c={c}, n={n}")
-    s = check_symmetric(graph.s)
+    degree = _check_degrees(s.sum(axis=1))
     u = None
     if lanczos_applies(n, c):
         try:
@@ -53,7 +68,7 @@ def solve_embedding(graph: DiscSimilarityGraph, c: int) -> np.ndarray:
         except scipy.sparse.linalg.ArpackError:
             pass  # the dense solve answers instead
     if u is None:
-        _, u = overwriting_smallest(_dense_laplacian(graph), c)
+        _, u = overwriting_smallest(_dense_laplacian(s, degree), c)
     y = u / np.sqrt(degree)[:, None]
     feas = y.T @ (degree[:, None] * y)
     if float(np.max(np.abs(feas - np.eye(c)))) > 1e-6:

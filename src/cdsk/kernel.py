@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +24,17 @@ _LOWER = np.tri(_ROW_BLOCK, k=-1, dtype=bool)
 class KernelSpec:
     """Gaussian kernel exp(-||x - t||^2 / (2 bandwidth^2)).
 
-    The one bandwidth rule: > 0, with the kernel's denominator 2 bandwidth^2
-    finite and > 0, so it neither underflows to zero nor overflows to inf.
+    The one bandwidth rule: a real number > 0, with the kernel's denominator
+    2 bandwidth^2 finite and > 0, so it neither underflows to zero nor
+    overflows to inf.
     """
 
     bandwidth: float
 
     def __post_init__(self):
         h = self.bandwidth
+        if not isinstance(h, numbers.Real):
+            raise ValidationError(f"bandwidth must be a real number, got {h!r}")
         if not (h > 0 and 0.0 < 2.0 * h * h < np.inf):
             raise ValidationError(f"bandwidth must be > 0 with 2 h^2 finite and > 0, got {h}")
 

@@ -1,24 +1,20 @@
-"""Discriminative similarity graph and kernel classifier scores.
+"""Discriminative similarity and kernel classifier scores.
 
 The similarity couples per-point simplex weights alpha with the kernel gram
 matrix: s_ij = 2 (alpha_i + alpha_j - lam * alpha_i * alpha_j) k_ij, which is
-entrywise nonnegative whenever lam <= 2.
+entrywise nonnegative whenever lam <= 2.  The n x n array S is the graph;
+embedding.solve_embedding reads its degrees from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data_io import SampleMatrix
-from .errors import ConfigError, DegenerateDataError, ValidationError
+from .errors import ConfigError, ValidationError
 from .kernel import _ROW_BLOCK, GramMatrix, KernelSpec
 
 _SIMPLEX_TOL = 1e-10
-# A graph row whose degree falls below this fraction of the largest degree is
-# effectively disconnected and breaks the normalized Laplacian.
-_DEGREE_REL_FLOOR = 1e-12
 
 
 def check_simplex(alpha, n: int | None = None) -> np.ndarray:
@@ -38,26 +34,6 @@ def check_simplex(alpha, n: int | None = None) -> np.ndarray:
     return alpha
 
 
-def check_degrees(degree: np.ndarray) -> np.ndarray:
-    """Raise DegenerateDataError if a graph row's degree is (near-)zero, at or
-    below _DEGREE_REL_FLOOR times the largest degree; returns degree."""
-    floor = _DEGREE_REL_FLOOR * max(float(degree.max()), 0.0)
-    if float(degree.min()) <= floor:
-        raise DegenerateDataError(
-            "a graph row has (near-)zero degree; similarity graph is disconnected"
-        )
-    return degree
-
-
-@dataclass(frozen=True)
-class DiscSimilarityGraph:
-    """Weighted graph induced by the discriminative similarity: the n x n
-    similarity S and its row sums, the degrees."""
-
-    s: np.ndarray
-    degree: np.ndarray
-
-
 def _check_lambda(lam: float) -> float:
     lam = float(lam)
     if not np.isfinite(lam) or lam < 0 or lam > 2:
@@ -65,8 +41,8 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
-def disc_similarity(gram: GramMatrix, alpha, lam: float) -> DiscSimilarityGraph:
-    """Build the discriminative similarity graph for given weights and lambda.
+def disc_similarity(gram: GramMatrix, alpha, lam: float) -> np.ndarray:
+    """The discriminative similarity S for given weights and lambda, an n x n array.
 
     S = 2 (pair_sum - lam * pair_prod) * K is written into one n x n buffer,
     operation for operation, a block of rows at a time.  gram() makes K
@@ -76,7 +52,6 @@ def disc_similarity(gram: GramMatrix, alpha, lam: float) -> DiscSimilarityGraph:
     k = gram.values
     alpha = check_simplex(alpha, n=k.shape[0])
     s = np.empty_like(k)
-    degree = np.empty(k.shape[0])
     prod = np.empty((_ROW_BLOCK, k.shape[0]))  # reused: one block temporary, not two
     for start in range(0, k.shape[0], _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
@@ -86,8 +61,7 @@ def disc_similarity(gram: GramMatrix, alpha, lam: float) -> DiscSimilarityGraph:
         block -= pair_prod
         block *= 2.0
         block *= k[rows]
-        degree[rows] = block.sum(axis=1)
-    return DiscSimilarityGraph(s, check_degrees(degree))
+    return s
 
 
 def class_scores(queries, train: SampleMatrix, alpha, spec: KernelSpec) -> np.ndarray:

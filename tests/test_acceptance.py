@@ -92,8 +92,7 @@ def test_02_uniform_weights_reduce_to_plain_spectral_embedding():
         kmat = gram(data, KernelSpec(1.5))
         uniform = np.full(data.n, 1.0 / data.n)
 
-        graph = disc_similarity(kmat, uniform, lam)
-        y_weighted = solve_embedding(graph, c)
+        y_weighted = solve_embedding(disc_similarity(kmat, uniform, lam), c)
 
         k = kmat.values
         deg = k.sum(axis=1)
@@ -118,8 +117,8 @@ def test_03_similarity_entries_nonnegative_for_lambda_up_to_two():
         kmat = gram(data, KernelSpec(2.0))
         alpha = rng.dirichlet(np.ones(n))
         lam = float(rng.uniform(0.0, 2.0))
-        graph = disc_similarity(kmat, alpha, lam)
-        assert graph.s.min() >= 0.0, (t, graph.s.min())
+        s = disc_similarity(kmat, alpha, lam)
+        assert s.min() >= 0.0, (t, s.min())
 
 
 def test_05_psd_split_reconstructs_and_parts_stay_psd():
@@ -216,9 +215,9 @@ def test_08_gaussian_convolution_and_ise_identities():
     h = 0.9
     kmat = gram(SampleMatrix(points), KernelSpec(h))
     for lam in (0.3, 0.8, 1.7):
-        graph = disc_similarity(kmat, alpha, lam)
+        s = disc_similarity(kmat, alpha, lam)
         _, _, s_ise = empirical_ise_terms(KdeModel(points, alpha, labels, h), lam)
-        assert np.max(np.abs(s_ise - 2.0 * graph.s)) < 1e-12, lam
+        assert np.max(np.abs(s_ise - 2.0 * s)) < 1e-12, lam
 
 
 def test_09_desk_scale_clustering_quality():

@@ -10,7 +10,7 @@ from cdsk.embedding import _dense_laplacian, solve_embedding
 from cdsk.errors import DegenerateDataError, ValidationError
 from cdsk.kernel import GramMatrix, KernelSpec, gram
 from cdsk.kmeans_metrics import kmeans
-from cdsk.similarity import DiscSimilarityGraph, disc_similarity
+from cdsk.similarity import disc_similarity
 from cdsk.spectral import overwriting_smallest
 from test_similarity import dense_n, laplacian_trace
 
@@ -36,7 +36,7 @@ def test_embedding_feasibility():
     rng = np.random.default_rng(1)
     g = _graph_from_points(rng.normal(size=(10, 3)))
     y = solve_embedding(g, 3)
-    feas = y.T @ (g.degree[:, None] * y)
+    feas = y.T @ (g.sum(axis=1)[:, None] * y)
     assert np.max(np.abs(feas - np.eye(3))) < 1e-8
 
 
@@ -76,7 +76,7 @@ def test_embedding_trace_optimality():
     c = 3
     y = solve_embedding(g, c)
     best = laplacian_trace(y, g)
-    d_inv_sqrt = 1.0 / np.sqrt(g.degree)
+    d_inv_sqrt = 1.0 / np.sqrt(g.sum(axis=1))
     for _ in range(25):
         # random feasible competitor: orthonormal basis pushed through D^{-1/2}
         q, _ = np.linalg.qr(rng.normal(size=(9, c)))
@@ -132,15 +132,33 @@ def _no_dense_laplacian(*args):
     raise AssertionError("the Lanczos path built N")
 
 
+def _no_eigensolve(*args):
+    raise AssertionError("an eigensolve ran")
+
+
+@pytest.mark.parametrize("n", [300, 900])
+def test_embedding_zero_degree_row_raises_before_any_eigensolve(n, monkeypatch):
+    # the embedding reads the degrees from S: an all-zero row is caught at
+    # the floor, on the dense path (n = 300) and the Lanczos one (n = 900)
+    kmat = gram(make_two_moons(n, 0.05, seed=0), KernelSpec(0.1))
+    s = disc_similarity(kmat, np.full(n, 1.0 / n), 0.1)
+    s[7, :] = 0.0
+    s[:, 7] = 0.0
+    for name in ("lanczos_smallest", "overwriting_smallest", "_dense_laplacian"):
+        monkeypatch.setattr(cdsk.embedding, name, _no_eigensolve)
+    with pytest.raises(DegenerateDataError):
+        solve_embedding(s, 2)
+
+
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_embedding_lanczos_matches_dense(moons_graph, monkeypatch, c):
     g = moons_graph
     monkeypatch.setattr(cdsk.embedding, "_dense_laplacian", _no_dense_laplacian)
     y = solve_embedding(g, c)
-    sqrt_degree = np.sqrt(g.degree)
+    sqrt_degree = np.sqrt(g.sum(axis=1))
     # the deflated null vector D^{1/2} 1 comes back as the constant column
     assert np.allclose(y[:, 0], 1.0 / np.linalg.norm(sqrt_degree), rtol=1e-12, atol=0.0)
-    feas = y.T @ (g.degree[:, None] * y)
+    feas = y.T @ (g.sum(axis=1)[:, None] * y)
     assert np.max(np.abs(feas - np.eye(c))) < 1e-8
     w, v = np.linalg.eigh(dense_n(g))
     q1 = np.linalg.qr(sqrt_degree[:, None] * y)[0]
@@ -162,9 +180,9 @@ def test_embedding_lanczos_general_alpha_matches_dense(
     monkeypatch.setattr(cdsk.embedding, "_dense_laplacian", _no_dense_laplacian)
     y = solve_embedding(g, c)
     assert eigsh_calls == [c - 1]
-    sqrt_degree = np.sqrt(g.degree)
+    sqrt_degree = np.sqrt(g.sum(axis=1))
     assert np.allclose(y[:, 0], 1.0 / np.linalg.norm(sqrt_degree), rtol=1e-12, atol=0.0)
-    feas = y.T @ (g.degree[:, None] * y)
+    feas = y.T @ (g.sum(axis=1)[:, None] * y)
     assert np.max(np.abs(feas - np.eye(c))) < 1e-8
     w, v = np.linalg.eigh(dense_n(g))
     q = np.linalg.qr(sqrt_degree[:, None] * y)[0]
@@ -172,12 +190,7 @@ def test_embedding_lanczos_general_alpha_matches_dense(
     assert abs(laplacian_trace(y, g) - np.sum(w[:c])) < 1e-10
 
 
-# --- the baseline: solve_embedding on K's own graph (K, K1) ----------------
-
-
-def _kernel_graph(kmat):
-    k = kmat.values
-    return DiscSimilarityGraph(k, k.sum(axis=1))
+# --- the baseline: solve_embedding on K itself, degrees K1 -----------------
 
 
 def _s0(n, lam):
@@ -252,9 +265,9 @@ def test_uniform_embedding_arpack_failure_falls_back_to_dense(
     (y,) = baseline_embeddings
     assert len(calls) == 1
     # the dense subset solve on K's N, scaled by (K1)^{-1/2}
-    kernel_graph = _kernel_graph(moons_gram)
-    _, u = overwriting_smallest(_dense_laplacian(kernel_graph), 3)
-    assert y.tobytes() == (u / np.sqrt(kernel_graph.degree)[:, None]).tobytes()
+    k = moons_gram.values
+    _, u = overwriting_smallest(_dense_laplacian(k, k.sum(axis=1)), 3)
+    assert y.tobytes() == (u / np.sqrt(k.sum(axis=1))[:, None]).tobytes()
     # and the uniform graph's, whose N and D = s0 K1 differ from K's by rounding
     y_dense = solve_embedding(moons_graph, 3)
     assert len(calls) == 2
@@ -288,7 +301,7 @@ def test_kernel_graph_embedding_is_the_uniform_graphs_scaled(n, lam):
     # Y = D^{-1/2} U scales by 1 / sqrt(s0); n = 300 solves densely, n = 900
     # by Lanczos
     kmat = gram(make_two_moons(n, 0.05, seed=0), KernelSpec(0.1))
-    y_kernel = solve_embedding(_kernel_graph(kmat), 3)
+    y_kernel = solve_embedding(kmat.values, 3)
     y_uniform = solve_embedding(disc_similarity(kmat, np.full(n, 1.0 / n), lam), 3)
     err = np.max(np.abs(y_kernel - np.sqrt(_s0(n, lam)) * y_uniform))
     assert err <= 1e-10 * np.max(np.abs(y_kernel)), err

@@ -1,4 +1,5 @@
-"""Every name a ``src/cdsk`` module imports is used in that module.
+"""Every name a ``src/cdsk`` module imports is used in that module, and the
+embedding sits below the similarity and the driver.
 
 ``__init__`` is skipped, since its imports are the package's re-exports, and
 so are ``from __future__`` imports.  A name is used where it appears as an
@@ -30,3 +31,32 @@ def test_every_import_is_used():
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == [], f"imported but never used: {unused}"
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The cdsk modules a module imports, by name, whether relatively or absolutely."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:
+                found.update(alias.name for alias in node.names)
+            elif node.level == 1:
+                found.add(node.module.split(".", 1)[0])
+            elif node.module and node.module.startswith("cdsk."):
+                found.add(node.module.split(".")[1])
+            elif node.module == "cdsk":
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1] for alias in node.names if alias.name.startswith("cdsk.")
+            )
+    return found
+
+
+def test_embedding_imports_neither_similarity_nor_driver():
+    # solve_embedding takes any symmetric nonnegative S and reads its degrees
+    # itself; it needs nothing from the modules that build S or run the loop
+    imported = _imported_modules(PACKAGE / "embedding.py")
+    assert {"errors", "spectral"} <= imported
+    assert not imported & {"similarity", "driver"}, imported

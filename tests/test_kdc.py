@@ -221,8 +221,8 @@ def test_s_ise_is_twice_disc_similarity():
     lam = 1.3
     _, _, s_ise = empirical_ise_terms(model, lam)
     kh = gram(SampleMatrix(model.points), KernelSpec(model.h))
-    graph = disc_similarity(kh, model.alpha, lam)
-    assert np.max(np.abs(s_ise - 2.0 * graph.s)) < 1e-12
+    s = disc_similarity(kh, model.alpha, lam)
+    assert np.max(np.abs(s_ise - 2.0 * s)) < 1e-12
 
 
 def test_decision_squared_integral_vs_quadrature():
@@ -276,10 +276,10 @@ def test_gaussian_convolution_scaling_law():
         gaussian_convolution_check(0.0, 1.0, 0.0)
 
 
-@pytest.mark.parametrize("h", [np.inf, 1e-300, np.nan, 1e200, 1e154])
+@pytest.mark.parametrize("h", [np.inf, 1e-300, np.nan, 1e200, 1e154, "1.0", None])
 def test_unusable_bandwidths_are_rejected(h):
     # inf and nan are not finite; at 1e-300 the kernel's 2 h^2 underflows to 0,
-    # at 1e154 and 1e200 it overflows to inf
+    # at 1e154 and 1e200 it overflows to inf; a string and None are not numbers
     with pytest.raises(ValidationError):
         KdeModel(points=np.zeros((2, 1)), alpha=[0.5, 0.5], labels=[1, 2], h=h)
     with pytest.raises(ValidationError):

@@ -39,6 +39,17 @@ def test_eval_kernel_dimension_mismatch():
         eval_kernel([1.0, 2.0], [1.0], KernelSpec(1.0))
 
 
+@pytest.mark.parametrize("h", ["1.0", None, 1j, [1.0]])
+def test_kernel_spec_rejects_a_non_real_bandwidth(h):
+    with pytest.raises(ValidationError, match="^bandwidth must be a real number"):
+        KernelSpec(h)
+
+
+@pytest.mark.parametrize("h", [1, 0.5, np.float64(0.5), np.float32(2.0), np.int64(3)])
+def test_kernel_spec_accepts_real_numbers(h):
+    assert KernelSpec(h).bandwidth == h
+
+
 def test_gram_matches_elementwise_loop():
     x = rng.normal(size=(5, 3))
     spec = KernelSpec(0.7)

@@ -1,6 +1,6 @@
 """Peak traced memory of whole runs, in units of one n x n float64 array.
 
-The baseline embeds K's own graph, (K, K1), and builds no similarity S: above
+The baseline embeds K itself and builds no similarity S: above
 the dense eigensolver limit it keeps K alone, and at or below it, or when
 ARPACK fails, K plus N.  Above the limit run_cdsk holds K plus either its
 graph's similarity S or the weight step's QP matrix, never both, because

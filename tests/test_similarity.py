@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdsk.similarity
 from cdsk.data_io import SampleMatrix
 from cdsk.driver import assemble_alpha_qp
 from cdsk.embedding import _dense_laplacian, solve_embedding
@@ -43,11 +44,12 @@ def test_check_simplex_returns_a_copy():
 
 def test_disc_similarity_hand_pair():
     k = GramMatrix(values=np.array([[1.0, 0.5], [0.5, 1.0]]), bandwidth=1.0)
-    g = disc_similarity(k, [0.5, 0.5], 2.0)
+    s = disc_similarity(k, [0.5, 0.5], 2.0)
     # 2(a_i + a_j - lam a_i a_j) k_ij with all a = 1/2, lam = 2
-    assert abs(g.s[0, 1] - 0.5) < 1e-12
-    assert abs(g.s[0, 0] - 1.0) < 1e-12
-    assert np.allclose(g.degree, g.s.sum(axis=1), atol=1e-12)
+    assert abs(s[0, 1] - 0.5) < 1e-12
+    assert abs(s[0, 0] - 1.0) < 1e-12
+    # the degrees the embedding reads are the row sums
+    assert np.allclose(s.sum(axis=1), [1.5, 1.5], atol=1e-12)
 
 
 def test_disc_similarity_uniform_alpha_scales_kernel():
@@ -55,9 +57,9 @@ def test_disc_similarity_uniform_alpha_scales_kernel():
     pts = rng.normal(size=(7, 2))
     k = _gram_from_points(pts)
     n, lam = 7, 0.7
-    g = disc_similarity(k, np.full(n, 1.0 / n), lam)
+    s = disc_similarity(k, np.full(n, 1.0 / n), lam)
     expected = (4.0 / n - 2.0 * lam / n**2) * k.values
-    assert np.allclose(g.s, expected, atol=1e-12)
+    assert np.allclose(s, expected, atol=1e-12)
 
 
 def test_disc_similarity_elementwise_oracle():
@@ -66,12 +68,12 @@ def test_disc_similarity_elementwise_oracle():
     k = _gram_from_points(pts)
     alpha = _random_alpha(rng, 6)
     lam = 1.0
-    g = disc_similarity(k, alpha, lam)
+    s = disc_similarity(k, alpha, lam)
     for i in range(6):
         for j in range(6):
             want = 2.0 * (alpha[i] + alpha[j] - lam * alpha[i] * alpha[j]) * k.values[i, j]
-            assert abs(g.s[i, j] - want) < 1e-12
-            assert g.s[i, j] >= 0.0
+            assert abs(s[i, j] - want) < 1e-12
+            assert s[i, j] >= 0.0
 
 
 def test_disc_similarity_lambda_domain():
@@ -81,18 +83,18 @@ def test_disc_similarity_lambda_domain():
             disc_similarity(k, [0.5, 0.5], lam)
 
 
-def dense_n(g):
-    """N = I - D^{-1/2} S D^{-1/2} from its dense formula."""
-    inv_sqrt = 1.0 / np.sqrt(g.degree)
-    return np.eye(g.s.shape[0]) - (inv_sqrt[:, None] * g.s) * inv_sqrt[None, :]
+def dense_n(s):
+    """N = I - D^{-1/2} S D^{-1/2}, D = diag(S 1), from its dense formula."""
+    inv_sqrt = 1.0 / np.sqrt(s.sum(axis=1))
+    return np.eye(s.shape[0]) - (inv_sqrt[:, None] * s) * inv_sqrt[None, :]
 
 
 def test_disc_similarity_normalized_laplacian():
     # the embedding's dense solve builds N from the graph's S and degrees
     rng = np.random.default_rng(2)
     k = _gram_from_points(rng.normal(size=(5, 2)))
-    g = disc_similarity(k, _random_alpha(rng, 5), 0.3)
-    assert np.allclose(_dense_laplacian(g), dense_n(g), atol=1e-10)
+    s = disc_similarity(k, _random_alpha(rng, 5), 0.3)
+    assert np.allclose(_dense_laplacian(s, s.sum(axis=1)), dense_n(s), atol=1e-10)
 
 
 def _reference_graph(k, alpha, lam):
@@ -125,7 +127,7 @@ def _reference_chain(k, alpha, lam):
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1, 0.7, 2.0])
-def test_disc_similarity_bit_identical_to_dense_formulas(lam):
+def test_disc_similarity_bit_identical_to_dense_formulas(lam, monkeypatch):
     # narrow bandwidth: far pairs underflow to exact zeros in K, and a few
     # zero weights give exactly-zero similarity entries (sign of zero matters
     # for bit identity)
@@ -136,26 +138,31 @@ def test_disc_similarity_bit_identical_to_dense_formulas(lam):
     alpha = rng.dirichlet(np.ones(n))
     alpha[rng.choice(n, size=20, replace=False)] = 0.0
     alpha /= alpha.sum()
-    g = disc_similarity(k, alpha, lam)
-    assert np.any(g.s == 0.0)
-    normalized_built = _dense_laplacian(g)
-    for s, degree, normalized in (
+    built = disc_similarity(k, alpha, lam)
+    assert np.any(built == 0.0)
+    normalized_built = _dense_laplacian(built, built.sum(axis=1))
+    for s, _, normalized in (
         _reference_graph(k.values, alpha, lam),
         _reference_chain(k.values, alpha, lam),
     ):
-        assert g.s.tobytes() == s.tobytes()
-        assert g.degree.tobytes() == degree.tobytes()
+        assert built.tobytes() == s.tobytes()
         assert normalized_built.tobytes() == normalized.tobytes()
     assert np.array_equal(normalized_built, normalized_built.T)
+    # S, and with it the degrees, does not depend on the rows per block
+    for rows in (1, 7, _ROW_BLOCK // 2, n):
+        monkeypatch.setattr(cdsk.similarity, "_ROW_BLOCK", rows)
+        assert disc_similarity(k, alpha, lam).tobytes() == built.tobytes(), rows
 
 
 def test_disc_similarity_zero_degree_row_raises():
     # third point is infinitely far at this bandwidth and carries no weight,
-    # so its row degree underflows to zero
+    # so its row degree underflows to zero, and the embedding rejects S
     pts = np.array([[0.0], [0.5], [200.0]])
     k = _gram_from_points(pts, bandwidth=1.0)
+    s = disc_similarity(k, [0.5, 0.5, 0.0], 1.0)
+    assert s.sum(axis=1)[2] == 0.0
     with pytest.raises(DegenerateDataError):
-        disc_similarity(k, [0.5, 0.5, 0.0], 1.0)
+        solve_embedding(s, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,8 +172,7 @@ def test_disc_similarity_nonnegative(seed, n, lam):
     k = _gram_from_points(rng.normal(size=(n, 2)))
     a = rng.uniform(0.0, 1.0, size=n)
     a = a / a.sum() if a.sum() > 0 else np.full(n, 1.0 / n)
-    g = disc_similarity(k, a, lam)
-    assert g.s.min() >= -1e-12
+    assert disc_similarity(k, a, lam).min() >= -1e-12
 
 
 def test_general_disc_similarity_psd_reduces():
@@ -181,17 +187,17 @@ def test_general_disc_similarity_psd_reduces():
     out = 2.0 * (alpha[:, None] + alpha[None, :]) * k.values - 2.0 * lam * np.outer(
         alpha, alpha
     ) * (split.s_plus + split.s_minus)
-    assert np.allclose(out, disc_similarity(k, alpha, lam).s, atol=1e-10)
+    assert np.allclose(out, disc_similarity(k, alpha, lam), atol=1e-10)
 
 
-def laplacian_trace(y, g):
-    """tr(Y^T L Y) from the dense Laplacian L = D - S."""
-    return float(np.sum(y * ((np.diag(g.degree) - g.s) @ y)))
+def laplacian_trace(y, s):
+    """tr(Y^T L Y) from the dense Laplacian L = D - S, D = diag(S 1)."""
+    return float(np.sum(y * ((np.diag(s.sum(axis=1)) - s) @ y)))
 
 
-def joint_objective(y, g, k, alpha, lam):
+def joint_objective(y, s, k, alpha, lam):
     """tr(Y^T L Y) - alpha^T K 1 + lam alpha^T K alpha from the dense Laplacian."""
-    return laplacian_trace(y, g) + alpha_terms(k, alpha, lam)
+    return laplacian_trace(y, s) + alpha_terms(k, alpha, lam)
 
 
 def alpha_terms(k, alpha, lam):
@@ -212,13 +218,13 @@ def test_laplacian_quadratic_matches_pair_sum():
     rng = np.random.default_rng(5)
     k = _gram_from_points(rng.normal(size=(6, 2)))
     alpha = _random_alpha(rng, 6)
-    g = disc_similarity(k, alpha, 0.5)
+    s = disc_similarity(k, alpha, 0.5)
     y = rng.normal(size=(6, 2))
     got = qp_objective(_weight_qp(y, k, 0.5), alpha) - alpha_terms(k, alpha, 0.5)
     want = 0.0
     for i in range(6):
         for j in range(6):
-            want += 0.5 * g.s[i, j] * np.sum((y[i] - y[j]) ** 2)
+            want += 0.5 * s[i, j] * np.sum((y[i] - y[j]) ** 2)
     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
 
@@ -230,12 +236,12 @@ def test_laplacian_quadratic_matches_dense_forms(lam):
     n = 300
     k = _gram_from_points(rng.uniform(size=(n, 2)), bandwidth=0.2)
     alpha = rng.dirichlet(np.ones(n))
-    g = disc_similarity(k, alpha, lam)
-    for y in (solve_embedding(g, 3), rng.normal(size=(n, 3))):
+    s = disc_similarity(k, alpha, lam)
+    for y in (solve_embedding(s, 3), rng.normal(size=(n, 3))):
         got = qp_objective(_weight_qp(y, k, lam), alpha) - alpha_terms(k, alpha, lam)
-        direct = laplacian_trace(y, g)
+        direct = laplacian_trace(y, s)
         sq = np.sum(y * y, axis=1)
-        pair_form = 0.5 * float(np.sum(g.s * (sq[:, None] + sq[None, :] - 2.0 * (y @ y.T))))
+        pair_form = 0.5 * float(np.sum(s * (sq[:, None] + sq[None, :] - 2.0 * (y @ y.T))))
         for want in (direct, pair_form):
             assert abs(got - want) <= 1e-10 * abs(want)
 

@@ -147,32 +147,33 @@ def test_psd_split_reconstruction_and_psdness(seed, n):
 
 @pytest.fixture(scope="module")
 def moons_graphs(weighted_moons):
-    """Two-moons similarity graphs above the dense limit (n = 900), keyed by
+    """Two-moons similarities S above the dense limit (n = 900), keyed by
     uniform: True for alpha = 1/n, False for weighted_moons' weights.  Each
-    maps to (graph, null vector D^{1/2} 1 / ||D^{1/2} 1|| and the dense
-    reference spectrum of N)."""
+    maps to (S, its degrees S 1, the null vector D^{1/2} 1 / ||D^{1/2} 1||
+    and the dense reference spectrum of N)."""
     data = make_two_moons(900, 0.05, seed=0)
     graphs = {
         True: disc_similarity(gram(data, KernelSpec(0.1)), np.full(data.n, 1.0 / data.n), 0.1),
         False: disc_similarity(*weighted_moons, 0.1),
     }
     out = {}
-    for uniform, g in graphs.items():
-        sqrt_degree = np.sqrt(g.degree)
-        w, v = np.linalg.eigh(dense_n(g))
-        out[uniform] = (g, sqrt_degree / np.linalg.norm(sqrt_degree), w, v)
+    for uniform, s in graphs.items():
+        degree = s.sum(axis=1)
+        sqrt_degree = np.sqrt(degree)
+        w, v = np.linalg.eigh(dense_n(s))
+        out[uniform] = (s, degree, sqrt_degree / np.linalg.norm(sqrt_degree), w, v)
     return out
 
 
 @pytest.mark.parametrize("uniform", [False, True])
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_smallest_eigenpairs_lanczos_matches_dense(moons_graphs, eigsh_calls, c, uniform):
-    g, _, w_ref, v_ref = moons_graphs[uniform]
-    w, v = lanczos_smallest(g.s, c, g.degree)
+    s, degree, _, w_ref, v_ref = moons_graphs[uniform]
+    w, v = lanczos_smallest(s, c, degree)
     # with the null vector deflated ARPACK is asked for c - 1 pairs, and for
     # none at all when c = 1
     assert eigsh_calls == ([] if c == 1 else [c - 1])
-    assert w.shape == (c,) and v.shape == (g.s.shape[0], c)
+    assert w.shape == (c,) and v.shape == (s.shape[0], c)
     assert np.max(np.abs(w - w_ref[:c])) < 1e-10
     assert np.all(np.diff(w) >= 0)
     q = np.linalg.qr(v)[0]
@@ -181,8 +182,8 @@ def test_smallest_eigenpairs_lanczos_matches_dense(moons_graphs, eigsh_calls, c,
 
 
 def test_smallest_eigenpairs_lanczos_c1_returns_null_vector(moons_graphs, eigsh_calls):
-    g, null_vector, _, _ = moons_graphs[True]
-    w, v = lanczos_smallest(g.s, 1, g.degree)
+    s, degree, null_vector, _, _ = moons_graphs[True]
+    w, v = lanczos_smallest(s, 1, degree)
     assert eigsh_calls == []
     assert np.array_equal(w, [0.0])
     assert np.array_equal(v[:, 0], null_vector)
@@ -190,7 +191,7 @@ def test_smallest_eigenpairs_lanczos_c1_returns_null_vector(moons_graphs, eigsh_
 
 @pytest.mark.parametrize("uniform", [False, True])
 def test_smallest_eigenpairs_arpack_failure_falls_back(moons_graphs, monkeypatch, uniform):
-    g, _, _, _ = moons_graphs[uniform]
+    s, degree, _, _, _ = moons_graphs[uniform]
     calls = []
 
     def failing(*args, **kwargs):
@@ -198,11 +199,11 @@ def test_smallest_eigenpairs_arpack_failure_falls_back(moons_graphs, monkeypatch
         raise scipy.sparse.linalg.ArpackError(-9999)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
-    y = solve_embedding(g, 3)
+    y = solve_embedding(s, 3)
     assert len(calls) == 1
     # the subset solve's U = D^{1/2} Y, with its Rayleigh quotients as eigenvalues
-    n_dense = dense_n(g)
-    u = np.sqrt(g.degree)[:, None] * y
+    n_dense = dense_n(s)
+    u = np.sqrt(degree)[:, None] * y
     _check_against_numpy(n_dense, np.sum(u * (n_dense @ u), axis=0), u, 3)
 
 
@@ -221,11 +222,11 @@ def _layout(a, layout):
 def test_smallest_eigenpairs_lanczos_repeat_bit_identical(moons_graphs, uniform):
     # ARPACK keeps state between calls; an unrelated solve in between must not
     # change the next answer
-    g, _, _, _ = moons_graphs[uniform]
-    w1, v1 = lanczos_smallest(g.s, 3, g.degree)
+    s, degree, _, _, _ = moons_graphs[uniform]
+    w1, v1 = lanczos_smallest(s, 3, degree)
     rng = np.random.default_rng(11)
     scipy.sparse.linalg.eigsh(_random_symmetric(12, 60), k=4, which="LM", v0=rng.normal(size=60))
-    w2, v2 = lanczos_smallest(g.s, 3, g.degree)
+    w2, v2 = lanczos_smallest(s, 3, degree)
     assert w1.tobytes() == w2.tobytes()
     assert v1.tobytes() == v2.tobytes()
 
@@ -235,9 +236,9 @@ def test_smallest_eigenpairs_lanczos_repeat_bit_identical(moons_graphs, uniform)
 def test_smallest_eigenpairs_lanczos_layout_bit_identical(moons_graphs, uniform, layout):
     # every layout reads the same triangle values in the same order, so it
     # must give the same bytes as the C-ordered input
-    g, _, _, _ = moons_graphs[uniform]
-    w1, v1 = lanczos_smallest(g.s, 3, g.degree)
-    w2, v2 = lanczos_smallest(_layout(g.s, layout), 3, g.degree)
+    s, degree, _, _, _ = moons_graphs[uniform]
+    w1, v1 = lanczos_smallest(s, 3, degree)
+    w2, v2 = lanczos_smallest(_layout(s, layout), 3, degree)
     assert w1.tobytes() == w2.tobytes()
     assert v1.tobytes() == v2.tobytes()
 
@@ -248,11 +249,12 @@ def test_smallest_eigenpairs_lanczos_copies_a_at_most_once(layout, bound, eigsh_
     # only the strided view is copied, once, before the first product
     n = 1000
     data = make_two_moons(n, 0.05, seed=0)
-    graph = disc_similarity(gram(data, KernelSpec(0.1)), np.full(n, 1.0 / n), 0.1)
-    a = _layout(graph.s, layout)
+    s = disc_similarity(gram(data, KernelSpec(0.1)), np.full(n, 1.0 / n), 0.1)
+    degree = s.sum(axis=1)
+    a = _layout(s, layout)
     tracemalloc.start()
     try:
-        lanczos_smallest(a, 2, graph.degree)
+        lanczos_smallest(a, 2, degree)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
