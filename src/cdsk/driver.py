@@ -379,10 +379,10 @@ def tune_lambda(
     alternation from it and scores the last embedding, the one run_cdsk
     clusters; no k-means runs.  Ties keep the smaller lambda.
     """
-    grid = [float(v) for v in grid]
-    if not grid:
-        raise ConfigError("lambda grid must be non-empty")
     configs = [replace(config, lam=lam) for lam in grid]  # validates all first
+    if not configs:
+        raise ConfigError("lambda grid must be non-empty")
+    grid = [float(cfg.lam) for cfg in configs]
     size = max(int(np.ceil(_VALIDATION_FRACTION * data.n)), 2 * config.c, 10)
     if size > data.n:
         raise ValidationError(
@@ -405,9 +405,9 @@ def run_baseline_spectral(
     The uniform-weights special case: there the similarity is a constant
     multiple of K, which leaves the normalized Laplacian unchanged, so
     solve_embedding runs on K itself, with degrees K 1, and no S is built;
-    run_cdsk and tune_lambda start from the same embedding.  Up to n = 800
+    run_cdsk and tune_lambda start from the same embedding.  Up to n = 400
     (and for c >= n // 4) that adds N next to K; above it, no n x n array
-    besides K.
+    besides K, only the Lanczos basis of one n-vector per product.
     No lambda enters: the result's lambda_used 0.1 is a placeholder.  Unlike
     run_cdsk it accepts c = 1.  bandwidth None picks the heuristic, seed
     drives k-means, whose 10 restarts are fixed.

@@ -2,26 +2,36 @@
 
 check_symmetric validates every similarity the library decomposes; the
 embedding's c smallest eigenpairs come from overwriting_smallest (a dense
-subset solve) or lanczos_smallest; psd_split is the signed split of an
+subset solve, up to _DENSE_LIMIT) or lanczos_smallest (an unrestarted
+block Lanczos iteration above it); psd_split is the signed split of an
 indefinite similarity.  Callers that need eigenvalues only use
 np.linalg.eigvalsh.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 from scipy.linalg.blas import dsymv
+from scipy.linalg.lapack import dsbevx
 
 from .errors import NumericError, ValidationError
 
 # Eigenvalues within this relative band of zero count as nonnegative.
 _ZERO_EIG_REL = 1e-10
-# Dense embedding solves up to this size; above it a Lanczos solve is tried first.
-_DENSE_LIMIT = 800
+# Dense embedding solves up to this size; above it a Lanczos solve is tried
+# first.  The largest n at which the dense solve beat Lanczos on noisy moons
+# (noise 0.15, bandwidth 0.1), the slowest spectrum measured; see ROADMAP.
+_DENSE_LIMIT = 400
+# Cap on the steps of one block Lanczos solve; the embeddings measured took
+# at most 100.
+_LANCZOS_MAX_STEPS = 500
+# Seed of the fixed start vectors after the first of a Lanczos block.
+_LANCZOS_START_SEED = 0
+_EPS = float(np.finfo(np.float64).eps)
 # Asymmetry tolerated by check_symmetric, relative to max(1, max|a_ij|).
 _SYMMETRY_TOL = 1e-10
 # Edge of the square tiles the exact symmetry test compares.
@@ -107,26 +117,103 @@ def lanczos_applies(n: int, c: int) -> bool:
     return n > _DENSE_LIMIT and c < n // 4
 
 
+def _top_eigenpairs(band: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count largest eigenpairs, ascending, of the symmetric banded
+    matrix whose lower band band[d, j] = T[j + d, j] holds, by LAPACK's
+    sbevx, which computes only these pairs."""
+    m = band.shape[1]
+    theta, s, _, _, info = dsbevx(
+        band[: min(band.shape[0], m)], 0.0, 0.0, m - count + 1, m, range=2, lower=1, overwrite_ab=0
+    )
+    if info != 0:
+        raise NumericError(f"banded eigensolve failed (info={info})")
+    return theta[:count], s
+
+
+def _doubled(a: np.ndarray, used: int) -> np.ndarray:
+    """a with twice its rows, the first used of them copied."""
+    out = np.empty((2 * a.shape[0],) + a.shape[1:])
+    out[:used] = a[:used]
+    return out
+
+
+def _block_lanczos(apply, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The b largest eigenpairs, ascending, of a symmetric operator by block
+    Lanczos iteration (Golub & Underwood 1977) from the b rows of start.
+
+    apply maps a (b, n) block of rows x to the rows of A x.  Each new vector
+    loses its components on the last two blocks (the three-term recurrence)
+    and then, once more, on the whole basis, which is kept, one row per
+    vector, in an array that grows as the steps are taken.  The
+    coefficients fill the banded projection T = Q^T A Q; its top b
+    eigenpairs (theta, s) give the Ritz pairs, and the coefficients of the
+    next block times the last block of s bound their residuals.  The
+    iteration stops once each bound is at most eps |theta|, ARPACK's own test
+    at tol = 0.  A new vector that the second pass shrinks below 0.717 of its
+    length lies numerically in the basis (ARPACK's test again).  That
+    breakdown raises NumericError at once, bounds met or not: an invariant
+    subspace makes its own Ritz pairs exact, but need not hold the largest
+    ones.  So does a solve that runs _LANCZOS_MAX_STEPS steps.
+    """
+    b, n = start.shape
+    basis = np.empty((2 * b, n))
+    basis[:b] = np.linalg.qr(start.T)[0].T
+    band = np.empty((2 * b, b + 1))  # band[j, d] = T[j + d, j]
+    for step in range(1, _LANCZOS_MAX_STEPS + 1):
+        top = step * b  # basis vectors so far
+        block = apply(basis[top - b : top])
+        if basis.shape[0] < top + b:
+            basis, band = _doubled(basis, top), _doubled(band, top)
+        # r[l, i], l <= i: the coefficient of new vector l in A q_(top-b+i)
+        r = np.zeros((b, b))
+        for i, z in enumerate(block):
+            j, rows = top - b + i, top + i
+            near = basis[max(0, top - 2 * b) : rows]
+            h = near @ z
+            z -= h @ near
+            first = math.sqrt(z @ z)
+            q = basis[:rows]
+            h2 = q @ z
+            z -= h2 @ q
+            norm = math.sqrt(z @ z)
+            band[j, :b] = h[j - rows :] + h2[j:]
+            band[j, b] = r[i, i] = norm
+            r[:i, i] = band[j, b - i : b]
+            if norm <= 0.717 * first:
+                raise NumericError(f"Lanczos iteration broke down after {rows} vectors")
+            np.multiply(z, 1.0 / norm, out=basis[rows])
+        theta, s = _top_eigenpairs(band[:top].T, b)
+        # Ritz pair k's residual is Q_next r s[top - b:, k]
+        bounds = np.sqrt(np.square(r @ s[top - b :]).sum(axis=0))
+        if (bounds <= _EPS * np.abs(theta)).all():
+            return theta, basis[:top].T @ s
+    raise NumericError(f"Lanczos iteration did not converge in {_LANCZOS_MAX_STEPS} steps")
+
+
 def lanczos_smallest(m: np.ndarray, c: int, degree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The c smallest eigenpairs, ascending, of the normalized Laplacian
     N = I - W m W, W = diag(w) = D^{-1/2}, by Lanczos iteration; N is never formed.
 
     m >= 0 must have passed check_symmetric and degree, its row sums D, be
-    positive, so N's spectrum lies in [0, 2].  ARPACK runs on 2I - N,
-    x -> x + w * (m (w * x)), and takes its largest eigenvalues theta,
-    returning 2 - theta.  The shift matters because ARPACK stops when a Ritz
-    residual falls below a tolerance relative to the Ritz value itself: the
-    bottom of a Laplacian spectrum sits at zero, where that test is hardest
-    to meet, while the shifted values sit near 2.  Each product is one BLAS
-    symv call that reads only the upper triangle of m's Fortran-ordered
-    form, which is m.T for C-ordered m and m itself for F-ordered m; both
-    give the same bytes, and a strided view is copied once, to Fortran order.
+    positive, so N's spectrum lies in [0, 2].  A block Lanczos iteration
+    (_block_lanczos) runs on 2I - N, x -> x + w * (m (w * x)), and takes its
+    largest eigenvalues theta, returning 2 - theta.  The shift matters
+    because the iteration stops when a Ritz residual falls below a tolerance
+    relative to the Ritz value itself: the bottom of a Laplacian spectrum
+    sits at zero, where that test is hardest to meet, while the shifted
+    values sit near 2.  Each product is one BLAS symv call that reads only
+    the upper triangle of m's Fortran-ordered form, which is m.T for
+    C-ordered m and m itself for F-ordered m; both give the same bytes, and
+    a strided view is copied once, to Fortran order.
 
     The unit vector D^{1/2} 1 / ||D^{1/2} 1|| spans N's eigenvalue-0
     eigenspace.  It is deflated from the operator (x -> ... - 2 u u^T x),
-    ARPACK computes only the other c - 1 pairs (none when c = 1) and
-    (0, u) is added to them.  The start vector is fixed, so repeated calls
-    are bit-identical.  ARPACK's failure propagates as ArpackError.
+    and the iteration computes only the other c - 1 pairs (none when
+    c = 1), to which (0, u) is added.  Its block has c - 1 vectors, so it
+    finds a repeated eigenvalue's whole eigenspace: the constant vector
+    1 / sqrt(n) and c - 2 normal vectors from a fixed seed.  The start is
+    fixed, so repeated calls are bit-identical.  A solve that breaks down or
+    does not converge raises NumericError.
     """
     sqrt_degree = np.sqrt(degree)
     u = sqrt_degree / np.linalg.norm(sqrt_degree)
@@ -137,17 +224,18 @@ def lanczos_smallest(m: np.ndarray, c: int, degree: np.ndarray) -> tuple[np.ndar
         # f2py would copy a C-ordered array on every symv call
         f = m.T if m.flags.c_contiguous else np.asfortranarray(m)
 
-        def matvec(x):
-            out = dsymv(1.0, f, w * x)
+        def apply(rows):
+            out = np.array([dsymv(1.0, f, w * x) for x in rows])
             out *= w
-            out += x
-            out -= (2.0 * (u @ x)) * u
+            out += rows
+            out -= np.outer(2.0 * (rows @ u), u)
             return out
 
-        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-        rest_theta, rest_v = scipy.sparse.linalg.eigsh(
-            op, k=c - 1, which="LA", v0=np.full(n, 1.0 / np.sqrt(n))
-        )
+        start = np.vstack([
+            np.full((1, n), 1.0 / np.sqrt(n)),
+            np.random.default_rng(_LANCZOS_START_SEED).standard_normal((c - 2, n)),
+        ])
+        rest_theta, rest_v = _block_lanczos(apply, start)
         theta, v = np.concatenate([theta, 2.0 - rest_theta]), np.hstack([v, rest_v])
     order = np.argsort(theta, kind="stable")
     return theta[order], _fix_signs(v[:, order])

@@ -1,22 +1,38 @@
 import pytest
-import scipy.sparse.linalg
 
+import cdsk.spectral
 from cdsk.data_io import make_two_moons
 from cdsk.driver import CdskConfig, run_cdsk
+from cdsk.errors import NumericError
 from cdsk.kernel import KernelSpec, gram
 
 
 @pytest.fixture
-def eigsh_calls(monkeypatch):
-    """Count the ARPACK calls the eigensolves make, by the k each asks for."""
+def lanczos_calls(monkeypatch):
+    """Record the block Lanczos solves the eigensolves make, by the number
+    of pairs (the block size) each asks for."""
     calls = []
-    real = scipy.sparse.linalg.eigsh
+    real = cdsk.spectral._block_lanczos
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("k"))
-        return real(*args, **kwargs)
+    def recording(apply, start):
+        calls.append(start.shape[0])
+        return real(apply, start)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+    monkeypatch.setattr(cdsk.spectral, "_block_lanczos", recording)
+    return calls
+
+
+@pytest.fixture
+def failing_lanczos(monkeypatch):
+    """Make every block Lanczos solve fail as non-convergence does; the
+    list records the calls."""
+    calls = []
+
+    def failing(apply, start):
+        calls.append(None)
+        raise NumericError("Lanczos iteration did not converge")
+
+    monkeypatch.setattr(cdsk.spectral, "_block_lanczos", failing)
     return calls
 
 

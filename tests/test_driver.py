@@ -19,7 +19,7 @@ from cdsk.embedding import solve_embedding
 from cdsk.errors import ConfigError, DegenerateDataError, ValidationError
 from cdsk.kernel import GramMatrix, KernelSpec, default_bandwidth, gram
 from cdsk.similarity import disc_similarity
-from cdsk.spectral import lanczos_applies
+from cdsk.spectral import _DENSE_LIMIT, lanczos_applies
 from test_acceptance import _descent_dataset
 from test_similarity import joint_objective, qp_objective
 
@@ -326,6 +326,10 @@ def test_tune_lambda_domain_errors(monkeypatch):
     # a bad grid value fails before any grid point's alternation runs
     with pytest.raises(ConfigError, match="3.0"):
         tune_lambda(data, CdskConfig(c=2), grid=(0.1, 3.0))
+    # grid values pass CdskConfig's lam check as they are, not converted first
+    for bad in ("0.1", None):
+        with pytest.raises(ConfigError, match="lam"):
+            tune_lambda(data, CdskConfig(c=2), grid=(0.1, bad))
     assert calls == []
     monkeypatch.undo()
     with pytest.raises(ConfigError):
@@ -528,7 +532,8 @@ class _FirstWeightStep(Exception):
 def test_run_cdsk_first_embedding_is_the_uniform_graphs(monkeypatch):
     # the first weight step's Y is K's own embedding divided by sqrt(s0),
     # s0 = 2 (2/n - lam/n^2): the embedding of S = s0 K itself, whether the
-    # eigensolve is dense (n <= 800) or by Lanczos iteration (n > 800)
+    # eigensolve is dense (n = 300, at most _DENSE_LIMIT) or by Lanczos
+    # iteration (n = 900, above it)
     def first_step(y, kernel, lam, start):
         raise _FirstWeightStep(y)
 
@@ -537,7 +542,7 @@ def test_run_cdsk_first_embedding_is_the_uniform_graphs(monkeypatch):
         kmat = gram(data, KernelSpec(0.2))
         uniform = np.full(data.n, 1.0 / data.n)
         for c in (2, 3):
-            assert lanczos_applies(data.n, c) == (data.n > 800)
+            assert lanczos_applies(data.n, c) == (data.n > _DENSE_LIMIT)
             for lam in (0.1, 1.0, 2.0):
                 with pytest.raises(_FirstWeightStep) as caught:
                     run_cdsk(data, CdskConfig(c=c, lam=lam, bandwidth=0.2))

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 import cdsk.driver
 import cdsk.embedding
-from cdsk.data_io import SampleMatrix, make_two_moons
+from cdsk.data_io import SampleMatrix, make_blobs, make_two_moons
 from cdsk.driver import run_baseline_spectral
 from cdsk.embedding import _dense_laplacian, solve_embedding
 from cdsk.errors import DegenerateDataError, ValidationError
 from cdsk.kernel import GramMatrix, KernelSpec, gram
 from cdsk.kmeans_metrics import kmeans
 from cdsk.similarity import disc_similarity
-from cdsk.spectral import overwriting_smallest
+from cdsk.spectral import lanczos_applies, lanczos_smallest, overwriting_smallest
 from test_similarity import dense_n, laplacian_trace
 
 
@@ -170,7 +169,7 @@ def test_embedding_lanczos_matches_dense(moons_graph, monkeypatch, c):
 
 @pytest.mark.parametrize("c", [2, 3])
 def test_embedding_lanczos_general_alpha_matches_dense(
-    weighted_moons, monkeypatch, eigsh_calls, c
+    weighted_moons, monkeypatch, lanczos_calls, c
 ):
     # weights far from uniform, some of them zero: the Lanczos product runs
     # on S itself, not on a multiple of K
@@ -179,7 +178,7 @@ def test_embedding_lanczos_general_alpha_matches_dense(
     g = disc_similarity(kmat, alpha, 0.1)
     monkeypatch.setattr(cdsk.embedding, "_dense_laplacian", _no_dense_laplacian)
     y = solve_embedding(g, c)
-    assert eigsh_calls == [c - 1]
+    assert lanczos_calls == [c - 1]
     sqrt_degree = np.sqrt(g.sum(axis=1))
     assert np.allclose(y[:, 0], 1.0 / np.linalg.norm(sqrt_degree), rtol=1e-12, atol=0.0)
     feas = y.T @ (g.sum(axis=1)[:, None] * y)
@@ -224,12 +223,12 @@ def _baseline_moons(c):
 
 @pytest.mark.parametrize("c", [2, 3])
 def test_uniform_embedding_matches_dense_graph_solve(
-    moons_gram, moons_graph, baseline_embeddings, eigsh_calls, c
+    moons_gram, moons_graph, baseline_embeddings, lanczos_calls, c
 ):
     _baseline_moons(c)
     (y,) = baseline_embeddings
     # one Lanczos solve, for the c - 1 pairs beside the deflated null vector
-    assert eigsh_calls == [c - 1]
+    assert lanczos_calls == [c - 1]
     assert np.allclose(y[:, 0], y[0, 0], rtol=1e-12, atol=0.0)
     degree = moons_gram.values.sum(axis=1)
     feas = y.T @ (degree[:, None] * y)
@@ -241,37 +240,47 @@ def test_uniform_embedding_matches_dense_graph_solve(
 
 
 def test_uniform_embedding_c1_is_the_null_vector_without_arpack(
-    moons_gram, baseline_embeddings, eigsh_calls
+    moons_gram, baseline_embeddings, lanczos_calls
 ):
     _baseline_moons(1)
     (y,) = baseline_embeddings
-    assert eigsh_calls == []
+    assert lanczos_calls == []
     assert y.shape == (900, 1)
     sqrt_degree = np.sqrt(moons_gram.values.sum(axis=1))
     assert np.allclose(y[:, 0], 1.0 / np.linalg.norm(sqrt_degree), rtol=1e-12, atol=0.0)
 
 
 def test_uniform_embedding_arpack_failure_falls_back_to_dense(
-    moons_gram, moons_graph, baseline_embeddings, monkeypatch
+    moons_gram, moons_graph, baseline_embeddings, failing_lanczos
 ):
-    calls = []
-
-    def failing(*args, **kwargs):
-        calls.append(None)
-        raise scipy.sparse.linalg.ArpackError(-9999)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
     _baseline_moons(3)
     (y,) = baseline_embeddings
-    assert len(calls) == 1
+    assert len(failing_lanczos) == 1
     # the dense subset solve on K's N, scaled by (K1)^{-1/2}
     k = moons_gram.values
     _, u = overwriting_smallest(_dense_laplacian(k, k.sum(axis=1)), 3)
     assert y.tobytes() == (u / np.sqrt(k.sum(axis=1))[:, None]).tobytes()
     # and the uniform graph's, whose N and D = s0 K1 differ from K's by rounding
     y_dense = solve_embedding(moons_graph, 3)
-    assert len(calls) == 2
+    assert len(failing_lanczos) == 2
     assert np.max(np.abs(y - np.sqrt(_s0(900, 0.1)) * y_dense)) <= 1e-10 * np.max(np.abs(y))
+
+
+def test_embedding_lanczos_repeated_eigenvalue_matches_dense(lanczos_calls):
+    # four far-apart blobs: N's eigenvalue 0 has (numerically) four vectors,
+    # three beside the deflated one.  A single start vector finds only one
+    # of them; the block of c - 1 = 3 vectors must find all three
+    angles = 0.5 * np.pi * np.arange(4)
+    centers = 10.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    k = gram(make_blobs(250, centers, 1.0, seed=3), KernelSpec(1.0)).values
+    degree = k.sum(axis=1)
+    assert lanczos_applies(k.shape[0], 4)
+    y = solve_embedding(k, 4)
+    assert lanczos_calls == [3]
+    _, u_dense = overwriting_smallest(_dense_laplacian(k, degree), 4)
+    u = np.sqrt(degree)[:, None] * y
+    # the sine of the largest angle between the two subspaces
+    assert np.linalg.norm(u - u_dense @ (u_dense.T @ u), 2) <= 1e-12
 
 
 def test_uniform_embedding_isolated_point_is_degenerate(moons_gram, monkeypatch):
@@ -283,11 +292,10 @@ def test_uniform_embedding_isolated_point_is_degenerate(moons_gram, monkeypatch)
         _baseline_moons(2)
 
 
-def test_uniform_embedding_repeat_bit_identical(baseline_embeddings):
+def test_uniform_embedding_repeat_bit_identical(moons_graph, baseline_embeddings):
     labels1 = _baseline_moons(3).labels
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(60, 60))
-    scipy.sparse.linalg.eigsh(a + a.T, k=4, which="LM", v0=rng.normal(size=60))
+    # an unrelated Lanczos solve in between, with a wider block
+    lanczos_smallest(moons_graph, 5, moons_graph.sum(axis=1))
     labels2 = _baseline_moons(3).labels
     y1, y2 = baseline_embeddings
     assert y1.tobytes() == y2.tobytes()

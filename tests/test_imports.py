@@ -1,5 +1,6 @@
-"""Every name a ``src/cdsk`` module imports is used in that module, and the
-embedding sits below the similarity and the driver.
+"""Every name a ``src/cdsk`` module imports is used in that module, the
+embedding sits below the similarity and the driver, and no module imports
+``scipy.sparse``.
 
 ``__init__`` is skipped, since its imports are the package's re-exports, and
 so are ``from __future__`` imports.  A name is used where it appears as an
@@ -60,3 +61,15 @@ def test_embedding_imports_neither_similarity_nor_driver():
     imported = _imported_modules(PACKAGE / "embedding.py")
     assert {"errors", "spectral"} <= imported
     assert not imported & {"similarity", "driver"}, imported
+
+
+def test_no_module_imports_scipy_sparse():
+    # the eigensolves are LAPACK's and the package's own Lanczos iteration
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            found += [f"{path.name}: {name}" for name in names if name.startswith("scipy.sparse")]
+    assert found == []

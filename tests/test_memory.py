@@ -1,8 +1,9 @@
 """Peak traced memory of whole runs, in units of one n x n float64 array.
 
 The baseline embeds K itself and builds no similarity S: above
-the dense eigensolver limit it keeps K alone, and at or below it, or when
-ARPACK fails, K plus N.  Above the limit run_cdsk holds K plus either its
+the dense eigensolver limit (n = 400) it keeps K alone, beside the Lanczos
+basis of one n-vector per product, and at or below it, or when the Lanczos
+iteration fails, K plus N.  Above the limit run_cdsk holds K plus either its
 graph's similarity S or the weight step's QP matrix, never both, because
 each graph lives only through its embedding; at or below it the dense solve
 adds N next to S.  N is built in a buffer that the solve itself
@@ -16,7 +17,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 # the library imports these on first use; imported here, their module objects
 # stay out of the traced peaks
@@ -72,10 +72,10 @@ def test_run_cdsk_peak_memory():
 
 @pytest.mark.parametrize("baseline", [False, True])
 def test_dense_embedding_peak_memory(baseline):
-    # at the dense limit: K, S and N for run_cdsk (3.19 measured), K and N for
+    # at the dense limit: K, S and N for run_cdsk (3.20 measured), K and N for
     # the baseline (2.19; 3.19 with S); the subset solve overwrites N instead
     # of copying it, and a copy of N would read one more
-    n = 800
+    n = 400
     data = make_two_moons(n, 0.05, seed=0)
     if baseline:
         peak = _peak_arrays(lambda: run_baseline_spectral(data, 2), n)
@@ -85,15 +85,12 @@ def test_dense_embedding_peak_memory(baseline):
         assert peak <= 3.3, peak
 
 
-def test_baseline_arpack_failure_peak_memory(monkeypatch):
-    # the dense fallback above the limit: K and N (2.15 measured); 3.15 with S
-    def failing(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackError(-9999)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+def test_baseline_arpack_failure_peak_memory(failing_lanczos):
+    # the dense fallback above the limit: K and N (2.05 measured); 3.05 with S
     n = 1000
     data = make_two_moons(n, 0.1, seed=0)
     peak = _peak_arrays(lambda: run_baseline_spectral(data, 2), n)
+    assert failing_lanczos
     assert peak <= 2.3, peak
 
 
