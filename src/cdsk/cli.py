@@ -294,7 +294,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("tune", help="pick lambda on a validation subsample")
-    _add_input_flags(p, "column holding ground-truth labels, for metrics")
+    _add_input_flags(p, "column holding labels, dropped from the features (tune prints no metrics)")
     _add_run_flags(p)
     p.add_argument("--grid", type=float, nargs="+", default=None)
     p.set_defaults(func=cmd_tune)

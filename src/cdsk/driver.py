@@ -7,7 +7,7 @@ import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dposv
+from scipy.linalg.lapack import dposv, dpotrs
 
 from .data_io import ClusteringResult, SampleMatrix
 from .embedding import solve_embedding
@@ -32,21 +32,51 @@ _QP_TOL, _MAX_INNER = 1e-6, 80
 _QP_CONVERGED_TOL = 1e-5
 
 
-def _gram_solve(
-    gram: np.ndarray, rhs: np.ndarray, lsq_a: np.ndarray, lsq_b: np.ndarray
-) -> np.ndarray:
-    """gram^-1 rhs by LAPACK Cholesky, or lstsq(lsq_a, lsq_b) if gram is (numerically) singular."""
+def _cholesky(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """(upper Cholesky factor of gram, gram^-1 rhs) by LAPACK dposv; the factor
+    is None, and the solution unusable, if gram is (numerically) singular."""
     chol, x, info = dposv(gram, rhs)
     pivots = chol.diagonal().tolist()  # a few entries: Python's min and max are cheaper
-    if info == 0 and min(pivots) > _PIVOT_TOL * max(pivots):
-        return x
-    return np.linalg.lstsq(lsq_a, lsq_b, rcond=None)[0]
+    return (chol if info == 0 and min(pivots) > _PIVOT_TOL * max(pivots) else None), x
 
 
-def _project(grad: np.ndarray, jac: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """grad minus its least-squares fit by the Jacobian rows on the columns `keep`."""
-    jk = jac * keep
-    return grad - _gram_solve(jk @ jac.T, jk @ grad, jk.T, grad) @ jac
+def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """gram^-1 rhs by LAPACK Cholesky, or by least squares if gram is singular."""
+    chol, x = _cholesky(gram, rhs)
+    return x if chol is not None else np.linalg.lstsq(gram, rhs, rcond=None)[0]
+
+
+class _Face:
+    """The constraint Jacobian's rows on the columns `keep` (zero elsewhere)
+    and one Cholesky factor of their Gram J_S J^T, which serves every solve on
+    those columns: dposv factors it while fitting the gradient, dpotrs reuses
+    the factor (exactly: dposv is potrf + potrs).  A numerically singular Gram
+    (its pivots span more than 1/_PIVOT_TOL) falls back to least squares."""
+
+    def __init__(self, jac: np.ndarray, keep: np.ndarray, grad: np.ndarray):
+        self.jac, self.keep = jac, keep
+        self.size = np.count_nonzero(keep)
+        self.rows = jac * keep
+        self.gram = self.rows @ jac.T
+        self.chol, fit = _cholesky(self.gram, self.rows @ grad)
+        if self.chol is None:
+            fit = np.linalg.lstsq(self.rows.T, grad, rcond=None)[0]
+        # the projected gradient: grad less its least-squares fit by the rows
+        self.zeta = grad - fit @ jac
+
+    def carry(self, vec: np.ndarray) -> np.ndarray:
+        """vec, zero off the face, projected onto its rows' null space."""
+        if self.chol is None:
+            fit = np.linalg.lstsq(self.rows.T, vec, rcond=None)[0]
+        else:
+            fit = dpotrs(self.chol, self.rows @ vec)[0]
+        return vec - fit @ self.rows
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """(J_S J^T)^-1 rhs."""
+        if self.chol is None:
+            return np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
+        return dpotrs(self.chol, rhs)[0]
 
 
 @dataclass
@@ -100,27 +130,36 @@ def solve_alpha_coupled(
     alternation objective provably nonincreasing: the previous weights stay
     feasible for the new embedding and each accepted step must lower q.
 
-    The step is Rosen's gradient projection on the active face.  Each
-    iteration keeps the coordinates with mass plus the zero ones whose
-    reduced gradient asks for mass, projects -grad q onto the null space of
-    the constraint Jacobian J restricted to them, and minimizes q exactly
-    along that direction with the exact Hessian 2A, capped by a ratio test
-    on the bounds.  Newton restoration pulls the point back onto the
+    The step is Rosen's gradient projection on the active face, with
+    conjugate directions inside a face.  Each iteration keeps the coordinates
+    with mass plus the zero ones whose reduced gradient asks for mass,
+    projects grad q onto the null space of the constraint Jacobian J
+    restricted to them (zeta; the KKT test reads it), and minimizes q exactly
+    along the search direction with the exact Hessian 2A, capped by a ratio
+    test on the bounds.  Newton restoration pulls the point back onto the
     constraint manifold, and it is accepted only if q strictly drops;
-    otherwise the step is halved.  The restoration of a step is a chord
-    method: it reuses the iteration's Jacobian instead of building one per
-    Newton step (the start point gets full Newton steps).  The projection and
-    each Newton step solve the normal equations on the m x m Gram J_S J_S^T
-    (m = 1 + c(c+1)/2, S the kept columns, masked, not copied) by a LAPACK
-    Cholesky solve, falling back to numpy's least squares when the Gram is
-    numerically singular (its pivots span more than 1e4).
+    otherwise the step is halved.  The direction is -zeta, unless the last
+    step was curvature-limited (neither capped nor halved), the free set is
+    unchanged and no zero weight asks for mass: then it is -zeta + beta P d,
+    d the last direction, P d its projection onto the current null space on
+    the face, beta the Polak-Ribiere-plus coefficient.  Every other case
+    restarts from -zeta, and so does a conjugate direction that is not a
+    descent direction or whose search finds no descent.  The restoration of
+    a step is a chord method: it reuses the iteration's Jacobian instead of
+    building one per Newton step (the start point gets full Newton steps).
+    The normal equations on the m x m Gram J_S J_S^T (m = 1 + c(c+1)/2, S the
+    kept columns, masked, not copied) get one LAPACK Cholesky factor per
+    iteration, which solves the projection, the conjugate carry and every
+    Newton step whose positive set is S; a numerically singular Gram (pivots
+    spanning more than 1e4) falls back to numpy's least squares.
 
     Every iteration costs O(m n^2) with no n x n factorization.  Each point
     gets K a and A a once: K a serves its residual, its degrees and the next
     Jacobian, A a its value and the next gradient 2 A a + b.  An iteration
-    whose step is accepted after one Newton step therefore costs four
-    matrix-vector products (A d for the curvature, A a, and K a before and
-    after the Newton step) plus the c(c+1)/2 rows of (W a) K in the Jacobian.
+    whose step is accepted after one Newton step therefore reads an n x n
+    matrix 4 + c(c+1)/2 times: four matrix-vector products (A d for the
+    curvature, A a, and K a before and after the Newton step) and the
+    c(c+1)/2 rows of (W a) K in the Jacobian; the conjugate carry adds none.
     The returned point is always feasible and never worse than the start;
     converged means the KKT residual met _QP_CONVERGED_TOL.
     """
@@ -160,9 +199,10 @@ def solve_alpha_coupled(
         jac[1:] += w_lam * ka + jac_fixed
         return jac
 
-    def restore(a: np.ndarray, chord: np.ndarray | None = None) -> tuple | None:
+    def restore(a: np.ndarray, face: _Face | None = None) -> tuple | None:
         """(point, K point) on the constraints near a, or None, by Newton steps
-        with the Jacobian at each point, or with `chord` when it is given."""
+        with the Jacobian at each point, or with the face's Jacobian when it
+        is given; a step on all of the face's columns reuses its factor."""
         # Newton steps move only the weights with mass: one driven to zero stays
         # there, so it neither spoils the next round's convergence nor jams the ratio test
         cand = np.where(a > _BOUND_EPS, a, 0.0)
@@ -171,13 +211,40 @@ def solve_alpha_coupled(
             r = residual(cand, ka)
             if np.abs(r).max() <= _FEAS_TOL:
                 return cand, ka
-            jac = jacobian(cand, ka) if chord is None else chord
-            jk = jac * (cand > 0.0)
-            gram_j = jk @ jac.T
-            cand -= _gram_solve(gram_j, r, gram_j, r) @ jk
+            # a step's point has mass only on its face's columns, so equal counts mean equal sets
+            if face is not None and np.count_nonzero(cand) == face.size:
+                cand -= face.solve(r) @ face.rows
+            else:
+                jac = jacobian(cand, ka) if face is None else face.jac
+                rows = jac * (cand > 0.0)
+                cand -= _gram_solve(rows @ jac.T, r) @ rows
             np.maximum(cand, 0.0, out=cand)
         ka = kvals @ cand
         return (cand, ka) if np.abs(residual(cand, ka)).max() <= _FEAS_TOL else None
+
+    ratio = np.empty(n)
+
+    def search(face: _Face, free: np.ndarray, direction: np.ndarray, slope: float) -> tuple | None:
+        """The accepted (point, K point, q, A point) along direction, and whether
+        its step was the curvature's own, neither capped nor halved; or None."""
+        shrink = free & (direction < 0.0)
+        np.divide(alpha, direction, out=ratio, where=shrink)
+        t_bound = -float(np.maximum.reduce(ratio, where=shrink, initial=-np.inf))
+        curvature = float(direction @ (quad @ direction))
+        t = -slope / (2.0 * curvature) if curvature > 0.0 else np.inf
+        exact = t < t_bound
+        t = min(t, t_bound)
+        if not np.isfinite(t):
+            return None
+        for _ in range(12):
+            restored = restore(alpha + t * direction, face)
+            if restored is not None:
+                q_cand, a_cand = evaluate(restored[0])
+                if q_cand < q_value - 1e-15 * (1.0 + abs(q_value)):
+                    return restored, q_cand, a_cand, exact
+            t *= 0.5
+            exact = False
+        return None
 
     restored = restore(alpha)
     if restored is None:
@@ -189,42 +256,49 @@ def solve_alpha_coupled(
     # with as many normalization equalities as weights the feasible set is
     # (generically) isolated points, so the start is already the answer
     limit = 0 if targets.size >= n else _MAX_INNER
+    # after a curvature-limited step on the free set: (the set's size,
+    # |-zeta|^2, -zeta, the direction taken); the next free set can only
+    # lose weights, so the same size means the same set
+    carry = None
 
     while True:
         grad = 2.0 * a_alpha + lin
-        jac = jacobian(alpha, ka)
         free = alpha > _BOUND_EPS
-        zeta = _project(grad, jac, free)
+        face = _Face(jacobian(alpha, ka), free, grad)
+        zeta = face.zeta
+        steepest = np.where(free, -zeta, 0.0)
         # KKT residual: free weights must be stationary, zero ones must not want mass
         pull = -float(np.minimum.reduce(zeta, where=~free, initial=0.0))
-        worst = max(float(np.maximum.reduce(np.abs(zeta), where=free, initial=0.0)), pull)
+        worst = max(float(steepest.max()), -float(steepest.min()), pull)
         residual_norm = worst / (1.0 + float(np.abs(grad).max()))
         if residual_norm <= _QP_TOL or iterations >= limit:
             break
         iterations += 1
-        work = free | (zeta < 0.0)  # zero weights that ask for mass join the face
-        if pull > 0.0:
-            zeta = _project(grad, jac, work)
-        direction = np.where(work, -zeta, 0.0)
-        slope = float(grad @ direction)
+        if pull > 0.0:  # zero weights that ask for mass join the face
+            face = _Face(face.jac, free | (zeta < 0.0), grad)
+            steepest = np.where(face.keep, -face.zeta, 0.0)
+        slope = float(grad @ steepest)
         if not slope < 0.0:
             break
-        shrink = free & (direction < 0.0)
-        t_bound = float(np.min(alpha[shrink] / -direction[shrink], initial=np.inf))
-        curvature = float(direction @ (quad @ direction))
-        t = min(-slope / (2.0 * curvature), t_bound) if curvature > 0.0 else t_bound
-        if not np.isfinite(t):
+        norm2 = float(steepest @ steepest)
+        step = None
+        if carry is not None and pull == 0.0 and carry[0] == face.size:
+            # Polak-Ribiere-plus: the last direction, carried onto the current
+            # constraints' null space, conjugates the new one
+            _, last_norm2, last_steepest, last = carry
+            beta = (norm2 - float(steepest @ last_steepest)) / last_norm2
+            if beta > 0.0:
+                direction = steepest + beta * face.carry(last)
+                conj_slope = float(grad @ direction)
+                if conj_slope < 0.0:
+                    step = search(face, free, direction, conj_slope)
+        if step is None:
+            direction = steepest
+            step = search(face, free, direction, slope)
+        if step is None:
             break
-        for _ in range(12):
-            restored = restore(alpha + t * direction, chord=jac)
-            if restored is not None:
-                q_cand, a_cand = evaluate(restored[0])
-                if q_cand < q_value - 1e-15 * (1.0 + abs(q_value)):
-                    break
-            t *= 0.5
-        else:
-            break
-        (alpha, ka), q_value, a_alpha = restored, q_cand, a_cand
+        (alpha, ka), q_value, a_alpha, exact = step
+        carry = (face.size, norm2, steepest, direction) if exact and pull == 0.0 else None
 
     moved = q_value < q_start
     alpha = alpha / alpha.sum()

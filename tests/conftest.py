@@ -39,7 +39,7 @@ def failing_lanczos(monkeypatch):
 @pytest.fixture(scope="session")
 def weighted_moons():
     """Noisy two moons (n = 900, bandwidth 0.1): the gram matrix and the
-    weights two rounds of run_cdsk leave, 153 of them zero."""
+    weights two rounds of run_cdsk leave, 154 of them zero."""
     data = make_two_moons(900, 0.15, seed=1)
     alpha = run_cdsk(data, CdskConfig(c=2, bandwidth=0.1, max_iter=2)).alpha
     return gram(data, KernelSpec(0.1)), alpha

@@ -236,6 +236,13 @@ def test_tune_command(capsys, tmp_path):
     assert chosen in (0.1, 0.3)
     assert _value(out, "lambda_grid") == "0.1 0.3"
     assert "entropy 0.1" in out and "entropy 0.3" in out
+    # the label column is only dropped from the features, and --help says so
+    assert "accuracy" not in out and "nmi" not in out
+    with pytest.raises(SystemExit):
+        main(["tune", "--help"])
+    usage = " ".join(capsys.readouterr().out.split())
+    assert "labels, dropped from the features (tune prints no metrics)" in usage
+    assert "for metrics" not in usage
 
 
 def test_tune_then_cluster_document_equals_run_cdsk(capsys, tmp_path):

@@ -638,6 +638,63 @@ def test_solve_alpha_coupled_products_per_iteration(monkeypatch):
     assert k_total - k_setup <= (c * (c + 1) // 2 + 2) * iterations
 
 
+def _tuner_steps(monkeypatch, config, grid=DEFAULT_LAMBDA_GRID):
+    """(call, solution) of every weight step tune_lambda takes on noisy moons
+    n = 1200 (its 120-point subsample), as on `cdsk tune`; call() repeats it."""
+    real, steps = cdsk.driver.solve_alpha_coupled, []
+
+    def spy(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        steps.append((lambda: solve_alpha_coupled(*args, **kwargs), sol))
+        return sol
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cdsk.driver, "solve_alpha_coupled", spy)
+        tune_lambda(make_two_moons(1200, 0.15, seed=1), config, grid=grid)
+    return steps
+
+
+def test_tune_lambda_inner_iterations(monkeypatch):
+    # most of the tuner's iterations stay inside the face, where conjugate
+    # directions replace steepest descent's zig-zag (1022 iterations without)
+    steps = _tuner_steps(monkeypatch, CdskConfig(c=2, bandwidth=0.1, seed=2))
+    assert len(steps) == 42
+    assert all(sol.converged for _, sol in steps)
+    assert sum(sol.iterations for _, sol in steps) <= 850
+
+
+def test_solve_alpha_coupled_one_factor_per_interior_iteration(monkeypatch):
+    # the projection, the conjugate carry and the Newton steps on the face
+    # share one Cholesky factor of J_S J_S^T per iteration
+    steps = _tuner_steps(monkeypatch, CdskConfig(c=2, bandwidth=0.1, seed=2), grid=(0.5,))
+    step = steps[1][0]  # a warm-started step whose iterations are all interior
+    counts = {"dposv": 0, "dpotrs": 0}
+
+    def counting(name):
+        real = getattr(cdsk.driver, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(cdsk.driver, name, counting(name))
+    used = []
+    for max_inner in (0, 80):
+        counts.update(dposv=0, dpotrs=0)
+        monkeypatch.setattr(cdsk.driver, "_MAX_INNER", max_inner)
+        used.append((step().iterations, counts["dposv"], counts["dpotrs"]))
+    # the start's restoration and the final KKT projection, then one factor
+    # per iteration; it solves each iteration's Newton step and, past a
+    # restart, its conjugate carry as well
+    (_, setup, setup_reuse), (iterations, total, reuse) = used
+    assert iterations >= 15
+    assert total - setup == iterations
+    assert reuse - setup_reuse > iterations
+
+
 def test_solve_alpha_coupled_respects_max_inner(monkeypatch):
     qp, y, k, alpha = _three_blobs_step()
     for max_inner in (0, 1, 5):
@@ -689,7 +746,7 @@ def test_projection_matches_least_squares(monkeypatch):
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "lstsq", counting)
-                got = cdsk.driver._project(grad, jac, keep)
+                got = cdsk.driver._Face(jac, keep, grad).zeta
             assert bool(calls) == singular
             assert np.abs(got - want).max() <= 1e-9 * np.abs(grad).max()
 

@@ -174,7 +174,7 @@ def test_embedding_lanczos_general_alpha_matches_dense(
     # weights far from uniform, some of them zero: the Lanczos product runs
     # on S itself, not on a multiple of K
     kmat, alpha = weighted_moons
-    assert np.count_nonzero(alpha == 0.0) == 153
+    assert np.count_nonzero(alpha == 0.0) == 154
     g = disc_similarity(kmat, alpha, 0.1)
     monkeypatch.setattr(cdsk.embedding, "_dense_laplacian", _no_dense_laplacian)
     y = solve_embedding(g, c)
