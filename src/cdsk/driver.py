@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import idamax
 from scipy.linalg.lapack import dposv, dpotrs
 
 from .data_io import ClusteringResult, SampleMatrix
@@ -57,26 +59,33 @@ class _Face:
         self.jac, self.keep = jac, keep
         self.size = np.count_nonzero(keep)
         self.rows = jac * keep
-        self.gram = self.rows @ jac.T
-        self.chol, fit = _cholesky(self.gram, self.rows @ grad)
+        # ndarray.dot runs the BLAS call of @ (same bytes) with less dispatch
+        self.gram = self.rows.dot(jac.T)
+        self.chol, fit = _cholesky(self.gram, self.rows.dot(grad))
         if self.chol is None:
             fit = np.linalg.lstsq(self.rows.T, grad, rcond=None)[0]
         # the projected gradient: grad less its least-squares fit by the rows
-        self.zeta = grad - fit @ jac
+        self.zeta = grad - fit.dot(jac)
 
     def carry(self, vec: np.ndarray) -> np.ndarray:
         """vec, zero off the face, projected onto its rows' null space."""
         if self.chol is None:
             fit = np.linalg.lstsq(self.rows.T, vec, rcond=None)[0]
         else:
-            fit = dpotrs(self.chol, self.rows @ vec)[0]
-        return vec - fit @ self.rows
+            fit = dpotrs(self.chol, self.rows.dot(vec))[0]
+        return vec - fit.dot(self.rows)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(J_S J^T)^-1 rhs."""
         if self.chol is None:
             return np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
         return dpotrs(self.chol, rhs)[0]
+
+
+def _feasible(r: np.ndarray) -> bool:
+    """Every constraint value within _FEAS_TOL of its target (NaN is not):
+    at most 1 + c(c+1)/2 entries, cheaper to scan as Python floats."""
+    return all(-_FEAS_TOL <= v <= _FEAS_TOL for v in r.tolist())
 
 
 @dataclass
@@ -160,6 +169,10 @@ def solve_alpha_coupled(
     matrix 4 + c(c+1)/2 times: four matrix-vector products (A d for the
     curvature, A a, and K a before and after the Newton step) and the
     c(c+1)/2 rows of (W a) K in the Jacobian; the conjugate carry adds none.
+    At desk scale the small vector operations around those products cost
+    more than the products, so an iteration works in buffers allocated once
+    per call (no input is written) and scans the few constraint values as
+    Python floats.
     The returned point is always feasible and never worse than the start;
     converged means the KKT residual met _QP_CONVERGED_TOL.
     """
@@ -178,25 +191,39 @@ def solve_alpha_coupled(
     targets = np.array([1.0] + [1.0 if p == q else 0.0 for p, q in pairs])
     # the a-free part of the normalization rows' Jacobian: 2 (w d1 + K w), K w as w^T K
     jac_fixed = w_deg * d1 + w_deg @ kvals
+    # work buffers, overwritten by every call of the closure that owns them:
+    # what a caller keeps (a face's Jacobian, the residual handed to a solve)
+    # is used up before that closure runs again
+    jac = np.empty((targets.size, n))
+    jac[0] = 1.0
+    jac_rows, weighted = jac[1:], np.empty_like(w_deg)
+    res, degrees = np.empty(targets.size), np.empty(n)
+    res_rows = res[1:]
+    trial, ratio, shrink = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
 
     def evaluate(a: np.ndarray) -> tuple[float, np.ndarray]:
         """q(a) and A a."""
         aa = quad @ a
-        return float(a @ aa + lin @ a), aa
+        return float(a.dot(aa) + lin.dot(a)), aa
 
     def residual(a: np.ndarray, ka: np.ndarray) -> np.ndarray:
         """Constraint values minus targets, with the degrees of the graph in
         closed form: D = 2 (a d1 + K a - lam a K a), ka = K a, d1 = K 1."""
-        out = np.empty(targets.size)
-        out[0] = a.sum()
-        np.matmul(w_deg, (d1 - lam * ka) * a + ka, out=out[1:])
-        return out - targets
+        np.multiply(ka, lam, out=degrees)
+        np.subtract(d1, degrees, out=degrees)
+        np.multiply(degrees, a, out=degrees)
+        np.add(degrees, ka, out=degrees)
+        res[0] = np.add.reduce(a)
+        w_deg.dot(degrees, out=res_rows)
+        np.subtract(res, targets, out=res)
+        return res
 
     def jacobian(a: np.ndarray, ka: np.ndarray) -> np.ndarray:
-        jac = np.empty((targets.size, n))
-        jac[0] = 1.0
-        np.matmul(w_lam * a, kvals, out=jac[1:])
-        jac[1:] += w_lam * ka + jac_fixed
+        np.multiply(w_lam, a, out=weighted)
+        np.matmul(weighted, kvals, out=jac_rows)
+        np.multiply(w_lam, ka, out=weighted)
+        np.add(weighted, jac_fixed, out=weighted)
+        np.add(jac_rows, weighted, out=jac_rows)
         return jac
 
     def restore(a: np.ndarray, face: _Face | None = None) -> tuple | None:
@@ -209,35 +236,37 @@ def solve_alpha_coupled(
         for _ in range(6):
             ka = kvals @ cand
             r = residual(cand, ka)
-            if np.abs(r).max() <= _FEAS_TOL:
+            if _feasible(r):
                 return cand, ka
             # a step's point has mass only on its face's columns, so equal counts mean equal sets
             if face is not None and np.count_nonzero(cand) == face.size:
-                cand -= face.solve(r) @ face.rows
+                cand -= face.solve(r).dot(face.rows)
             else:
                 jac = jacobian(cand, ka) if face is None else face.jac
                 rows = jac * (cand > 0.0)
-                cand -= _gram_solve(rows @ jac.T, r) @ rows
+                cand -= _gram_solve(rows.dot(jac.T), r).dot(rows)
             np.maximum(cand, 0.0, out=cand)
         ka = kvals @ cand
-        return (cand, ka) if np.abs(residual(cand, ka)).max() <= _FEAS_TOL else None
-
-    ratio = np.empty(n)
+        return (cand, ka) if _feasible(residual(cand, ka)) else None
 
     def search(face: _Face, free: np.ndarray, direction: np.ndarray, slope: float) -> tuple | None:
         """The accepted (point, K point, q, A point) along direction, and whether
         its step was the curvature's own, neither capped nor halved; or None."""
-        shrink = free & (direction < 0.0)
+        np.less(direction, 0.0, out=shrink)
+        np.logical_and(shrink, free, out=shrink)
+        ratio.fill(-np.inf)
         np.divide(alpha, direction, out=ratio, where=shrink)
-        t_bound = -float(np.maximum.reduce(ratio, where=shrink, initial=-np.inf))
-        curvature = float(direction @ (quad @ direction))
-        t = -slope / (2.0 * curvature) if curvature > 0.0 else np.inf
+        t_bound = -float(np.maximum.reduce(ratio))
+        curvature = float(direction.dot(quad @ direction))
+        t = -slope / (2.0 * curvature) if curvature > 0.0 else math.inf
         exact = t < t_bound
         t = min(t, t_bound)
-        if not np.isfinite(t):
+        if not math.isfinite(t):
             return None
         for _ in range(12):
-            restored = restore(alpha + t * direction, face)
+            np.multiply(direction, t, out=trial)
+            np.add(trial, alpha, out=trial)
+            restored = restore(trial, face)
             if restored is not None:
                 q_cand, a_cand = evaluate(restored[0])
                 if q_cand < q_value - 1e-15 * (1.0 + abs(q_value)):
@@ -260,36 +289,49 @@ def solve_alpha_coupled(
     # |-zeta|^2, -zeta, the direction taken); the next free set can only
     # lose weights, so the same size means the same set
     carry = None
+    grad, scan = np.empty(n), np.empty(n)
+    free, fixed = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    # -zeta alternates between two buffers: the carry holds the last one
+    steepests = (np.empty(n), np.empty(n))
 
     while True:
-        grad = 2.0 * a_alpha + lin
-        free = alpha > _BOUND_EPS
+        np.multiply(a_alpha, 2.0, out=grad)
+        grad += lin
+        np.greater(alpha, _BOUND_EPS, out=free)
+        np.logical_not(free, out=fixed)
         face = _Face(jacobian(alpha, ka), free, grad)
         zeta = face.zeta
-        steepest = np.where(free, -zeta, 0.0)
-        # KKT residual: free weights must be stationary, zero ones must not want mass
-        pull = -float(np.minimum.reduce(zeta, where=~free, initial=0.0))
-        worst = max(float(steepest.max()), -float(steepest.min()), pull)
-        residual_norm = worst / (1.0 + float(np.abs(grad).max()))
+        steepest = steepests[iterations % 2]
+        np.negative(zeta, out=steepest)
+        # KKT residual: free weights must be stationary, zero ones must not want
+        # mass.  One reduction each: the pull, then |-zeta| on the free set and
+        # |grad|, whose largest magnitudes BLAS idamax locates in one call
+        pull = float(np.maximum.reduce(np.multiply(steepest, fixed, out=scan)))
+        np.copyto(steepest, 0.0, where=fixed)
+        worst = max(abs(float(steepest[idamax(steepest)])), pull)
+        residual_norm = worst / (1.0 + abs(float(grad[idamax(grad)])))
         if residual_norm <= _QP_TOL or iterations >= limit:
             break
         iterations += 1
         if pull > 0.0:  # zero weights that ask for mass join the face
             face = _Face(face.jac, free | (zeta < 0.0), grad)
-            steepest = np.where(face.keep, -face.zeta, 0.0)
-        slope = float(grad @ steepest)
+            np.negative(face.zeta, out=steepest)
+            np.copyto(steepest, 0.0, where=~face.keep)
+        slope = float(grad.dot(steepest))
         if not slope < 0.0:
             break
-        norm2 = float(steepest @ steepest)
+        norm2 = float(steepest.dot(steepest))
         step = None
         if carry is not None and pull == 0.0 and carry[0] == face.size:
             # Polak-Ribiere-plus: the last direction, carried onto the current
             # constraints' null space, conjugates the new one
             _, last_norm2, last_steepest, last = carry
-            beta = (norm2 - float(steepest @ last_steepest)) / last_norm2
+            beta = (norm2 - float(steepest.dot(last_steepest))) / last_norm2
             if beta > 0.0:
-                direction = steepest + beta * face.carry(last)
-                conj_slope = float(grad @ direction)
+                direction = face.carry(last)
+                direction *= beta
+                direction += steepest
+                conj_slope = float(grad.dot(direction))
                 if conj_slope < 0.0:
                     step = search(face, free, direction, conj_slope)
         if step is None:

@@ -61,26 +61,35 @@ def _squared_distances(a: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of a, on and above the diagonal
     blocks; _finish mirrors the rest.
 
-    ||a_i||^2 + ||a_j||^2 - 2 a_i.a_j, clamped at 0, built in place in the
-    upper triangle of BLAS syrk's a a^T (the bytes of numpy's a @ a.T, which
-    runs the same syrk and then mirrors it), one row block's diagonal square
-    and the rest of its upper trapezoid at a time.
+    ||a_i||^2 + ||a_j||^2 - 2 a_i.a_j, clamped at 0, built in place in BLAS
+    syrk's a a^T, one row block's diagonal square and the rest of its upper
+    trapezoid at a time.  Above one row block that is the upper triangle of
+    scipy's dsyrk; within one it is numpy's a @ a.T, which runs the same syrk
+    (the same bytes) and mirrors it.
     """
     n = a.shape[0]
     aa = np.sum(a * a, axis=1)
-    # an empty c, not the zeroed one dsyrk would allocate: at beta = 0 syrk
-    # reads none of c and writes its lower triangle, which is out's upper
-    c = np.empty((n, n), order="F")
-    out = dsyrk(1.0, a.T, c=c, trans=1, lower=1, overwrite_c=1).T
+    if 1 < n <= _ROW_BLOCK:
+        # one row block: numpy's a @ a.T is that syrk, mirrored in C faster
+        # than the masked copy below (at n = 1 numpy takes a dot instead)
+        a = np.ascontiguousarray(a)
+        out = a @ a.T
+    else:
+        # an empty c, not the zeroed one dsyrk would allocate: at beta = 0 syrk
+        # reads none of c and writes its lower triangle, which is out's upper
+        c = np.empty((n, n), order="F")
+        out = dsyrk(1.0, a.T, c=c, trans=1, lower=1, overwrite_c=1).T
     for start in range(0, n, _ROW_BLOCK):
         block = out[start : start + _ROW_BLOCK, start:]
-        # below the diagonal of its square the block is unwritten memory: the
-        # mirrored product goes there, and the chain's result equals its mirror
         m = block.shape[0]
-        square = block[:, :m]
-        np.copyto(square, square.T, where=_LOWER[:m, :m])
+        if n > _ROW_BLOCK:
+            # below the diagonal of its square the block is unwritten memory: the
+            # mirrored product goes there, and the chain's result equals its mirror
+            square = block[:, :m]
+            np.copyto(square, square.T, where=_LOWER[:m, :m])
         block *= 2.0
-        np.subtract(aa[start : start + m, None] + aa[start:], block, out=block)
+        # np.add.outer runs the same sums as broadcasting, with less dispatch
+        np.subtract(np.add.outer(aa[start : start + m], aa[start:]), block, out=block)
         np.maximum(block, 0.0, out=block)
     return out
 

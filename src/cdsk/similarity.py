@@ -24,11 +24,12 @@ def check_simplex(alpha, n: int | None = None) -> np.ndarray:
         raise ValidationError(f"alpha must be a vector, got shape {alpha.shape}")
     if n is not None and alpha.shape[0] != n:
         raise ValidationError(f"alpha has length {alpha.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(alpha)):
+    if not np.isfinite(alpha).all():
         raise ValidationError("alpha contains non-finite entries")
-    if np.min(alpha) < -_SIMPLEX_TOL:
-        raise ValidationError(f"alpha has a negative entry: {np.min(alpha)}")
-    total = float(np.sum(alpha))
+    low = alpha.min()
+    if low < -_SIMPLEX_TOL:
+        raise ValidationError(f"alpha has a negative entry: {low}")
+    total = float(alpha.sum())
     if abs(total - 1.0) > _SIMPLEX_TOL:
         raise ValidationError(f"alpha sums to {total}, expected 1")
     return alpha

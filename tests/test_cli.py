@@ -434,17 +434,17 @@ def test_ise_builds_each_kernel_once(capsys, blobs_csv, monkeypatch):
     # decision integral is tau1 k_alpha.  The heuristic makes the one more
     # distance build.
     builds, bandwidths = [], []
-    real_dsyrk, real_gram = cdsk.kernel.dsyrk, cdsk.kdc.gram
+    real_build, real_gram = cdsk.kernel._squared_distances, cdsk.kdc.gram
 
-    def counting_dsyrk(*args, **kwargs):
+    def counting_build(*args, **kwargs):
         builds.append(1)
-        return real_dsyrk(*args, **kwargs)
+        return real_build(*args, **kwargs)
 
     def recording_gram(data, spec=None):
         bandwidths.append(spec.bandwidth)
         return real_gram(data, spec)
 
-    monkeypatch.setattr(cdsk.kernel, "dsyrk", counting_dsyrk)
+    monkeypatch.setattr(cdsk.kernel, "_squared_distances", counting_build)
     monkeypatch.setattr(cdsk.kdc, "gram", recording_gram)
     for flags, want_builds in ((["--bandwidth", "1.0"], 1), ([], 2)):
         builds.clear()

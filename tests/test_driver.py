@@ -1,4 +1,5 @@
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -640,12 +641,13 @@ def test_solve_alpha_coupled_products_per_iteration(monkeypatch):
 
 def _tuner_steps(monkeypatch, config, grid=DEFAULT_LAMBDA_GRID):
     """(call, solution) of every weight step tune_lambda takes on noisy moons
-    n = 1200 (its 120-point subsample), as on `cdsk tune`; call() repeats it."""
+    n = 1200 (its 120-point subsample), as on `cdsk tune`; call() repeats it,
+    and call.args and call.keywords are its arguments."""
     real, steps = cdsk.driver.solve_alpha_coupled, []
 
     def spy(*args, **kwargs):
         sol = real(*args, **kwargs)
-        steps.append((lambda: solve_alpha_coupled(*args, **kwargs), sol))
+        steps.append((partial(solve_alpha_coupled, *args, **kwargs), sol))
         return sol
 
     with monkeypatch.context() as patch:
@@ -693,6 +695,22 @@ def test_solve_alpha_coupled_one_factor_per_interior_iteration(monkeypatch):
     assert iterations >= 15
     assert total - setup == iterations
     assert reuse - setup_reuse > iterations
+
+
+def test_solve_alpha_coupled_leaves_its_inputs_and_repeats(monkeypatch):
+    # the step works in buffers of its own: it writes none of its inputs, and
+    # a second call on a tuner step returns the first one's bytes
+    steps = _tuner_steps(monkeypatch, CdskConfig(c=2, bandwidth=0.1, seed=2), grid=(0.5,))
+    for call, sol in steps[:2]:  # the uniform start, then a warm start
+        y, kernel, _ = call.args
+        inputs = (y, kernel.values, call.keywords["start"])
+        assert y.shape == (120, 2) and sol.iterations > 0
+        before = [x.tobytes() for x in inputs]
+        again = call()
+        assert [x.tobytes() for x in inputs] == before
+        for field in fields(sol):
+            first, second = getattr(sol, field.name), getattr(again, field.name)
+            assert np.asarray(first).tobytes() == np.asarray(second).tobytes(), field.name
 
 
 def test_solve_alpha_coupled_respects_max_inner(monkeypatch):

@@ -4,12 +4,13 @@ from pathlib import Path
 
 import numpy as np
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_ionosphere.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SCRIPT = SCRIPTS / "run_ionosphere.py"
 
 
-def _run(*args):
+def _run(*args, script=SCRIPT):
     return subprocess.run(
-        [sys.executable, str(SCRIPT), *args], capture_output=True, text=True, timeout=120
+        [sys.executable, str(script), *args], capture_output=True, text=True, timeout=120
     )
 
 
@@ -46,3 +47,25 @@ def test_run_ionosphere_malformed_data_exits_1(tmp_path):
         assert proc.stderr.startswith("error: "), proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def test_weight_step_cost_smoke():
+    # one run per step and figure: a row per group with its calls and
+    # iterations, and the per-iteration time split into products and the rest
+    proc = _run("--repeats", "1", script=SCRIPTS / "weight_step_cost.py")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == [
+        "group", "calls", "inner_iters", "us_per_iter", "products_us", "rest_us", "setup_us"
+    ]
+    groups = {}
+    for row in rows:
+        name, calls, iters, *figures = row.rsplit(maxsplit=6)
+        groups[name] = (int(calls), int(iters), [float(v) for v in figures])
+    assert list(groups) == ["tune n=120", "moons-400", "moons-200-noisy", "blobs-300"]
+    # the tuner's 42 weight steps (tests/test_driver.py pins their iterations)
+    assert groups["tune n=120"][0] == 42
+    for calls, iters, (per_iter, products, rest, setup) in groups.values():
+        assert calls >= 1 and iters >= 1
+        assert products > 0.0 and setup > 0.0
+        assert abs(per_iter - (products + rest)) <= 0.15
