@@ -9,14 +9,15 @@ workload (moons n = 400, noisy moons n = 200, 3-class blobs n = 300, before
 that workload's seeded rotation), then replays each group's steps.  Per
 group it prints the weight-step calls, their inner iterations and the
 microseconds per inner iteration, split into the n x n products (every
-matmul that reads the gram matrix K or the QP matrix A) and the rest.
+scipy BLAS dsymv or dgemm call, each of which reads the gram matrix K or
+the QP matrix A) and the rest.
 
 An iteration's cost is the replay time with the step's usual cap on inner
 iterations less the replay time with the cap at 0 (the QP assembly, the
 start's restoration and the final KKT scan), over the inner iterations; the
 per-call part is printed as setup_us.  The products are timed around each
-matmul alone, in separate runs whose K and A report their products.  Each
-figure sums every step's best of --repeats runs.
+BLAS call alone, in separate runs.  Each figure sums every step's best of
+--repeats runs.
 """
 
 import argparse
@@ -30,27 +31,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import cdsk.driver as driver  # noqa: E402
 from cdsk.data_io import make_blobs, make_two_moons  # noqa: E402
-from cdsk.kernel import GramMatrix  # noqa: E402
+
+# the weight step's n x n products: each call reads K or A
+_PRODUCTS = ("dsymv", "dgemm")
 
 
-class _TimedMatrix(np.ndarray):
-    """An n x n matrix that adds the seconds of every matmul it takes part in
-    to the list `spent` (the product alone, not this dispatch)."""
+def _timed(blas, spent):
+    """blas, adding the seconds of each call to the list `spent`."""
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        plain = [x.view(np.ndarray) if isinstance(x, _TimedMatrix) else x for x in inputs]
-        if ufunc is not np.matmul:
-            return getattr(ufunc, method)(*plain, **kwargs)
+    def call(*args, **kwargs):
         start = time.perf_counter()
-        out = getattr(ufunc, method)(*plain, **kwargs)
-        self.spent.append(time.perf_counter() - start)
+        out = blas(*args, **kwargs)
+        spent.append(time.perf_counter() - start)
         return out
 
-
-def _timed(values, spent):
-    out = values.view(_TimedMatrix)
-    out.spent = spent
-    return out
+    return call
 
 
 def _record(run):
@@ -89,22 +84,18 @@ def _best(steps, repeats):
     seconds at the usual cap on inner iterations, wall seconds at cap 0,
     product seconds at each cap; and the inner iterations.  A step's four
     runs alternate, so a burst of load on a shared host reaches them alike."""
-    cap, real_qp = driver._MAX_INNER, driver.assemble_alpha_qp
-    spent = []
-
-    def timed_qp(*args):
-        quad, lin = real_qp(*args)
-        return _timed(quad, spent), lin
+    cap, spent = driver._MAX_INNER, []
+    real = {name: getattr(driver, name) for name in _PRODUCTS}
+    timed_blas = {name: _timed(blas, spent) for name, blas in real.items()}
 
     def run(step, max_inner, timed):
-        (y, kernel, *rest), kwargs = step
+        args, kwargs = step
         driver._MAX_INNER = max_inner
-        if timed:
-            kernel = GramMatrix(_timed(kernel.values, spent), kernel.bandwidth)
-        driver.assemble_alpha_qp = timed_qp if timed else real_qp
+        for name, blas in (timed_blas if timed else real).items():
+            setattr(driver, name, blas)
         spent.clear()
         start = time.perf_counter()
-        sol = driver.solve_alpha_coupled(y, kernel, *rest, **kwargs)
+        sol = driver.solve_alpha_coupled(*args, **kwargs)
         return (sum(spent) if timed else time.perf_counter() - start), sol.iterations
 
     totals, iterations = np.zeros(4), 0
@@ -117,7 +108,9 @@ def _best(steps, repeats):
             totals += best
             iterations += runs[0][1]
     finally:
-        driver._MAX_INNER, driver.assemble_alpha_qp = cap, real_qp
+        driver._MAX_INNER = cap
+        for name, blas in real.items():
+            setattr(driver, name, blas)
     return totals, iterations
 
 

@@ -8,7 +8,7 @@ import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import idamax
+from scipy.linalg.blas import dgemm, dsymv, idamax
 from scipy.linalg.lapack import dposv, dpotrs
 
 from .data_io import ClusteringResult, SampleMatrix
@@ -17,6 +17,7 @@ from .errors import ConfigError, DegenerateDataError, ValidationError
 from .kernel import GramMatrix, KernelSpec, gram, pairwise_sq_dists
 from .kmeans_metrics import Partition, accuracy, kmeans, nmi
 from .similarity import check_simplex, disc_similarity
+from .spectral import fortran_symmetric
 
 DEFAULT_LAMBDA_GRID = tuple(round(0.05 * k, 2) for k in range(1, 11))
 _VALIDATION_FRACTION = 0.1
@@ -165,10 +166,13 @@ def solve_alpha_coupled(
     Every iteration costs O(m n^2) with no n x n factorization.  Each point
     gets K a and A a once: K a serves its residual, its degrees and the next
     Jacobian, A a its value and the next gradient 2 A a + b.  An iteration
-    whose step is accepted after one Newton step therefore reads an n x n
-    matrix 4 + c(c+1)/2 times: four matrix-vector products (A d for the
-    curvature, A a, and K a before and after the Newton step) and the
-    c(c+1)/2 rows of (W a) K in the Jacobian; the conjugate carry adds none.
+    whose step is accepted after one Newton step therefore takes four
+    matrix-vector products (A d for the curvature, A a, and K a before and
+    after the Newton step) and the c(c+1)/2 rows of (W a) K in the
+    Jacobian; the conjugate carry adds none.  Each product is one call of
+    scipy's BLAS: the four are symv calls that read one triangle of K or A,
+    the rows one gemm that reads K once, so an iteration reads three n x n
+    matrices' worth of memory where whole-matrix products would read five.
     At desk scale the small vector operations around those products cost
     more than the products, so an iteration works in buffers allocated once
     per call (no input is written) and scans the few constraint values as
@@ -176,10 +180,14 @@ def solve_alpha_coupled(
     The returned point is always feasible and never worse than the start;
     converged means the KKT residual met _QP_CONVERGED_TOL.
     """
-    kvals = kernel.values
-    d1 = kvals.sum(axis=1)
+    # K and A are exactly symmetric: every product with them is a BLAS call of
+    # scipy's on their Fortran-ordered forms, symv reading one triangle, so
+    # none runs in numpy's own OpenBLAS build and its separate thread pool
+    k_f = fortran_symmetric(kernel.values)
+    n = k_f.shape[0]
+    d1 = dsymv(1.0, k_f, np.ones(n))
     quad, lin = assemble_alpha_qp(y, kernel, lam, d1)
-    n = kvals.shape[0]
+    a_f = fortran_symmetric(quad)
     alpha = check_simplex(start, n=n)
     y = np.asarray(y, dtype=np.float64)
     c = y.shape[1]
@@ -189,8 +197,10 @@ def solve_alpha_coupled(
     w_lam = -lam * w_deg
     # the simplex sum, then the normalization rows, each against its target
     targets = np.array([1.0] + [1.0 if p == q else 0.0 for p, q in pairs])
-    # the a-free part of the normalization rows' Jacobian: 2 (w d1 + K w), K w as w^T K
-    jac_fixed = w_deg * d1 + w_deg @ kvals
+    # the a-free part of the normalization rows' Jacobian: 2 (w d1 + K w), K w
+    # as the rows of (K w^T)^T
+    jac_fixed = dgemm(1.0, k_f, w_deg.T).T
+    jac_fixed += w_deg * d1
     # work buffers, overwritten by every call of the closure that owns them:
     # what a caller keeps (a face's Jacobian, the residual handed to a solve)
     # is used up before that closure runs again
@@ -203,7 +213,7 @@ def solve_alpha_coupled(
 
     def evaluate(a: np.ndarray) -> tuple[float, np.ndarray]:
         """q(a) and A a."""
-        aa = quad @ a
+        aa = dsymv(1.0, a_f, a)
         return float(a.dot(aa) + lin.dot(a)), aa
 
     def residual(a: np.ndarray, ka: np.ndarray) -> np.ndarray:
@@ -220,7 +230,8 @@ def solve_alpha_coupled(
 
     def jacobian(a: np.ndarray, ka: np.ndarray) -> np.ndarray:
         np.multiply(w_lam, a, out=weighted)
-        np.matmul(weighted, kvals, out=jac_rows)
+        # (W a) K as K (W a)^T, written into the rows' transpose
+        dgemm(1.0, k_f, weighted.T, c=jac_rows.T, overwrite_c=1)
         np.multiply(w_lam, ka, out=weighted)
         np.add(weighted, jac_fixed, out=weighted)
         np.add(jac_rows, weighted, out=jac_rows)
@@ -234,7 +245,7 @@ def solve_alpha_coupled(
         # there, so it neither spoils the next round's convergence nor jams the ratio test
         cand = np.where(a > _BOUND_EPS, a, 0.0)
         for _ in range(6):
-            ka = kvals @ cand
+            ka = dsymv(1.0, k_f, cand)
             r = residual(cand, ka)
             if _feasible(r):
                 return cand, ka
@@ -246,7 +257,7 @@ def solve_alpha_coupled(
                 rows = jac * (cand > 0.0)
                 cand -= _gram_solve(rows.dot(jac.T), r).dot(rows)
             np.maximum(cand, 0.0, out=cand)
-        ka = kvals @ cand
+        ka = dsymv(1.0, k_f, cand)
         return (cand, ka) if _feasible(residual(cand, ka)) else None
 
     def search(face: _Face, free: np.ndarray, direction: np.ndarray, slope: float) -> tuple | None:
@@ -257,7 +268,7 @@ def solve_alpha_coupled(
         ratio.fill(-np.inf)
         np.divide(alpha, direction, out=ratio, where=shrink)
         t_bound = -float(np.maximum.reduce(ratio))
-        curvature = float(direction.dot(quad @ direction))
+        curvature = float(direction.dot(dsymv(1.0, a_f, direction)))
         t = -slope / (2.0 * curvature) if curvature > 0.0 else math.inf
         exact = t < t_bound
         t = min(t, t_bound)

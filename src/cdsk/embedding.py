@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import dsymv
 
 from .errors import DegenerateDataError, NumericError, ValidationError
-from .spectral import check_symmetric, lanczos_applies, lanczos_smallest, overwriting_smallest
+from .spectral import fortran_symmetric, lanczos_applies, lanczos_smallest, overwriting_smallest
 
 # A graph row whose degree falls below this fraction of the largest degree is
 # effectively disconnected and breaks the normalized Laplacian.
@@ -16,8 +17,12 @@ _SCALE_ROWS = 32
 
 
 def _check_degrees(degree: np.ndarray) -> np.ndarray:
-    """Raise DegenerateDataError if a graph row's degree is (near-)zero, at or
-    below _DEGREE_REL_FLOOR times the largest degree; returns degree."""
+    """Raise ValidationError if a degree is not finite (S holds a NaN or inf
+    in the triangle that gave it) and DegenerateDataError if a graph row's
+    degree is (near-)zero, at or below _DEGREE_REL_FLOOR times the largest
+    degree; returns degree."""
+    if not np.isfinite(degree).all():
+        raise ValidationError("similarity contains non-finite entries")
     floor = _DEGREE_REL_FLOOR * max(float(degree.max()), 0.0)
     if float(degree.min()) <= floor:
         raise DegenerateDataError(
@@ -45,8 +50,12 @@ def _dense_laplacian(s: np.ndarray, degree: np.ndarray) -> np.ndarray:
 def solve_embedding(s: np.ndarray, c: int) -> np.ndarray:
     """Trace-minimizing embedding under the degree constraint Y^T D Y = I.
 
-    S is any symmetric nonnegative similarity, D = diag(S 1) its degrees; a
-    (near-)zero degree raises DegenerateDataError before any eigensolve.
+    S is a square, finite, nonnegative and exactly symmetric (S == S.T)
+    similarity, as gram's K and disc_similarity's S are by construction.
+    Its symmetry is not re-checked: the degrees D = diag(S 1) come from one
+    BLAS symv that reads one triangle of S, and so does every Lanczos
+    product.  A non-finite degree raises ValidationError and a (near-)zero
+    one DegenerateDataError, both before any eigensolve.
     Takes the c smallest eigenvectors U of the normalized Laplacian
     N = I - D^{-1/2} S D^{-1/2} and returns the (n, c) array Y = D^{-1/2} U,
     one row per sample.  With positive degrees, N has the null vector
@@ -54,15 +63,15 @@ def solve_embedding(s: np.ndarray, c: int) -> np.ndarray:
     block Lanczos iteration, run on S itself, deflates it and computes only
     the other c - 1 vectors.  Elsewhere, and if that iteration fails with
     NumericError, LAPACK's subset solve runs on N, built from S in a buffer
-    that the solve overwrites.  The
-    baseline embeds K itself: at uniform weights S = s0 K, whose N is the
-    same (Ng, Jordan & Weiss 2001).
+    that the solve overwrites.  The baseline embeds K itself: at uniform
+    weights S = s0 K, whose N is the same (Ng, Jordan & Weiss 2001).
     """
-    s = check_symmetric(s)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {s.shape}")
     n = s.shape[0]
     if not 1 <= c <= n:
         raise ValidationError(f"need 1 <= c <= n, got c={c}, n={n}")
-    degree = _check_degrees(s.sum(axis=1))
+    degree = _check_degrees(dsymv(1.0, fortran_symmetric(s), np.ones(n)))
     u = None
     if lanczos_applies(n, c):
         try:

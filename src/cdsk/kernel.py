@@ -62,10 +62,11 @@ def _squared_distances(a: np.ndarray) -> np.ndarray:
     blocks; _finish mirrors the rest.
 
     ||a_i||^2 + ||a_j||^2 - 2 a_i.a_j, clamped at 0, built in place in BLAS
-    syrk's a a^T, one row block's diagonal square and the rest of its upper
-    trapezoid at a time.  Above one row block that is the upper triangle of
-    scipy's dsyrk; within one it is numpy's a @ a.T, which runs the same syrk
-    (the same bytes) and mirrors it.
+    syrk's 2 a a^T, one row block's diagonal square and the rest of its upper
+    trapezoid at a time, each block's norm sums in one reused block-sized
+    buffer.  Above one row block that is the upper triangle of scipy's dsyrk
+    at alpha = 2; within one it is numpy's a @ a.T, which runs the same syrk
+    and mirrors it, doubled once (scaling by 2 is exact: the same bytes).
     """
     n = a.shape[0]
     aa = np.sum(a * a, axis=1)
@@ -74,22 +75,24 @@ def _squared_distances(a: np.ndarray) -> np.ndarray:
         # than the masked copy below (at n = 1 numpy takes a dot instead)
         a = np.ascontiguousarray(a)
         out = a @ a.T
+        out *= 2.0
     else:
         # an empty c, not the zeroed one dsyrk would allocate: at beta = 0 syrk
         # reads none of c and writes its lower triangle, which is out's upper
         c = np.empty((n, n), order="F")
-        out = dsyrk(1.0, a.T, c=c, trans=1, lower=1, overwrite_c=1).T
+        out = dsyrk(2.0, a.T, c=c, trans=1, lower=1, overwrite_c=1).T
+    sums = np.empty((min(n, _ROW_BLOCK), n))
     for start in range(0, n, _ROW_BLOCK):
         block = out[start : start + _ROW_BLOCK, start:]
-        m = block.shape[0]
+        m, width = block.shape
         if n > _ROW_BLOCK:
             # below the diagonal of its square the block is unwritten memory: the
             # mirrored product goes there, and the chain's result equals its mirror
             square = block[:, :m]
             np.copyto(square, square.T, where=_LOWER[:m, :m])
-        block *= 2.0
         # np.add.outer runs the same sums as broadcasting, with less dispatch
-        np.subtract(np.add.outer(aa[start : start + m], aa[start:]), block, out=block)
+        outer = np.add.outer(aa[start : start + m], aa[start:], out=sums[:m, :width])
+        np.subtract(outer, block, out=block)
         np.maximum(block, 0.0, out=block)
     return out
 

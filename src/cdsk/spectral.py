@@ -1,11 +1,13 @@
 """Symmetric-matrix checks and eigensolves.
 
-check_symmetric validates every similarity the library decomposes; the
-embedding's c smallest eigenpairs come from overwriting_smallest (a dense
-subset solve, up to _DENSE_LIMIT) or lanczos_smallest (an unrestarted
-block Lanczos iteration above it); psd_split is the signed split of an
-indefinite similarity.  Callers that need eigenvalues only use
-np.linalg.eigvalsh.
+check_symmetric validates the user-supplied matrices that psd_split and
+the bounds decompose (gram's K and disc_similarity's S are exact mirrors by
+construction and go unchecked); fortran_symmetric hands a symmetric matrix
+to BLAS, which reads one triangle of it; the embedding's c smallest
+eigenpairs come from overwriting_smallest (a dense subset solve, up to
+_DENSE_LIMIT) or lanczos_smallest (an unrestarted block Lanczos iteration
+above it); psd_split is the signed split of an indefinite similarity.
+Callers that need eigenvalues only use np.linalg.eigvalsh.
 """
 
 from __future__ import annotations
@@ -190,11 +192,18 @@ def _block_lanczos(apply, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raise NumericError(f"Lanczos iteration did not converge in {_LANCZOS_MAX_STEPS} steps")
 
 
+def fortran_symmetric(m: np.ndarray) -> np.ndarray:
+    """The Fortran-ordered form of an exactly symmetric m, which f2py hands
+    to BLAS without copying it on every call: m.T for C-ordered m (equal to
+    m), m itself for F-ordered m, and a strided view copied once."""
+    return m.T if m.flags.c_contiguous else np.asfortranarray(m)
+
+
 def lanczos_smallest(m: np.ndarray, c: int, degree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The c smallest eigenpairs, ascending, of the normalized Laplacian
     N = I - W m W, W = diag(w) = D^{-1/2}, by Lanczos iteration; N is never formed.
 
-    m >= 0 must have passed check_symmetric and degree, its row sums D, be
+    m >= 0 must be exactly symmetric and degree, its row sums D, be
     positive, so N's spectrum lies in [0, 2].  A block Lanczos iteration
     (_block_lanczos) runs on 2I - N, x -> x + w * (m (w * x)), and takes its
     largest eigenvalues theta, returning 2 - theta.  The shift matters
@@ -202,9 +211,8 @@ def lanczos_smallest(m: np.ndarray, c: int, degree: np.ndarray) -> tuple[np.ndar
     relative to the Ritz value itself: the bottom of a Laplacian spectrum
     sits at zero, where that test is hardest to meet, while the shifted
     values sit near 2.  Each product is one BLAS symv call that reads only
-    the upper triangle of m's Fortran-ordered form, which is m.T for
-    C-ordered m and m itself for F-ordered m; both give the same bytes, and
-    a strided view is copied once, to Fortran order.
+    the upper triangle of fortran_symmetric(m); C- and F-ordered m give the
+    same bytes.
 
     The unit vector D^{1/2} 1 / ||D^{1/2} 1|| spans N's eigenvalue-0
     eigenspace.  It is deflated from the operator (x -> ... - 2 u u^T x),
@@ -221,8 +229,7 @@ def lanczos_smallest(m: np.ndarray, c: int, degree: np.ndarray) -> tuple[np.ndar
     if c > 1:
         n = m.shape[0]
         w = 1.0 / sqrt_degree
-        # f2py would copy a C-ordered array on every symv call
-        f = m.T if m.flags.c_contiguous else np.asfortranarray(m)
+        f = fortran_symmetric(m)
 
         def apply(rows):
             out = np.array([dsymv(1.0, f, w * x) for x in rows])

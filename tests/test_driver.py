@@ -454,6 +454,35 @@ def test_every_graph_built_is_embedded(monkeypatch):
         counted(tune_lambda, data, config, grid=grid)
 
 
+@pytest.mark.parametrize("n", [_DENSE_LIMIT // 2, 3 * _DENSE_LIMIT // 2])
+def test_every_embedded_matrix_is_an_exact_finite_mirror(monkeypatch, n):
+    # solve_embedding reads the degrees and the Lanczos products from one
+    # triangle and checks no symmetry itself, so every K and S the entry
+    # points hand it must equal its transpose exactly and be finite; the
+    # tuner's subsample is a tenth of its data, so it gets ten times n points
+    real, seen = cdsk.driver.solve_embedding, []
+
+    def spy(s, c):
+        seen.append((s.shape[0], np.array_equal(s, s.T), bool(np.isfinite(s).all())))
+        return real(s, c)
+
+    monkeypatch.setattr(cdsk.driver, "solve_embedding", spy)
+    centers = [[0.0, 0.0], [4.0, 0.0], [2.0, 3.5]]
+    for make, bandwidth in (
+        (lambda size: make_two_moons(size, 0.1, seed=1), 0.1),
+        (lambda size: make_blobs(size // 3, centers, 1.0, seed=3), None),
+    ):
+        data = make(n)
+        config = CdskConfig(c=int(data.labels.max()), bandwidth=bandwidth, max_iter=3)
+        seen.clear()
+        run_cdsk(data, config)
+        run_baseline_spectral(data, config.c, bandwidth=bandwidth)
+        tune_lambda(make(10 * n), config, grid=(0.1,))
+        assert len(seen) >= 5
+        assert {size > _DENSE_LIMIT for size, _, _ in seen} == {n > _DENSE_LIMIT}
+        assert all(mirror and finite for _, mirror, finite in seen), seen
+
+
 def test_alternate_returns_the_recorded_iterate(monkeypatch):
     # whichever way the loop stops, its (alpha, Y) is the pair whose joint
     # objective ends the trace: by tolerance, by max_iter, or by a degenerate
@@ -615,17 +644,36 @@ def test_solve_alpha_coupled_products_per_iteration(monkeypatch):
     # in K a before and after its one Newton step, and the QP matrix A in the
     # curvature A d and in A a at the accepted point; every other product is
     # reused (K a by the residual, degrees and next Jacobian, A a by the value
-    # and the next gradient, the iteration's Jacobian by the Newton step)
+    # and the next gradient, the iteration's Jacobian by the Newton step).
+    # Each is a call of scipy's BLAS (symv for a vector, gemm for rows), which
+    # is counted by the matrix it reads; numpy's matmul sees neither matrix
     counts = {"K": 0, "A": 0}
-    real = cdsk.driver.assemble_alpha_qp
+    matmuls = {"K": 0, "A": 0}
+    real_qp = cdsk.driver.assemble_alpha_qp
+    matrices = {}
 
     def counting_qp(*args):
-        a, b = real(*args)
-        return _counting(a, "A", counts), b
+        a, b = real_qp(*args)
+        matrices["A"] = a
+        return _counting(a, "A", matmuls), b
+
+    def owner(m):
+        (name,) = [name for name, values in matrices.items() if np.shares_memory(m, values)]
+        return name
+
+    def counting(blas, rows):
+        def wrapper(alpha, a, b, *args, **kwargs):
+            counts[owner(a)] += rows(b)
+            return blas(alpha, a, b, *args, **kwargs)
+
+        return wrapper
 
     monkeypatch.setattr(cdsk.driver, "assemble_alpha_qp", counting_qp)
+    monkeypatch.setattr(cdsk.driver, "dsymv", counting(cdsk.driver.dsymv, lambda x: 1))
+    monkeypatch.setattr(cdsk.driver, "dgemm", counting(cdsk.driver.dgemm, lambda b: b.shape[1]))
     _, y, k, alpha = _three_blobs_step()
-    kernel = GramMatrix(_counting(k.values, "K", counts), k.bandwidth)
+    matrices["K"] = k.values
+    kernel = GramMatrix(_counting(k.values, "K", matmuls), k.bandwidth)
     c = y.shape[1]
     used = []
     for max_inner in (0, 80):
@@ -637,6 +685,7 @@ def test_solve_alpha_coupled_products_per_iteration(monkeypatch):
     assert iterations >= 20
     assert a_total - a_setup == 2 * iterations
     assert k_total - k_setup <= (c * (c + 1) // 2 + 2) * iterations
+    assert matmuls == {"K": 0, "A": 0}
 
 
 def _tuner_steps(monkeypatch, config, grid=DEFAULT_LAMBDA_GRID):

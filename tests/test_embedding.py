@@ -48,6 +48,21 @@ def test_embedding_c_bounds():
         solve_embedding(g, 6)
 
 
+def test_embedding_rejects_a_non_square_or_non_finite_similarity():
+    # the symmetry is not re-scanned, but the shape is checked, and a NaN or
+    # inf in the triangle that symv reads reaches the degrees
+    rng = np.random.default_rng(2)
+    g = _graph_from_points(rng.normal(size=(5, 2)))
+    for bad in (g[:4], g[0]):
+        with pytest.raises(ValidationError, match="square"):
+            solve_embedding(bad, 1)
+    for value in (np.nan, np.inf):
+        s = g.copy()
+        s[1, 3] = s[3, 1] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve_embedding(s, 2)
+
+
 def test_embedding_c1_pair():
     # for a symmetric pair the single bottom eigenvector is the degree-scaled
     # constant vector
@@ -256,10 +271,12 @@ def test_uniform_embedding_arpack_failure_falls_back_to_dense(
     _baseline_moons(3)
     (y,) = baseline_embeddings
     assert len(failing_lanczos) == 1
-    # the dense subset solve on K's N, scaled by (K1)^{-1/2}
+    # the dense subset solve on K's N, scaled by (K1)^{-1/2}, K1 by the
+    # embedding's one-triangle symv
     k = moons_gram.values
-    _, u = overwriting_smallest(_dense_laplacian(k, k.sum(axis=1)), 3)
-    assert y.tobytes() == (u / np.sqrt(k.sum(axis=1))[:, None]).tobytes()
+    degree = cdsk.embedding.dsymv(1.0, k.T, np.ones(k.shape[0]))
+    _, u = overwriting_smallest(_dense_laplacian(k, degree), 3)
+    assert y.tobytes() == (u / np.sqrt(degree)[:, None]).tobytes()
     # and the uniform graph's, whose N and D = s0 K1 differ from K's by rounding
     y_dense = solve_embedding(moons_graph, 3)
     assert len(failing_lanczos) == 2
