@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dsymv, idamax
-from scipy.linalg.lapack import dposv, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .data_io import ClusteringResult, SampleMatrix
 from .embedding import solve_embedding
@@ -35,52 +35,33 @@ _QP_TOL, _MAX_INNER = 1e-6, 80
 _QP_CONVERGED_TOL = 1e-5
 
 
-def _cholesky(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """(upper Cholesky factor of gram, gram^-1 rhs) by LAPACK dposv; the factor
-    is None, and the solution unusable, if gram is (numerically) singular."""
-    chol, x, info = dposv(gram, rhs)
-    pivots = chol.diagonal().tolist()  # a few entries: Python's min and max are cheaper
-    return (chol if info == 0 and min(pivots) > _PIVOT_TOL * max(pivots) else None), x
-
-
-def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """gram^-1 rhs by LAPACK Cholesky, or by least squares if gram is singular."""
-    chol, x = _cholesky(gram, rhs)
-    return x if chol is not None else np.linalg.lstsq(gram, rhs, rcond=None)[0]
-
-
 class _Face:
     """The constraint Jacobian's rows on the columns `keep` (zero elsewhere)
-    and one Cholesky factor of their Gram J_S J^T, which serves every solve on
-    those columns: dposv factors it while fitting the gradient, dpotrs reuses
-    the factor (exactly: dposv is potrf + potrs).  A numerically singular Gram
-    (its pivots span more than 1/_PIVOT_TOL) falls back to least squares."""
+    and one LAPACK Cholesky factor (dpotrf) of their Gram J_S J^T, which
+    dpotrs reuses for every solve on those columns.  A numerically singular
+    Gram (its pivots span more than 1/_PIVOT_TOL) falls back to least squares."""
 
-    def __init__(self, jac: np.ndarray, keep: np.ndarray, grad: np.ndarray):
+    def __init__(self, jac: np.ndarray, keep: np.ndarray):
         self.jac, self.keep = jac, keep
         self.size = np.count_nonzero(keep)
         self.rows = jac * keep
         # ndarray.dot runs the BLAS call of @ (same bytes) with less dispatch
         self.gram = self.rows.dot(jac.T)
-        self.chol, fit = _cholesky(self.gram, self.rows.dot(grad))
-        if self.chol is None:
-            fit = np.linalg.lstsq(self.rows.T, grad, rcond=None)[0]
-        # the projected gradient: grad less its least-squares fit by the rows
-        self.zeta = grad - fit.dot(jac)
-
-    def carry(self, vec: np.ndarray) -> np.ndarray:
-        """vec, zero off the face, projected onto its rows' null space."""
-        if self.chol is None:
-            fit = np.linalg.lstsq(self.rows.T, vec, rcond=None)[0]
-        else:
-            fit = dpotrs(self.chol, self.rows.dot(vec))[0]
-        return vec - fit.dot(self.rows)
+        chol, info = dpotrf(self.gram)
+        pivots = chol.diagonal().tolist()  # a few entries: Python's min and max are cheaper
+        self.chol = chol if info == 0 and min(pivots) > _PIVOT_TOL * max(pivots) else None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(J_S J^T)^-1 rhs."""
         if self.chol is None:
             return np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
         return dpotrs(self.chol, rhs)[0]
+
+    def fit(self, vec: np.ndarray) -> np.ndarray:
+        """The least-squares coefficients of vec by the rows."""
+        if self.chol is None:
+            return np.linalg.lstsq(self.rows.T, vec, rcond=None)[0]
+        return dpotrs(self.chol, self.rows.dot(vec))[0]
 
 
 def _feasible(r: np.ndarray) -> bool:
@@ -158,10 +139,11 @@ def solve_alpha_coupled(
     a step is a chord method: it reuses the iteration's Jacobian instead of
     building one per Newton step (the start point gets full Newton steps).
     The normal equations on the m x m Gram J_S J_S^T (m = 1 + c(c+1)/2, S the
-    kept columns, masked, not copied) get one LAPACK Cholesky factor per
-    iteration, which solves the projection, the conjugate carry and every
-    Newton step whose positive set is S; a numerically singular Gram (pivots
-    spanning more than 1e4) falls back to numpy's least squares.
+    kept columns, masked, not copied) get one dpotrf factor per face, which
+    solves the projection, the conjugate carry and every Newton step whose
+    positive set is S; restore narrows the face when a weight leaves the
+    support.  A numerically singular Gram (pivots spanning more than 1e4)
+    falls back to numpy's least squares.
 
     Every iteration costs O(m n^2) with no n x n factorization.  Each point
     gets K a and A a once: K a serves its residual, its degrees and the next
@@ -238,9 +220,11 @@ def solve_alpha_coupled(
         return jac
 
     def restore(a: np.ndarray, face: _Face | None = None) -> tuple | None:
-        """(point, K point) on the constraints near a, or None, by Newton steps
-        with the Jacobian at each point, or with the face's Jacobian when it
-        is given; a step on all of the face's columns reuses its factor."""
+        """(point, K point) on the constraints near a, or None, by Newton steps:
+        chord steps on the given face's Jacobian, narrowed to the point's
+        support when a weight leaves it, or, for the start (no face), full
+        steps with the Jacobian at each point."""
+        start = face is None
         # Newton steps move only the weights with mass: one driven to zero stays
         # there, so it neither spoils the next round's convergence nor jams the ratio test
         cand = np.where(a > _BOUND_EPS, a, 0.0)
@@ -250,12 +234,9 @@ def solve_alpha_coupled(
             if _feasible(r):
                 return cand, ka
             # a step's point has mass only on its face's columns, so equal counts mean equal sets
-            if face is not None and np.count_nonzero(cand) == face.size:
-                cand -= face.solve(r).dot(face.rows)
-            else:
-                jac = jacobian(cand, ka) if face is None else face.jac
-                rows = jac * (cand > 0.0)
-                cand -= _gram_solve(rows.dot(jac.T), r).dot(rows)
+            if start or np.count_nonzero(cand) != face.size:
+                face = _Face(jacobian(cand, ka) if start else face.jac, cand > 0.0)
+            cand -= face.solve(r).dot(face.rows)
             np.maximum(cand, 0.0, out=cand)
         ka = dsymv(1.0, k_f, cand)
         return (cand, ka) if _feasible(residual(cand, ka)) else None
@@ -310,8 +291,8 @@ def solve_alpha_coupled(
         grad += lin
         np.greater(alpha, _BOUND_EPS, out=free)
         np.logical_not(free, out=fixed)
-        face = _Face(jacobian(alpha, ka), free, grad)
-        zeta = face.zeta
+        face = _Face(jacobian(alpha, ka), free)
+        zeta = grad - face.fit(grad).dot(face.jac)
         steepest = steepests[iterations % 2]
         np.negative(zeta, out=steepest)
         # KKT residual: free weights must be stationary, zero ones must not want
@@ -325,8 +306,8 @@ def solve_alpha_coupled(
             break
         iterations += 1
         if pull > 0.0:  # zero weights that ask for mass join the face
-            face = _Face(face.jac, free | (zeta < 0.0), grad)
-            np.negative(face.zeta, out=steepest)
+            face = _Face(face.jac, free | (zeta < 0.0))
+            np.negative(grad - face.fit(grad).dot(face.jac), out=steepest)
             np.copyto(steepest, 0.0, where=~face.keep)
         slope = float(grad.dot(steepest))
         if not slope < 0.0:
@@ -339,7 +320,7 @@ def solve_alpha_coupled(
             _, last_norm2, last_steepest, last = carry
             beta = (norm2 - float(steepest.dot(last_steepest))) / last_norm2
             if beta > 0.0:
-                direction = face.carry(last)
+                direction = last - face.fit(last).dot(face.rows)
                 direction *= beta
                 direction += steepest
                 conj_slope = float(grad.dot(direction))

@@ -248,6 +248,32 @@ def test_solve_alpha_coupled_rejects_far_start():
         solve_alpha_coupled(1e6 * y, k, lam, start=alpha)
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-3, 0.1, 0.3])
+def test_solve_alpha_coupled_restores_a_perturbed_start(eps):
+    # a start off the constraints takes full Newton steps, with the Jacobian
+    # at each point: chord steps on the start's own Jacobian do not reach
+    # the constraints from the farthest of these starts
+    data = make_blobs(15, [[0.0, 0.0], [4.0, 0.0], [2.0, 3.5]], 1.0, seed=3)
+    k = gram(data, KernelSpec(2.0))
+    lam = 0.3
+    alpha = np.random.default_rng(5).dirichlet(np.ones(data.n))
+    y = solve_embedding(disc_similarity(k, alpha, lam), 3)
+    y = y * (1.0 + eps * np.random.default_rng(11).standard_normal(y.shape))
+
+    def violation(weights):
+        deg = disc_similarity(k, weights, lam).sum(axis=1)
+        return np.max(np.abs(y.T @ (deg[:, None] * y) - np.eye(3)))
+
+    assert violation(alpha) > 1e-3 * eps
+    sol = solve_alpha_coupled(y, k, lam, start=alpha)
+    assert sol.alpha.min() >= 0.0
+    assert abs(sol.alpha.sum() - 1.0) <= 1e-11
+    assert violation(sol.alpha) <= 1e-10
+    # the trace starts at the restored start and never rises from it
+    assert sol.objective <= sol.objective_trace[0]
+    assert sol.objective_trace[-1] == sol.objective
+
+
 def test_solve_alpha_coupled_checks_start_length():
     # the start's length is checked against the gram's size, not taken from it
     data = _blobs(n_per=20)
@@ -716,10 +742,10 @@ def test_tune_lambda_inner_iterations(monkeypatch):
 
 def test_solve_alpha_coupled_one_factor_per_interior_iteration(monkeypatch):
     # the projection, the conjugate carry and the Newton steps on the face
-    # share one Cholesky factor of J_S J_S^T per iteration
+    # share one Cholesky factor (dpotrf) of J_S J_S^T per iteration
     steps = _tuner_steps(monkeypatch, CdskConfig(c=2, bandwidth=0.1, seed=2), grid=(0.5,))
     step = steps[1][0]  # a warm-started step whose iterations are all interior
-    counts = {"dposv": 0, "dpotrs": 0}
+    counts = {"dpotrf": 0, "dpotrs": 0}
 
     def counting(name):
         real = getattr(cdsk.driver, name)
@@ -734,12 +760,12 @@ def test_solve_alpha_coupled_one_factor_per_interior_iteration(monkeypatch):
         monkeypatch.setattr(cdsk.driver, name, counting(name))
     used = []
     for max_inner in (0, 80):
-        counts.update(dposv=0, dpotrs=0)
+        counts.update(dpotrf=0, dpotrs=0)
         monkeypatch.setattr(cdsk.driver, "_MAX_INNER", max_inner)
-        used.append((step().iterations, counts["dposv"], counts["dpotrs"]))
+        used.append((step().iterations, counts["dpotrf"], counts["dpotrs"]))
     # the start's restoration and the final KKT projection, then one factor
-    # per iteration; it solves each iteration's Newton step and, past a
-    # restart, its conjugate carry as well
+    # per iteration; it solves each iteration's projection and Newton step
+    # and, past a restart, its conjugate carry as well
     (_, setup, setup_reuse), (iterations, total, reuse) = used
     assert iterations >= 15
     assert total - setup == iterations
@@ -813,7 +839,7 @@ def test_projection_matches_least_squares(monkeypatch):
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "lstsq", counting)
-                got = cdsk.driver._Face(jac, keep, grad).zeta
+                got = grad - cdsk.driver._Face(jac, keep).fit(grad).dot(jac)
             assert bool(calls) == singular
             assert np.abs(got - want).max() <= 1e-9 * np.abs(grad).max()
 

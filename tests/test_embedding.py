@@ -254,7 +254,7 @@ def test_uniform_embedding_matches_dense_graph_solve(
     assert np.min(np.linalg.svd(q.T @ v[:, :c], compute_uv=False)) > 1.0 - 1e-8
 
 
-def test_uniform_embedding_c1_is_the_null_vector_without_arpack(
+def test_uniform_embedding_c1_is_the_null_vector_without_lanczos(
     moons_gram, baseline_embeddings, lanczos_calls
 ):
     _baseline_moons(1)
@@ -265,7 +265,7 @@ def test_uniform_embedding_c1_is_the_null_vector_without_arpack(
     assert np.allclose(y[:, 0], 1.0 / np.linalg.norm(sqrt_degree), rtol=1e-12, atol=0.0)
 
 
-def test_uniform_embedding_arpack_failure_falls_back_to_dense(
+def test_uniform_embedding_lanczos_failure_falls_back_to_dense(
     moons_gram, moons_graph, baseline_embeddings, failing_lanczos
 ):
     _baseline_moons(3)

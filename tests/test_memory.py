@@ -85,7 +85,7 @@ def test_dense_embedding_peak_memory(baseline):
         assert peak <= 3.3, peak
 
 
-def test_baseline_arpack_failure_peak_memory(failing_lanczos):
+def test_baseline_lanczos_failure_peak_memory(failing_lanczos):
     # the dense fallback above the limit: K and N (2.05 measured); 3.05 with S
     n = 1000
     data = make_two_moons(n, 0.1, seed=0)
